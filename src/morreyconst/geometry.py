@@ -1,10 +1,10 @@
 """Euclidean ball/sphere measure helpers.
 
-The key quantity is :func:`cap_fraction`: the fraction of the sphere of
-radius t about the origin that lies inside a ball of radius r whose
-center sits at distance d from the origin.  With it, the integral of a
-radial function over an arbitrary ball collapses to a one-dimensional
-integral in the radius t.
+The key quantity is :func:`cap_fraction_radii`: the fraction of the
+sphere of radius t about the origin that lies inside a ball of radius r
+whose center sits at distance d from the origin.  With it, the integral
+of a radial function over an arbitrary ball collapses to a
+one-dimensional integral in the radius t.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ __all__ = [
     "unit_ball_volume",
     "unit_sphere_area",
     "ball_volume",
-    "cap_fraction",
     "cap_fraction_radii",
 ]
 
@@ -42,56 +41,42 @@ def ball_volume(n: int, r: float) -> float:
     return unit_ball_volume(n) * r**n
 
 
-def _cos_theta(t, d, r):
-    """Cosine of the cap's polar angle, clipped into [-1, 1].
-
-    A point at radius t and polar angle phi from the ball-center
-    direction is inside the ball iff cos(phi) >= cos(theta).
-    """
-    return np.clip((t * t + d * d - r * r) / (2.0 * t * d), -1.0, 1.0)
-
-
-def cap_fraction(n: int, t: float, d: float, r: float) -> float:
+def cap_fraction_radii(n: int, t, d, r) -> np.ndarray:
     """Fraction of the sphere {|x| = t} inside the ball {|x - a| <= r}, |a| = d.
 
-    Scalar convenience wrapper over :func:`cap_fraction_radii`.
-    """
-    return float(cap_fraction_radii(n, np.asarray([t], dtype=float), d, r)[0])
+    Vectorized: t, d and r broadcast against each other, so one call can
+    serve many balls.  The closed form uses the regularized incomplete
+    beta function: the cap {phi <= theta} on S^(n-1) with cos(theta) >= 0
+    has fraction I(sin^2 theta; (n-1)/2, 1/2) / 2, and the complement
+    rule covers cos(theta) < 0.  sin^2 theta comes from the factored form
 
-def cap_fraction_radii(n: int, t: np.ndarray, d: float, r: float) -> np.ndarray:
-    """Vectorized :func:`cap_fraction` over an array of sphere radii t >= 0.
+        (d+r-t) (t-(d-r)) (t+(d-r)) (t+d+r) / (4 t^2 d^2),
 
-    The closed form uses the regularized incomplete beta function:
-    the cap {phi <= theta} on S^(n-1) with cos(theta) >= 0 has fraction
-    I(sin^2 theta; (n-1)/2, 1/2) / 2, and the complement rule covers
-    cos(theta) < 0.  For n = 1 the sphere is the two-point set {-t, +t}
-    and the fraction is exactly 0, 1/2 or 1.
+    which keeps its digits on thin caps, where 1 - cos^2 theta cancels.
+    For n = 1 the sphere is the two-point set {-t, +t} and the fraction
+    is exactly 0, 1/2 or 1.
     """
     if not (isinstance(n, int) and n >= 1):
         raise ValueError(f"dimension must be a positive integer, got {n!r}")
-    if d < 0.0 or r <= 0.0:
-        raise ValueError(f"need center distance >= 0 and radius > 0, got d={d}, r={r}")
-    t = np.asarray(t, dtype=float)
-    if (t < 0.0).any():
-        raise ValueError("sphere radii must be >= 0")
-
-    out = np.zeros(t.shape, dtype=float)
-    if d == 0.0:
-        out[t <= r] = 1.0
-        return out
+    t, d, r = (np.asarray(x, dtype=float) for x in (t, d, r))
+    if (d < 0.0).any() or (r <= 0.0).any() or (t < 0.0).any():
+        raise ValueError("need sphere radii >= 0, center distances >= 0 and radii > 0")
 
     inside = t + d <= r          # sphere entirely within the ball
     outside = np.abs(t - d) >= r  # sphere entirely outside (or ball inside sphere)
+    out = inside.astype(float)
+    # A centered ball (d = 0) and t = 0 never land in `partial`.
     partial = ~(inside | outside)
-    out[inside] = 1.0
-    # t = 0 never lands in `partial`: |0 - d| < r would mean `inside`.
-    if partial.any():
-        if n == 1:
-            # exactly one of the two points {-t, +t} is within reach
-            out[partial] = 0.5
-        else:
-            c = _cos_theta(t[partial], d, r)
-            s2 = np.clip(1.0 - c * c, 0.0, 1.0)
-            half_cap = 0.5 * betainc(0.5 * (n - 1), 0.5, s2)
-            out[partial] = np.where(c >= 0.0, half_cap, 1.0 - half_cap)
+    if not partial.any():
+        return out
+    if n == 1:
+        # exactly one of the two points {-t, +t} is within reach
+        out[partial] = 0.5
+        return out
+    t, d, r = (x if x.ndim == 0 else np.broadcast_to(x, out.shape)[partial] for x in (t, d, r))
+    diff, total = d - r, d + r
+    two_td = 2.0 * t * d
+    s2 = ((total - t) * (t - diff) / two_td) * ((t + diff) * (t + total) / two_td)
+    half_cap = 0.5 * betainc(0.5 * (n - 1), 0.5, np.clip(s2, 0.0, 1.0))
+    out[partial] = np.where(t * t + diff * total >= 0.0, half_cap, 1.0 - half_cap)
     return out

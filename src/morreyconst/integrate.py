@@ -1,11 +1,17 @@
 """Integrals of |f|^p over balls, for piecewise radial power f.
 
-Three routes, used for different purposes:
-
-* centered balls: exact closed form (power-function antiderivatives);
-* off-center balls: the spherical cap fraction reduces the integral to a
-  1-D radial integral, evaluated by adaptive Gauss-Kronrod quadrature
-  (exact again when n = 1, where the cap fraction is piecewise constant);
+* Centered balls, and every ball when n = 1 (where the cap fraction is
+  piecewise constant): exact closed form from power-function
+  antiderivatives.
+* Off-center balls when n >= 2: the spheres of radius t <= r - d lie
+  inside the ball and give a closed-form core; the shell
+  |d - r| <= t <= d + r contributes through the spherical cap fraction.
+  The shell integral is taken in the cap angle theta, with
+  t = max(d, r) - min(d, r) cos(theta), which smooths the square-root
+  behaviour of the cap fraction at both shell ends.  Gauss-Kronrod
+  quadrature, vectorized over many balls, gives the value and an error
+  estimate judged against the whole ball integral (core plus shell);
+  balls that miss it go on to adaptive subdivision.
 * Monte Carlo: an independent stochastic route used to cross-check the
   quadrature, never as the primary evaluator.
 
@@ -30,6 +36,7 @@ __all__ = [
     "integral_diverges_in_ball",
     "integrate_abs_pow_centered",
     "centered_integrals",
+    "ball_integrals",
     "integrate_abs_pow_ball",
     "mc_integrate",
 ]
@@ -77,8 +84,11 @@ def integral_diverges_in_ball(
     (d <= r) and f carries a power with alpha*p + n <= 0 supported on
     radii arbitrarily close to 0.
     """
-    if ball.d > ball.r:
-        return False
+    return ball.d <= ball.r and _singular_at_origin(f, p, n)
+
+
+def _singular_at_origin(f: PiecewiseRadialFunction, p: float, n: int) -> bool:
+    """True iff some power of f with alpha*p + n <= 0 reaches radius 0."""
     return any(pc.lo == 0.0 and pc.alpha * p + n <= 0.0 for pc in f.pieces)
 
 
@@ -192,19 +202,23 @@ def _gk15_panels(func, lo: np.ndarray, hi: np.ndarray):
     return values, errors
 
 
-def _adaptive_quadrature(func, cuts: list[float], settings: IntegrationSettings):
+def _adaptive_quadrature(
+    func, cuts: list[float], settings: IntegrationSettings, offset: float = 0.0
+):
     """Globally adaptive GK15 over the union of [cuts[i], cuts[i+1]].
 
     Returns (value, tol_ok).  Splits the worst panels until the summed
-    error estimate is below rel_tol * |integral| or the panel budget is
-    exhausted.
+    error estimate is below rel_tol * |integral + offset| or the panel
+    budget is exhausted.  ``offset`` is a known part of the quantity the
+    integral belongs to (the closed-form core of a ball), so a small
+    piece of a large total is judged against the total.
     """
     lo = np.array(cuts[:-1], dtype=float)
     hi = np.array(cuts[1:], dtype=float)
     values, errors = _gk15_panels(func, lo, hi)
     while True:
         total = float(values.sum())
-        tol = settings.rel_tol * max(abs(total), 1e-300)
+        tol = settings.rel_tol * max(abs(total + offset), 1e-300)
         if float(errors.sum()) <= tol:
             return total, True
         budget = settings.max_subdivisions - len(lo)
@@ -228,77 +242,88 @@ def _adaptive_quadrature(func, cuts: list[float], settings: IntegrationSettings)
         errors = np.concatenate([errors[keep], new_errs])
 
 
-def _quad_cuts(f: PiecewiseRadialFunction, t_lo: float, t_hi: float) -> list[float]:
-    """Panel boundaries: the quadrature range split at f's breakpoints."""
-    cuts = [t_lo, t_hi]
+# ---------------------------------------------------------------------------
+# Off-center balls: closed-form core plus a shell integral in the cap angle.
+
+
+def _shell_integrand(f, p, n, area, theta, d, r):
+    """Shell integrand of area * |f|^p t^(n-1) cap(t) in the cap angle theta.
+
+    With c = max(d, r) and h = min(d, r), the sphere radius is
+    t = c - h cos(theta) = |d - r| + 2 h sin^2(theta / 2) (the second
+    form keeps t's digits near the inner shell end), and dt = h sin(theta)
+    d(theta).  d and r broadcast against theta.
+    """
+    h = np.minimum(d, r)
+    s = np.sin(0.5 * theta)
+    t = np.abs(d - r) + 2.0 * h * s * s
+    vals = np.abs(f.evaluate_radii(t)) ** p
+    return area * vals * t ** (n - 1) * cap_fraction_radii(n, t, d, r) * h * np.sin(theta)
+
+
+_HALF_TURNS = np.array([0.0, 0.5 * math.pi, math.pi])
+
+
+def _shell_cuts(f: PiecewiseRadialFunction, d: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Panel boundaries in theta, one row per ball, NaN-padded on the right.
+
+    Each row runs from 0 to pi, is cut at pi/2 (one 15-point panel over
+    the whole half turn is too coarse for the Gauss error estimate) and
+    wherever the sphere radius crosses one of f's breakpoints.
+    """
+    t_lo, t_hi = np.abs(d - r), d + r
+    cols = [np.broadcast_to(_HALF_TURNS, d.shape + (3,))]
     for b in f.breakpoints():
-        if t_lo < b < t_hi:
-            cuts.append(b)
-    return sorted(cuts)
+        inside = (t_lo < b) & (b < t_hi)
+        if inside.any():
+            frac = np.clip((b - t_lo) / (2.0 * np.minimum(d, r)), 0.0, 1.0)
+            cols.append(np.where(inside, 2.0 * np.arcsin(np.sqrt(frac)), np.nan)[:, None])
+    if len(cols) == 1:
+        return cols[0]
+    return np.sort(np.concatenate(cols, axis=-1), axis=-1)
 
 
-def integrate_abs_pow_ball(
-    f: PiecewiseRadialFunction,
-    p: float,
-    n: int,
-    ball: Ball,
-    settings: IntegrationSettings = IntegrationSettings(),
-) -> BallIntegral:
-    """Integral of |f|^p over an arbitrary ball, with a tolerance flag.
+# Balls per vectorized GK15 pass: bounds the pass's temporary arrays.
+_BALLS_PER_PASS = 256
 
-    Spheres of radius t <= r - d lie entirely inside the ball and are
-    handled in closed form; the remaining shell |d - r| <= t <= d + r
-    contributes through the cap fraction.  For n = 1 the cap fraction is
-    exactly 1/2 on the open shell, so the whole integral is closed form.
+
+def _shells(f, p, n, d, r, inner, settings):
+    """Shell integrals of off-center balls (1-D d, r), with tolerance flags.
+
+    One GK15 pass covers the initial theta panels of every ball; a ball
+    whose summed error estimate misses rel_tol * |inner + shell| goes on
+    to adaptive subdivision.
     """
-    if f.is_zero:
-        return BallIntegral(0.0, True)
-    if integral_diverges_in_ball(f, p, n, ball):
-        return BallIntegral(INF, True)
-    d, r = ball.d, ball.r
-    if d == 0.0:
-        return BallIntegral(integrate_abs_pow_centered(f, p, n, r), True)
-
     area = unit_sphere_area(n)
-    inner = 0.0
-    if d < r:
-        inner = integrate_abs_pow_centered(f, p, n, r - d)
-
-    t_lo, t_hi = abs(d - r), d + r
-    if n == 1:
-        shell = 0.0
-        for pc in f.pieces:
-            gamma = pc.alpha * p + n
-            seg = _segment_power_integral(
-                gamma, max(pc.lo, t_lo), min(pc.hi, t_hi)
-            )
-            shell += area * abs(pc.coef) ** p * seg
-        return BallIntegral(inner + 0.5 * shell, True)
-
-    def integrand(t: np.ndarray) -> np.ndarray:
-        vals = np.abs(f.evaluate_radii(t)) ** p
-        return area * vals * t ** (n - 1) * cap_fraction_radii(n, t, d, r)
-
-    shell, tol_ok = _adaptive_quadrature(
-        integrand, _quad_cuts(f, t_lo, t_hi), settings
+    cuts = _shell_cuts(f, d, r)
+    owner, slot = np.nonzero(~np.isnan(cuts[:, 1:]))
+    at = np.repeat(owner, len(_NODES))
+    panel_vals, panel_errs = _gk15_panels(
+        lambda theta: _shell_integrand(f, p, n, area, theta, d[at], r[at]),
+        cuts[owner, slot],
+        cuts[owner, slot + 1],
     )
-    return BallIntegral(inner + shell, tol_ok)
+    shell = np.bincount(owner, panel_vals, minlength=d.size)
+    err = np.bincount(owner, panel_errs, minlength=d.size)
+    ok = err <= settings.rel_tol * np.maximum(np.abs(inner + shell), 1e-300)
+    for k in np.flatnonzero(~ok):
+        dk, rk = float(d[k]), float(r[k])
+        row = cuts[k]
+        shell[k], ok[k] = _adaptive_quadrature(
+            lambda theta: _shell_integrand(f, p, n, area, theta, dk, rk),
+            row[~np.isnan(row)].tolist(),
+            settings,
+            offset=float(inner[k]),
+        )
+    return shell, ok
 
 
-def ball_integrals_n1(
-    f: PiecewiseRadialFunction, p: float, d: float, rs: np.ndarray
-) -> np.ndarray:
-    """Exact n = 1 ball integrals at fixed center distance, vectorized in r.
-
-    In one dimension the cap fraction is exactly 1/2 on the open shell
-    |d - r| < t < d + r, so the whole integral is a sum of power-function
-    antiderivatives; this row evaluator keeps the supremum grid cheap.
-    """
-    rs = np.asarray(rs, dtype=float)
-    out = np.zeros(rs.shape, dtype=float)
-    t_lo = np.abs(d - rs)
-    t_hi = d + rs
-    inner_top = rs - d  # spheres below this radius lie fully inside
+def _ball_integrals_n1(f, p, d, r):
+    """Exact n = 1 ball integrals: the cap fraction is 1/2 on the open shell."""
+    out = np.zeros(d.shape, dtype=float)
+    t_lo = np.abs(d - r)
+    t_hi = d + r
+    inner_top = r - d  # spheres below this radius lie fully inside
 
     for pc in f.pieces:
         gamma = pc.alpha * p + 1.0
@@ -320,10 +345,88 @@ def ball_integrals_n1(
             # divergent at the origin: infinite wherever the ball reaches
             # it, plain shell contribution wherever it does not
             shell = amp * 0.5 * seg(np.where(t_lo > 0.0, t_lo, 1.0), t_hi)
-            out = np.where(d <= rs, INF, out + shell)
+            out = np.where(d <= r, INF, out + shell)
         else:
-            out += amp * (seg(np.zeros_like(rs), inner_top) + 0.5 * seg(t_lo, t_hi))
+            out += amp * (seg(np.zeros_like(r), inner_top) + 0.5 * seg(t_lo, t_hi))
     return out
+
+
+def ball_integrals(
+    f: PiecewiseRadialFunction,
+    p: float,
+    n: int,
+    d,
+    r,
+    settings: IntegrationSettings = IntegrationSettings(),
+) -> tuple[np.ndarray, np.ndarray]:
+    """Integrals of |f|^p over many balls (center distances d, radii r).
+
+    d and r broadcast against each other.  Returns (values, tol_ok)
+    arrays of their common shape, with the meaning of
+    :class:`BallIntegral`.  For n = 1 every value is closed form.  For
+    n >= 2 the closed-form cores are vectorized, and the off-center
+    shells go through :func:`_shells` in blocks of ``_BALLS_PER_PASS``.
+    """
+    d, r = np.broadcast_arrays(np.asarray(d, dtype=float), np.asarray(r, dtype=float))
+    if (d < 0.0).any() or (r <= 0.0).any():
+        raise ValueError("need center distances >= 0 and radii > 0")
+    tol_ok = np.ones(d.shape, dtype=bool)
+    if f.is_zero:
+        return np.zeros(d.shape), tol_ok
+    if n == 1:
+        return _ball_integrals_n1(f, p, d, r), tol_ok
+
+    diverges = (d <= r) & _singular_at_origin(f, p, n)
+    values = np.where(diverges, INF, 0.0)
+    core = (d < r) & ~diverges
+    if core.any():
+        values[core] = centered_integrals(f, p, n, (r - d)[core])
+
+    idx = np.flatnonzero((d > 0.0) & ~diverges)
+    for start in range(0, idx.size, _BALLS_PER_PASS):
+        k = idx[start:start + _BALLS_PER_PASS]
+        inner = values.flat[k]
+        shell, ok = _shells(f, p, n, d.flat[k], r.flat[k], inner, settings)
+        values.flat[k] = inner + shell
+        tol_ok.flat[k] = ok
+    return values, tol_ok
+
+
+def integrate_abs_pow_ball(
+    f: PiecewiseRadialFunction,
+    p: float,
+    n: int,
+    ball: Ball,
+    settings: IntegrationSettings = IntegrationSettings(),
+) -> BallIntegral:
+    """Integral of |f|^p over one ball, with a tolerance flag.
+
+    Centered balls and n = 1 are closed form, evaluated here in scalar
+    arithmetic; any other ball is a one-ball :func:`ball_integrals` call.
+    """
+    if f.is_zero:
+        return BallIntegral(0.0, True)
+    if integral_diverges_in_ball(f, p, n, ball):
+        return BallIntegral(INF, True)
+    d, r = ball.d, ball.r
+    if d == 0.0:
+        return BallIntegral(integrate_abs_pow_centered(f, p, n, r), True)
+    if n >= 2:
+        values, tol_ok = ball_integrals(f, p, n, d, r, settings)
+        return BallIntegral(float(values), bool(tol_ok))
+
+    # n = 1: the cap fraction is exactly 1/2 on the open shell
+    area = unit_sphere_area(n)
+    inner = 0.0
+    if d < r:
+        inner = integrate_abs_pow_centered(f, p, n, r - d)
+    t_lo, t_hi = abs(d - r), d + r
+    shell = 0.0
+    for pc in f.pieces:
+        gamma = pc.alpha * p + n
+        seg = _segment_power_integral(gamma, max(pc.lo, t_lo), min(pc.hi, t_hi))
+        shell += area * abs(pc.coef) ** p * seg
+    return BallIntegral(inner + 0.5 * shell, True)
 
 
 # ---------------------------------------------------------------------------

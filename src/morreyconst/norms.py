@@ -4,8 +4,9 @@ The norm is  sup over balls B(a, r)  of  |B|^(1/q - 1/p) (int_B |f|^p)^(1/p),
 with radii unrestricted (Morrey mode) or confined to (0, 1) (small mode).
 By radial symmetry the supremum over centers a reduces to a supremum over
 the center distance d = |a|, leaving a 2-parameter search in (d, r):
-a coarse log-r x linear-d grid, then coordinate-wise golden-section
-refinement from the best grid cells.  Centered balls (d = 0) are exact.
+a coarse log-r x linear-d grid, filled by one batched kernel call, then
+coordinate-wise golden-section refinement from the best grid cells.
+Centered balls (d = 0) are exact.
 
 Whether the norm is infinite is decided analytically from the piece
 exponents before any search runs; a growth heuristic on the r-grid backs
@@ -24,7 +25,7 @@ from morreyconst.geometry import unit_ball_volume
 from morreyconst.integrate import (
     BallIntegral,
     IntegrationSettings,
-    ball_integrals_n1,
+    ball_integrals,
     centered_integrals,
     integrate_abs_pow_ball,
     integrate_abs_pow_centered,
@@ -198,7 +199,6 @@ class _Prober:
         self.params = params
         self.integ = integ
         self.tol_ok = True
-        self.saw_infinite = False
         self._cache: dict[tuple[float, float], float] = {}
 
     def __call__(self, d: float, r: float) -> float:
@@ -212,7 +212,6 @@ class _Prober:
         if not res.tol_ok:
             self.tol_ok = False
         if res.value == INF:
-            self.saw_infinite = True
             value = INF
         else:
             value = _weight(self.params, r) * res.value ** (1.0 / self.params.p)
@@ -319,26 +318,18 @@ def _search(
     )
     probe = _Prober(f, params, scout)
 
-    # d = 0 row is exact; cache it into the prober and keep as diagnostics.
-    centered_vals = centered_norm_profile_radii(f, params, rs)
+    # The d = 0 row is exact; the off-centre rows are one batched kernel
+    # call.  Every grid value is cached in the prober.
     grid = np.empty((search.n_centers, search.n_radii))
+    centered_vals = centered_norm_profile_radii(f, params, rs)
     grid[0, :] = centered_vals
-    for j, r in enumerate(rs):
-        probe._cache[(0.0, float(r))] = float(centered_vals[j])
-    if params.n == 1:
-        # the n = 1 ball integral is closed form; fill whole rows at once
-        for i, d in enumerate(ds[1:], start=1):
-            ints = ball_integrals_n1(f, params.p, float(d), rs)
-            row = _weight(params, rs) * ints ** (1.0 / params.p)
-            grid[i, :] = row
-            for j, r in enumerate(rs):
-                probe._cache[(float(d), float(r))] = float(row[j])
-    else:
-        for i, d in enumerate(ds[1:], start=1):
-            for j, r in enumerate(rs):
-                grid[i, j] = probe(float(d), float(r))
+    ints, ok = ball_integrals(f, params.p, params.n, ds[1:, None], rs[None, :], scout)
+    grid[1:, :] = _weight(params, rs) * ints ** (1.0 / params.p)
+    probe.tol_ok = bool(ok.all())
+    for d, row in zip(ds.tolist(), grid.tolist()):
+        probe._cache.update(((d, r), v) for r, v in zip(rs.tolist(), row))
 
-    if probe.saw_infinite or np.isinf(grid).any():
+    if np.isinf(grid).any():
         return NormResult(INF, None, tol_ok=probe.tol_ok)
 
     # Backstop divergence heuristic: still climbing a full factor of 10

@@ -11,11 +11,16 @@ from hypothesis import strategies as st
 
 from morreyconst.geometry import (
     ball_volume,
-    cap_fraction,
     cap_fraction_radii,
     unit_ball_volume,
     unit_sphere_area,
 )
+
+
+def cap_fraction(n, t, d, r):
+    """One sphere radius through the vectorized routine."""
+    (frac,) = cap_fraction_radii(n, np.array([t]), d, r)
+    return float(frac)
 
 
 class TestVolumes:
@@ -90,6 +95,23 @@ class TestCapFraction:
         vec = cap_fraction_radii(4, ts, 0.7, 1.2)
         for t, v in zip(ts, vec):
             assert v == cap_fraction(4, float(t), 0.7, 1.2)
+
+    def test_broadcasts_over_balls(self):
+        # one call serving several balls gives each ball's own fractions
+        ts = np.array([0.3, 0.9, 1.6, 2.5])
+        ds = np.array([0.2, 0.7, 1.0, 2.0])
+        rs = np.array([1.0, 0.5, 1.0, 0.6])
+        vec = cap_fraction_radii(3, ts, ds, rs)
+        for t, d, r, v in zip(ts, ds, rs, vec):
+            assert v == cap_fraction(3, float(t), float(d), float(r))
+
+    def test_thin_cap_keeps_digits(self):
+        # [DERIVED] n=2, t=4.991 on the ball (d, r) = (5, 0.01): cos(phi)
+        # = 1 - 3.8e-7, where 1 - cos^2 loses six digits.  phi / pi from
+        # 30-digit arithmetic on the same floats, frozen
+        assert cap_fraction(2, 4.991, 5.0, 0.01) == pytest.approx(
+            2.777462183092438e-04, rel=1e-12
+        )
 
     def test_obtuse_cap_complement(self):
         # d small, r just below d + t: almost the whole sphere is covered

@@ -8,11 +8,13 @@ import numpy as np
 import pytest
 import scipy.integrate
 
+import morreyconst.integrate as integrate_mod
 from morreyconst.geometry import cap_fraction_radii, unit_ball_volume, unit_sphere_area
 from morreyconst.integrate import (
     BallIntegral,
     IntegrationSettings,
     _adaptive_quadrature,
+    ball_integrals,
     centered_integrals,
     integral_diverges_in_ball,
     integrate_abs_pow_ball,
@@ -24,6 +26,7 @@ from morreyconst.model import Ball, canonicalize
 INF = math.inf
 
 POWER_HALF = canonicalize([(0.0, INF, 1.0, -0.5)])  # |x|^{-1/2}
+POWER_ONE = canonicalize([(0.0, INF, 1.0, -1.0)])  # |x|^{-1}
 
 
 class TestSettings:
@@ -123,6 +126,15 @@ class TestAdaptiveQuadrature:
         )
         assert value == pytest.approx(2.0, rel=1e-5)
 
+    def test_offset_sets_the_target(self):
+        # one panel, no subdivision: sqrt(t) on [0, 1] misses the target
+        # on its own but meets it as a small part of a large total
+        one_panel = IntegrationSettings(max_subdivisions=1)
+        _, alone = _adaptive_quadrature(np.sqrt, [0.0, 1.0], one_panel)
+        value, part = _adaptive_quadrature(np.sqrt, [0.0, 1.0], one_panel, offset=1e9)
+        assert not alone and part
+        assert value == pytest.approx(2.0 / 3.0, rel=1e-3)
+
     def test_budget_exhaustion_flags(self):
         tight = IntegrationSettings(rel_tol=1e-14, max_subdivisions=2)
         _, ok = _adaptive_quadrature(
@@ -215,10 +227,79 @@ class TestBallIntegralHigherDim:
         assert res.tol_ok
         assert res.value > 0.0
 
+    @pytest.mark.parametrize(
+        "d, r, expected",
+        [
+            # [DERIVED] thin shell far out: the integral of 2 phi(t) over
+            # [4.99, 5.01], phi the half arc angle, by 30-digit tanh-sinh
+            # quadrature, frozen
+            (5.0, 0.01, 6.28318844877695246e-05),
+            # [DERIVED] tangent disc through the origin: in polar
+            # coordinates int_{-pi/2}^{pi/2} 2 cos(phi) dphi = 4, frozen
+            (1.0, 1.0, 4.0),
+        ],
+    )
+    def test_inverse_power_over_discs(self, d, r, expected):
+        res = integrate_abs_pow_ball(POWER_ONE, 1.0, 2, Ball(d, r))
+        assert res.tol_ok
+        assert res.value == pytest.approx(expected, rel=1e-12)
+
     def test_far_ball_no_overlap_zero(self):
         f = canonicalize([(0.0, 1.0, 1.0, 0.0)])
         res = integrate_abs_pow_ball(f, 1.0, 2, Ball(10.0, 2.0))
         assert res.value == 0.0
+
+
+class TestBatchedBallIntegrals:
+    BALLS = [
+        (5.0, 0.01),      # thin shell far from the origin
+        (20.0, 1e-3),
+        (1.0, 1.0),       # tangent: the shell starts at the origin
+        (0.25, 0.25),
+        (1e-5, 1e5),      # d << r: tiny shell around a large core
+        (0.01, 3.0),
+        (1.2, 2.5),       # shell [1.3, 3.7] crosses the breakpoint 2
+        (2.0, 0.5),       # shell [1.5, 2.5] crosses it too
+    ]
+    F = canonicalize([(0.0, 2.0, 1.5, -0.5), (2.0, INF, 0.5, 0.25)])
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize(
+        "settings",
+        [IntegrationSettings(), IntegrationSettings(rel_tol=1e-13, max_subdivisions=3)],
+    )
+    def test_matches_single_ball(self, n, settings):
+        d = np.array([b[0] for b in self.BALLS])
+        r = np.array([b[1] for b in self.BALLS])
+        values, tol_ok = ball_integrals(self.F, 1.0, n, d, r, settings)
+        for k, (dk, rk) in enumerate(self.BALLS):
+            single = integrate_abs_pow_ball(self.F, 1.0, n, Ball(dk, rk), settings)
+            assert values[k] == pytest.approx(single.value, rel=1e-12)
+            assert tol_ok[k] == single.tol_ok
+
+    def test_blocks_do_not_change_values(self, monkeypatch):
+        d, r = np.meshgrid(np.linspace(0.1, 4.0, 9), np.geomspace(0.01, 10.0, 7))
+        whole = ball_integrals(self.F, 1.0, 3, d, r)
+        monkeypatch.setattr(integrate_mod, "_BALLS_PER_PASS", 4)
+        blocks = ball_integrals(self.F, 1.0, 3, d, r)
+        np.testing.assert_allclose(blocks[0], whole[0], rtol=1e-15)
+        assert (blocks[1] == whole[1]).all()
+
+    def test_grid_shape_and_special_balls(self):
+        f = canonicalize([(0.0, 1.0, 1.0, -2.0)])  # diverges at the origin
+        d = np.array([[0.0], [0.5], [3.0]])
+        r = np.array([[1.0, 2.5]])
+        values, tol_ok = ball_integrals(f, 1.0, 2, d, r)
+        assert values.shape == tol_ok.shape == (3, 2)
+        assert np.isinf(values[:2]).all()
+        assert values[2, 0] == 0.0          # the ball misses the support
+        assert values[2, 1] > 0.0 and tol_ok.all()
+
+    def test_n1_closed_form(self):
+        values, tol_ok = ball_integrals(POWER_HALF, 1.0, 1, [2.0, 0.5], [1.0, 1.0])
+        assert values[0] == pytest.approx(1.4641016151377544, rel=1e-14)
+        assert values[1] == integrate_abs_pow_ball(POWER_HALF, 1.0, 1, Ball(0.5, 1.0)).value
+        assert tol_ok.all()
 
 
 class TestMonteCarlo:
