@@ -40,9 +40,7 @@ from morreyconst.norms import (
     NormResult,
     SearchSettings,
     closed_form_power_norm,
-    morrey_norm,
     norm,
-    small_morrey_norm,
 )
 
 __version__ = "0.1.0"
@@ -70,12 +68,10 @@ __all__ = [
     "format_function",
     "integrate_abs_pow_ball",
     "mc_integrate",
-    "morrey_norm",
     "norm",
     "parse_function",
     "ratio",
     "scale",
-    "small_morrey_norm",
     "subtract",
     "theorem2_lower_bound",
     "truncate",

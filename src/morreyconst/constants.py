@@ -23,6 +23,7 @@ import numpy as np
 
 from morreyconst.integrate import IntegrationSettings
 from morreyconst.model import (
+    MixedExponentOverlap,
     Mode,
     PiecewiseRadialFunction,
     RadialPiece,
@@ -123,8 +124,12 @@ class ConstantEstimate:
     best_index: int
     n_pairs_tried: int
     n_skipped: int
-    max_ratio_seen: float
     trace: tuple[float, ...] = ()
+
+    @property
+    def max_ratio_seen(self) -> float:
+        """Largest ratio over the candidates: always ``best_ratio``."""
+        return self.best_ratio
 
 
 def _norm_value(
@@ -348,20 +353,18 @@ def estimate_constant(
     best_ratio = -INF
     best_pair = None
     best_index = -1
-    max_seen = -INF
     skipped = 0
     trace: list[float] = []
     for idx, (x, y) in enumerate(pairs):
         try:
             value = ratio(kind, x, y, params, search, integ)
-        except (ZeroFunction, NotInSpace, ValueError):
+        except (ZeroFunction, NotInSpace, MixedExponentOverlap):
             skipped += 1
             if keep_trace:
                 trace.append(math.nan)
             continue
         if keep_trace:
             trace.append(value)
-        max_seen = max(max_seen, value)
         if value > best_ratio:
             best_ratio, best_pair, best_index = value, (x, y), idx
     if best_pair is None:
@@ -373,6 +376,5 @@ def estimate_constant(
         best_index=best_index,
         n_pairs_tried=len(pairs),
         n_skipped=skipped,
-        max_ratio_seen=max_seen,
         trace=tuple(trace),
     )

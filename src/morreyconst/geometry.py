@@ -52,7 +52,8 @@ def cap_fraction_radii(n: int, t, d, r) -> np.ndarray:
 
         (d+r-t) (t-(d-r)) (t+(d-r)) (t+d+r) / (4 t^2 d^2),
 
-    which keeps its digits on thin caps, where 1 - cos^2 theta cancels.
+    which keeps its digits on thin caps, where 1 - cos^2 theta cancels;
+    on far balls (d > 2r) the factor t-(d-r) is formed as (t-d)+r.
     For n = 1 the sphere is the two-point set {-t, +t} and the fraction
     is exactly 0, 1/2 or 1.
     """
@@ -75,8 +76,12 @@ def cap_fraction_radii(n: int, t, d, r) -> np.ndarray:
         return out
     t, d, r = (x if x.ndim == 0 else np.broadcast_to(x, out.shape)[partial] for x in (t, d, r))
     diff, total = d - r, d + r
+    # On a far ball (d > 2r) every t in the shell is within a factor 2 of
+    # d, so t - d is exact and (t - d) + r rounds once; t - (d - r) would
+    # carry the rounding of d - r into the thin-cap factor.
+    near_inner = np.where(d > 2.0 * r, (t - d) + r, t - diff)
     two_td = 2.0 * t * d
-    s2 = ((total - t) * (t - diff) / two_td) * ((t + diff) * (t + total) / two_td)
+    s2 = ((total - t) * near_inner / two_td) * ((t + diff) * (t + total) / two_td)
     half_cap = 0.5 * betainc(0.5 * (n - 1), 0.5, np.clip(s2, 0.0, 1.0))
     out[partial] = np.where(t * t + diff * total >= 0.0, half_cap, 1.0 - half_cap)
     return out

@@ -5,8 +5,12 @@ with radii unrestricted (Morrey mode) or confined to (0, 1) (small mode).
 By radial symmetry the supremum over centers a reduces to a supremum over
 the center distance d = |a|, leaving a 2-parameter search in (d, r):
 a coarse log-r x linear-d grid, filled by one batched kernel call, then
-coordinate-wise golden-section refinement from the best grid cells.
-Centered balls (d = 0) are exact.
+a zoom.  The zoom starts from the best grid cells and from the best
+balls whose faces d - r and d + r both sit on breakpoints of f (or at
+the origin); each round evaluates a small patch in (d, log r) and one in
+(d - r, d + r) around every start in one kernel call, moves each start
+to its best ball and shrinks the patches.  Centered balls (d = 0) are
+exact.
 
 Whether the norm is infinite is decided analytically from the piece
 exponents before any search runs; a growth heuristic on the r-grid backs
@@ -23,7 +27,6 @@ import numpy as np
 
 from morreyconst.geometry import unit_ball_volume
 from morreyconst.integrate import (
-    BallIntegral,
     IntegrationSettings,
     ball_integrals,
     centered_integrals,
@@ -38,24 +41,32 @@ __all__ = [
     "centered_norm_profile",
     "centered_norm_profile_radii",
     "norm",
-    "morrey_norm",
-    "small_morrey_norm",
     "closed_form_power_norm",
     "norm_is_infinite",
 ]
 
 INF = math.inf
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 # Search probes run at a floor tolerance for speed; the winning ball is
 # re-evaluated at the requested tolerance afterwards, so the floor only
 # affects where the refinement looks, not the reported value.
 _SCOUT_REL_TOL = 1e-8
 
+# The refinement zoom: starts from the _STARTS best grid cells and the
+# _STARTS best breakpoint-aligned balls, _PATCH x _PATCH points per
+# patch, patches shrunk by _SHRINK after each of _ROUNDS rounds.  The
+# middle offset is exactly 0, so the (d, log r) patch holds its start
+# and a start never moves to a worse ball.
+_STARTS = 3
+_PATCH = 7
+_SHRINK = 1.0 / 3.0
+_ROUNDS = 20
+_OFFSETS = np.linspace(-1.0, 1.0, _PATCH)
+
 
 @dataclass(frozen=True)
 class SearchSettings:
-    """Supremum-search window and refinement effort.
+    """Supremum-search window and grid.
 
     ``r_max`` defaults by mode: 1e6 for Morrey, 1 - 1e-6 for small.
     ``d_max`` defaults to 10 + the function's largest finite breakpoint.
@@ -66,8 +77,6 @@ class SearchSettings:
     d_max: float | None = None
     n_radii: int = 64
     n_centers: int = 33
-    golden_steps: int = 40
-    multistarts: int = 3
 
     def __post_init__(self) -> None:
         if not self.r_min > 0.0:
@@ -76,8 +85,6 @@ class SearchSettings:
             raise ValueError(f"need r_min < r_max, got {self.r_min} >= {self.r_max}")
         if self.n_radii < 2 or self.n_centers < 2:
             raise ValueError("grid sizes must be >= 2")
-        if self.golden_steps < 1 or self.multistarts < 1:
-            raise ValueError("refinement effort must be >= 1")
 
     def resolved_r_max(self, mode: Mode) -> float:
         if self.r_max is not None:
@@ -118,7 +125,6 @@ class NormResult:
     argmax: Ball | None
     truncated: bool = False
     tol_ok: bool = True
-    profile_samples: tuple[tuple[float, float, float], ...] = ()
 
     @property
     def infinite(self) -> bool:
@@ -191,104 +197,26 @@ def norm_is_infinite(f: PiecewiseRadialFunction, params: SpaceParams) -> bool:
     return False
 
 
-class _Prober:
-    """Caching evaluator of the norm quantity at a ball, with flags."""
+def _aligned_balls(f: PiecewiseRadialFunction, r_min: float, r_max: float, d_max: float):
+    """Balls whose shell ends |d - r| and d + r lie at 0 or on f's breakpoints.
 
-    def __init__(self, f, params, integ):
-        self.f = f
-        self.params = params
-        self.integ = integ
-        self.tol_ok = True
-        self._cache: dict[tuple[float, float], float] = {}
-
-    def __call__(self, d: float, r: float) -> float:
-        key = (d, r)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        res = integrate_abs_pow_ball(
-            self.f, self.params.p, self.params.n, Ball(d, r), self.integ
-        )
-        if not res.tol_ok:
-            self.tol_ok = False
-        if res.value == INF:
-            value = INF
-        else:
-            value = _weight(self.params, r) * res.value ** (1.0 / self.params.p)
-        self._cache[key] = value
-        return value
-
-
-def _golden_max(fun, lo: float, hi: float, steps: int) -> tuple[float, float]:
-    """Golden-section maximization of fun on [lo, hi]; deterministic ties."""
-    if not hi > lo:
-        x = lo
-        return x, fun(x)
-    a, b = lo, hi
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = fun(c), fun(d)
-    for _ in range(steps):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = fun(d)
-    return (c, fc) if fc >= fd else (d, fd)
-
-
-def _refine_dr(probe, d0, r0, d_lo, d_hi, r_lo, r_hi, steps):
-    """Alternating golden-section sweeps in (log r, d) from (d0, r0)."""
-    d_cur, r_cur = d0, r0
-    best = probe(d_cur, r_cur)
-    for _ in range(3):
-        x, val = _golden_max(
-            lambda u: probe(d_cur, math.exp(u)), math.log(r_lo), math.log(r_hi), steps
-        )
-        if val >= best:
-            r_cur, best = math.exp(x), val
-        x, val = _golden_max(lambda d: probe(d, r_cur), d_lo, d_hi, steps)
-        if val >= best:
-            d_cur, best = x, val
-    return d_cur, r_cur, best
-
-
-def _refine_uv(probe, d0, r0, d_hi, r_lo, r_hi, steps):
-    """Same refinement in rotated coordinates u = d - r, v = d + r.
-
-    Along the ridge where the ball's inner face hugs a breakpoint,
-    (d, r) moves diagonally; sweeping u at fixed v (and vice versa)
-    tracks that diagonal where axis-aligned sweeps stall.
+    The shell |d - r| <= |x| <= d + r of such a ball exactly spans a run
+    of f's pieces.  These balls are corners of the (d, r) landscape,
+    where the value can peak with a kink that no grid cell sits on.
+    Returns (d, r) arrays of those balls inside the search window.
     """
+    faces = np.array(sorted({0.0, *f.breakpoints()}))
+    u, v = np.broadcast_arrays(np.concatenate([faces, -faces[1:]])[:, None], faces)
+    keep = (np.abs(u) <= v) & (u < v)
+    u, v = u[keep], v[keep]
+    d, r = 0.5 * (u + v), 0.5 * (v - u)
+    keep = (r_min <= r) & (r <= r_max) & (d <= d_max)
+    return d[keep], r[keep]
 
-    def eval_uv(u: float, v: float) -> float:
-        d = 0.5 * (u + v)
-        r = 0.5 * (v - u)
-        if not (r_lo <= r <= r_hi and 0.0 <= d <= d_hi):
-            return -INF
-        return probe(d, r)
 
-    u_cur, v_cur = d0 - r0, d0 + r0
-    best = eval_uv(u_cur, v_cur)
-    for _ in range(3):
-        u_lo = max(v_cur - 2.0 * r_hi, -v_cur)
-        u_hi = min(v_cur - 2.0 * r_lo, 2.0 * d_hi - v_cur)
-        if u_hi > u_lo:
-            x, val = _golden_max(lambda u: eval_uv(u, v_cur), u_lo, u_hi, steps)
-            if val >= best:
-                u_cur, best = x, val
-        v_lo = max(u_cur + 2.0 * r_lo, -u_cur)
-        v_hi = min(u_cur + 2.0 * r_hi, 2.0 * d_hi - u_cur)
-        if v_hi > v_lo:
-            x, val = _golden_max(lambda v: eval_uv(u_cur, v), v_lo, v_hi, steps)
-            if val >= best:
-                v_cur, best = x, val
-    d = 0.5 * (u_cur + v_cur)
-    r = 0.5 * (v_cur - u_cur)
-    return max(d, 0.0), min(max(r, r_lo), r_hi), best
+def _best_in_rows(values: np.ndarray, d: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Column of each row's best ball: largest value, ties to the smaller (d, r)."""
+    return np.lexsort((r, d, -values), axis=-1)[..., 0]
 
 
 def _search(
@@ -316,21 +244,22 @@ def _search(
         max_subdivisions=integ.max_subdivisions,
         mc_samples=integ.mc_samples,
     )
-    probe = _Prober(f, params, scout)
+    tol_ok = True
 
-    # The d = 0 row is exact; the off-centre rows are one batched kernel
-    # call.  Every grid value is cached in the prober.
+    def evaluate(d: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """Norm quantity of many balls at the scout tolerance."""
+        nonlocal tol_ok
+        ints, ok = ball_integrals(f, params.p, params.n, d, r, scout)
+        tol_ok = tol_ok and bool(ok.all())
+        return _weight(params, r) * ints ** (1.0 / params.p)
+
+    # The d = 0 row is exact; the off-centre rows are one batched kernel call.
     grid = np.empty((search.n_centers, search.n_radii))
-    centered_vals = centered_norm_profile_radii(f, params, rs)
-    grid[0, :] = centered_vals
-    ints, ok = ball_integrals(f, params.p, params.n, ds[1:, None], rs[None, :], scout)
-    grid[1:, :] = _weight(params, rs) * ints ** (1.0 / params.p)
-    probe.tol_ok = bool(ok.all())
-    for d, row in zip(ds.tolist(), grid.tolist()):
-        probe._cache.update(((d, r), v) for r, v in zip(rs.tolist(), row))
+    grid[0, :] = centered_norm_profile_radii(f, params, rs)
+    grid[1:, :] = evaluate(ds[1:, None], rs[None, :])
 
     if np.isinf(grid).any():
-        return NormResult(INF, None, tol_ok=probe.tol_ok)
+        return NormResult(INF, None, tol_ok=tol_ok)
 
     # Backstop divergence heuristic: still climbing a full factor of 10
     # over the final decade of radii signals an unbounded profile that
@@ -341,67 +270,55 @@ def _search(
         j_ref = int(np.searchsorted(rs, r_max / 10.0))
         tail = col_max[j_ref:]
         if last >= 10.0 * float(col_max[j_ref]) and np.all(np.diff(tail) > 0.0):
-            return NormResult(INF, None, tol_ok=probe.tol_ok)
+            return NormResult(INF, None, tol_ok=tol_ok)
 
-    flat = np.argsort(grid, axis=None)[::-1]
-    starts = [np.unravel_index(int(k), grid.shape) for k in flat[: search.multistarts]]
+    # Starts: the best grid cells and the best breakpoint-aligned balls.
+    flat = np.argsort(grid, axis=None)[::-1][:_STARTS]
+    i, j = np.unravel_index(flat, grid.shape)
+    seed_d, seed_r = _aligned_balls(f, r_min, r_max, d_max)
+    top = np.argsort(evaluate(seed_d, seed_r))[::-1][:_STARTS]
+    d_cur = np.concatenate([ds[i], seed_d[top]])
+    r_cur = np.concatenate([rs[j], seed_r[top]])
 
-    candidates: list[tuple[float, float, float]] = []  # (value, d, r)
-    for i, j in starts:
-        d0, r0 = float(ds[i]), float(rs[j])
-        d_lo = float(ds[max(i - 1, 0)])
-        d_hi = float(ds[min(i + 1, len(ds) - 1)])
-        r_lo = float(rs[max(j - 1, 0)])
-        r_hi = float(rs[min(j + 1, len(rs) - 1)])
-        d1, r1, v1 = _refine_dr(probe, d0, r0, d_lo, d_hi, r_lo, r_hi, search.golden_steps)
-        candidates.append((v1, d1, r1))
-        d2, r2, v2 = _refine_uv(probe, d1, r1, d_max, r_min, r_max, search.golden_steps)
-        candidates.append((v2, d2, r2))
-        candidates.append((float(grid[i, j]), d0, r0))
+    # Zoom: one patch in (d, log r) and one in (u, v) = (d - r, d + r)
+    # around every start, all evaluated in one kernel call per round.
+    # The (u, v) patch follows ridges where a face of the ball hugs a
+    # breakpoint and (d, r) must move diagonally.  Each patch spans one
+    # grid cell at first.  Row s of d, r and vals holds start s's patches.
+    x, y = (o.ravel() for o in np.meshgrid(_OFFSETS, _OFFSETS, indexing="ij"))
+    step_d = float(ds[1] - ds[0])
+    step_log_r = math.log(rs[1] / rs[0])
+    rows = np.arange(d_cur.size)
+    for k in range(_ROUNDS):
+        scale = _SHRINK**k
+        h_uv = np.minimum(step_d, r_cur * step_log_r)[:, None] * scale
+        u = (d_cur - r_cur)[:, None] + h_uv * x
+        v = (d_cur + r_cur)[:, None] + h_uv * y
+        d = np.hstack([d_cur[:, None] + step_d * scale * x, 0.5 * (u + v)])
+        r = np.hstack([r_cur[:, None] * np.exp(step_log_r * scale * y), 0.5 * (v - u)])
+        d, r = np.clip(d, 0.0, d_max), np.clip(r, r_min, r_max)
+        vals = evaluate(d, r)
+        best = _best_in_rows(vals, d, r)
+        d_cur, r_cur, v_cur = d[rows, best], r[rows, best], vals[rows, best]
 
-    # Deterministic reduction: best value, ties to the smaller (d, r).
-    best_val, best_d, best_r = max(candidates, key=lambda c: (c[0], -c[1], -c[2]))
-
-    # Local polish with one-cell brackets around the winner.  The wide
-    # sweeps above can hand back an optimum located only to a fraction
-    # of their (sometimes global) bracket, and when the maximum sits on
-    # a corner along the diagonal u = d - r the axis sweeps alone stall;
-    # re-running both sweep styles on tight brackets pins the ball to
-    # the same precision no matter which route found it.
-    step_r = float(rs[1] / rs[0]) if len(rs) > 1 else 2.0
-    step_d = float(ds[1] - ds[0]) if len(ds) > 1 else 1.0
-    r_lo_loc = max(best_r / step_r, r_min)
-    r_hi_loc = min(best_r * step_r, r_max)
-    d_lo_loc = max(best_d - step_d, 0.0)
-    d_hi_loc = min(best_d + step_d, d_max)
-    d3, r3, v3 = _refine_dr(
-        probe, best_d, best_r, d_lo_loc, d_hi_loc, r_lo_loc, r_hi_loc,
-        search.golden_steps,
-    )
-    d4, r4, v4 = _refine_uv(
-        probe, d3, r3, d_hi_loc, r_lo_loc, r_hi_loc, search.golden_steps
-    )
-    for cand in ((v3, d3, r3), (v4, d4, r4)):
-        if (cand[0], -cand[1], -cand[2]) > (best_val, -best_d, -best_r):
-            best_val, best_d, best_r = cand
+    win = _best_in_rows(v_cur, d_cur, r_cur)
+    best_d, best_r = float(d_cur[win]), float(r_cur[win])
 
     # The scout tolerance guided the search; the reported value is the
     # winning ball re-evaluated at the requested tolerance.
     final = integrate_abs_pow_ball(f, params.p, params.n, Ball(best_d, best_r), integ)
     if final.value == INF:
-        return NormResult(INF, None, tol_ok=probe.tol_ok)
+        return NormResult(INF, None, tol_ok=tol_ok)
     value = _weight(params, best_r) * final.value ** (1.0 / params.p)
 
     # Margin sits above quadrature scout noise but far below any genuine
     # boundary climb (the witness profiles move by >= 1e-4 per grid step).
     truncated = bool(col_max[-1] > col_max[-2] * (1.0 + 1e-7))
-    samples = tuple((0.0, float(r), float(v)) for r, v in zip(rs, centered_vals))
     return NormResult(
         value=value,
         argmax=Ball(best_d, best_r),
         truncated=truncated,
-        tol_ok=probe.tol_ok and final.tol_ok,
-        profile_samples=samples,
+        tol_ok=tol_ok and final.tol_ok,
     )
 
 
@@ -423,26 +340,3 @@ def norm(
     """
     return _search_cached(f, params, search, integ)
 
-
-def morrey_norm(
-    f: PiecewiseRadialFunction,
-    params: SpaceParams,
-    search: SearchSettings = SearchSettings(),
-    integ: IntegrationSettings = IntegrationSettings(),
-) -> NormResult:
-    """Norm with the supremum over all radii r > 0."""
-    if params.mode is not Mode.MORREY:
-        raise ValueError("morrey_norm requires Morrey-mode params")
-    return _search_cached(f, params, search, integ)
-
-
-def small_morrey_norm(
-    f: PiecewiseRadialFunction,
-    params: SpaceParams,
-    search: SearchSettings = SearchSettings(),
-    integ: IntegrationSettings = IntegrationSettings(),
-) -> NormResult:
-    """Norm with the supremum restricted to radii r in (0, 1)."""
-    if params.mode is not Mode.SMALL_MORREY:
-        raise ValueError("small_morrey_norm requires small-mode params")
-    return _search_cached(f, params, search, integ)

@@ -302,13 +302,15 @@ class TestEstimator:
     def test_skips_und_defined_pairs(self):
         zero = canonicalize([])
         x = canonicalize([(0.0, 1.0, 1.0, -0.5)])
+        # x + w mixes exponents on [0.5, 1): the sum is not representable
+        w = canonicalize([(0.5, 2.0, 1.0, -0.25)])
         est = estimate_constant(
             ConstantKind.gen_vnj(2.0),
             M112,
-            candidates=[(x, zero), (x, x)],
+            candidates=[(x, zero), (x, w), (x, x)],
             include_witnesses=False,
         )
-        assert est.n_skipped == 1
+        assert est.n_skipped == 2
         assert est.best_ratio == pytest.approx(1.0, rel=1e-9)
 
     def test_no_valid_pairs_raises(self):

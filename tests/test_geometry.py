@@ -113,6 +113,14 @@ class TestCapFraction:
             2.777462183092438e-04, rel=1e-12
         )
 
+    def test_far_ball_inner_end_keeps_digits(self):
+        # [DERIVED] n=2, t=4.99000001, 1e-8 above the inner shell end of
+        # the ball (d, r) = (5, 0.01), where d - r = 4.99 is inexact.
+        # phi / pi from 40-digit mpmath on the same floats, frozen
+        assert cap_fraction(2, 4.99000001, 5.0, 0.01) == pytest.approx(
+            9.0121776587134723e-07, rel=1e-12
+        )
+
     def test_obtuse_cap_complement(self):
         # d small, r just below d + t: almost the whole sphere is covered
         frac = cap_fraction(3, 1.0, 0.2, 1.19)

@@ -22,10 +22,8 @@ from morreyconst.norms import (
     centered_norm_profile,
     centered_norm_profile_radii,
     closed_form_power_norm,
-    morrey_norm,
     norm,
     norm_is_infinite,
-    small_morrey_norm,
 )
 
 INF = math.inf
@@ -43,7 +41,6 @@ class TestSearchSettings:
     def test_defaults(self):
         s = SearchSettings()
         assert s.r_min == 1e-3 and s.n_radii == 64 and s.n_centers == 33
-        assert s.golden_steps == 40 and s.multistarts == 3
 
     def test_mode_defaults(self):
         s = SearchSettings()
@@ -172,43 +169,30 @@ class TestInfiniteDetection:
 
 class TestMorreyNormSearch:
     def test_pure_power(self):
-        res = morrey_norm(POWER, M112)
+        res = norm(POWER, M112)
         assert res.value == pytest.approx(TWO_SQRT2, rel=1e-3)
         assert res.argmax.d == pytest.approx(0.0, abs=1e-6)
         assert not res.truncated
 
     def test_inner_truncation_same_norm(self):
-        res = morrey_norm(POWER_IN, M112)
+        res = norm(POWER_IN, M112)
         assert res.value == pytest.approx(TWO_SQRT2, rel=1e-3)
 
     def test_outer_tail_truncation_deficit(self):
         # [DERIVED] sup only as r -> inf; at r_max = 1e6 the value is
         # 2 sqrt(2) (1 - 1e-3), frozen 2.825598697621444
-        res = morrey_norm(POWER_OUT, M112)
+        res = norm(POWER_OUT, M112)
         assert res.value == pytest.approx(2.825598697621444, rel=1e-6)
         assert res.truncated
 
     def test_sign_flip_same_norm(self):
         k = subtract(POWER_IN, POWER_OUT)
-        res = morrey_norm(k, M112)
+        res = norm(k, M112)
         assert res.value == pytest.approx(TWO_SQRT2, rel=1e-3)
 
-    def test_mode_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            morrey_norm(POWER, S112)
-        with pytest.raises(ValueError):
-            small_morrey_norm(POWER, M112)
-
     def test_zero_function(self):
-        res = morrey_norm(canonicalize([]), M112)
+        res = norm(canonicalize([]), M112)
         assert res.value == 0.0 and res.argmax is None
-
-    def test_profile_samples_carry_centered_row(self):
-        res = morrey_norm(POWER, M112)
-        assert len(res.profile_samples) == SearchSettings().n_radii
-        d, r, v = res.profile_samples[10]
-        assert d == 0.0
-        assert v == pytest.approx(centered_norm_profile(POWER, M112, r), rel=1e-12)
 
     @pytest.mark.parametrize(
         "n, p, q, alpha",
@@ -217,7 +201,7 @@ class TestMorreyNormSearch:
     def test_higher_dim_power_matches_closed_form(self, n, p, q, alpha):
         sp = SpaceParams(n, p, q, Mode.MORREY)
         f = canonicalize([(0.0, INF, 1.0, alpha)])
-        res = morrey_norm(f, sp)
+        res = norm(f, sp)
         assert res.value == pytest.approx(closed_form_power_norm(sp), rel=1e-3)
         assert res.argmax.d <= 1e-3 * (1.0 + res.argmax.r)
         # every probe met its tolerance, including the n = 3 balls whose
@@ -225,9 +209,49 @@ class TestMorreyNormSearch:
         assert res.tol_ok
 
 
+class TestZoomSearch:
+    # 1.8|x|^{-1/2} on [0.74, 0.82), 0.565|x|^{-1/2} on [0.82, 1.13)
+    TWO_PIECE = canonicalize([(0.74, 0.82, 1.8, -0.5), (0.82, 1.13, 0.565, -0.5)])
+
+    @pytest.mark.parametrize("sp", [M112, S112])
+    def test_breakpoint_aligned_corner(self, sp):
+        # [DERIVED] the ball spanning [0.74, 0.82] gives
+        # 1.8 * 2 (sqrt(0.82) - sqrt(0.74)) / sqrt(0.08), frozen; moving
+        # either face loses value, so the supremum sits on that corner
+        res = norm(self.TWO_PIECE, sp)
+        assert res.value == pytest.approx(0.576651072842332, rel=1e-12)
+
+    def test_kernel_calls_per_cold_norm(self, monkeypatch):
+        # every kernel entry the search uses counts, batched or one-ball
+        calls = []
+
+        def counting(kernel):
+            def wrapper(*args, **kwargs):
+                calls.append(kernel.__name__)
+                return kernel(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("ball_integrals", "integrate_abs_pow_ball"):
+            monkeypatch.setattr(norms_mod, name, counting(getattr(norms_mod, name)))
+        sp = SpaceParams(2, 1.0, 2.0, Mode.MORREY)
+        f = canonicalize([(0.0, 1.0, 1.0, -1.0), (1.0, 3.0, 0.5, -1.0)])
+        norms_mod._search_cached.cache_clear()
+        norm(f, sp)
+        assert 0 < len(calls) <= 24
+
+    def test_cold_runs_identical(self):
+        sp = SpaceParams(2, 1.0, 2.0, Mode.SMALL_MORREY)
+        f = canonicalize([(0.0, 0.5, 1.0, -1.0), (0.5, 2.0, -0.7, -1.0)])
+        norms_mod._search_cached.cache_clear()
+        first = norm(f, sp)
+        norms_mod._search_cached.cache_clear()
+        assert norm(f, sp) == first
+
+
 class TestSmallNormSearch:
     def test_pure_power_in_unit_ball(self):
-        res = small_morrey_norm(POWER_IN, S112)
+        res = norm(POWER_IN, S112)
         assert res.value == pytest.approx(TWO_SQRT2, rel=1e-3)
 
     def test_tail_part_approaches_limit(self):
@@ -235,7 +259,7 @@ class TestSmallNormSearch:
         # sup as r -> 1^- equals sqrt(2)
         g = truncate(POWER_IN, 0.0, 0.25)
         h = subtract(POWER_IN, g)
-        res = small_morrey_norm(h, S112)
+        res = norm(h, S112)
         assert res.value == pytest.approx(math.sqrt(2.0), rel=1e-3)
         assert res.truncated
 
@@ -243,11 +267,11 @@ class TestSmallNormSearch:
         # support (0, 1e-4) sits far below the default r_min; the search
         # window must adapt or the norm would be grossly underestimated
         g = truncate(POWER_IN, 0.0, 1e-4)
-        res = small_morrey_norm(g, S112)
+        res = norm(g, S112)
         assert res.value == pytest.approx(TWO_SQRT2, rel=1e-3)
 
     def test_argmax_radius_below_one(self):
-        res = small_morrey_norm(POWER_IN, S112)
+        res = norm(POWER_IN, S112)
         assert 0.0 < res.argmax.r < 1.0
 
 
@@ -295,5 +319,5 @@ class TestDegradedAccuracyFlag:
         sp = SpaceParams(2, 1.0, 2.0, Mode.MORREY)
         f = canonicalize([(0.0, INF, 1.0, -1.0)])
         tight = IntegrationSettings(rel_tol=1e-13, max_subdivisions=2)
-        res = norm(f, sp, SearchSettings(n_radii=8, n_centers=3, golden_steps=5), tight)
+        res = norm(f, sp, SearchSettings(n_radii=8, n_centers=3), tight)
         assert not res.tol_ok
