@@ -13,6 +13,12 @@ All flags may also come from a JSON config file (--config); explicit
 flags win.  Reports are JSON or CSV with byte-deterministic content for
 a fixed configuration and seed; wall time goes to stderr only.  Exit
 status is 0 exactly when every check in the report passed.
+
+Each command owns one NormTable: the ratio commands hand it all their
+candidate pairs at once, so every distinct norm is computed once, and
+--threads N > 1 lets it compute a batch of norms on a pool of at most
+N (and at most the CPU count) worker processes, shut down before the
+command returns.  The thread count never changes the report.
 """
 
 from __future__ import annotations
@@ -22,16 +28,16 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any
 
 from morreyconst.constants import (
     DEFAULT_EPS_LADDER,
     ConstantKind,
+    NormTable,
     candidate_pairs,
-    estimate_constant,
-    ratio,
+    estimate_constants,
+    pair_ratios,
     theorem2_lower_bound,
     witness_pair_morrey,
     witness_pair_small_morrey,
@@ -45,7 +51,7 @@ from morreyconst.model import (
     subtract,
     truncate,
 )
-from morreyconst.norms import SearchSettings, closed_form_power_norm, norm
+from morreyconst.norms import SearchSettings, closed_form_power_norm
 from morreyconst.report import (
     Check,
     build_report,
@@ -166,7 +172,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="Monte Carlo sample count")
         sp.add_argument("--seed", type=int, help="random-pair generator seed")
         sp.add_argument("--trials", type=int, help="number of random pairs")
-        sp.add_argument("--threads", type=int, help="parallel evaluation threads")
+        sp.add_argument("--threads", type=int,
+                        help="worker processes for the distinct norms (capped at the CPU count)")
         sp.add_argument("--out", help="report path (default: stdout)")
         sp.add_argument("--format", choices=["json", "csv"], help="report format")
         sp.add_argument("--function", help="pieces as 'lo hi coef alpha; ...'")
@@ -256,21 +263,23 @@ def _all_kinds(s_values: tuple[float, ...]) -> list[ConstantKind]:
     return unique
 
 
-def _parallel_map(fn, items, threads: int) -> list[Any]:
-    """Evaluate fn over items, preserving input order in the output."""
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+def _witness_ratios(kinds, pairs, table: NormTable, extra) -> list[list[float]]:
+    """pair_ratios for witness pairs, whose ratios are all defined."""
+    rows = pair_ratios(kinds, pairs, table, extra)
+    if any(math.isnan(value) for row in rows for value in row):
+        raise ValueError("a witness pair has an undefined ratio")
+    return rows
 
 
 # ---------------------------------------------------------------------------
-# Subcommand bodies.  Each returns (tasks, checks).
+# Subcommand bodies.  Each takes the command's NormTable and returns
+# (tasks, checks).
 
 
-def _cmd_norm(cfg: RunConfig):
+def _cmd_norm(cfg: RunConfig, table: NormTable):
     f = parse_function(cfg.function_text or "")
-    res = norm(f, cfg.space, cfg.search, cfg.integ)
+    table.evaluate([f])
+    res = table[f]
     task = {
         "task": "norm",
         "function": serialize_function(f),
@@ -290,18 +299,18 @@ def _theorem1_ratio_tolerance(kind: ConstantKind, deficit: float, rel_tol: float
     return s_eff * deficit + 10.0 * rel_tol
 
 
-def _cmd_verify_thm1(cfg: RunConfig):
+def _cmd_verify_thm1(cfg: RunConfig, table: NormTable):
     space = cfg.space
     space.require_strict()
     f, k = witness_pair_morrey(space)
     g = truncate(f, 0.0, 1.0)
     h = subtract(f, g)
 
+    kinds = _all_kinds(cfg.s_values)
     names = ("f", "g", "h", "k")
-    results = {
-        name: norm(fn, space, cfg.search, cfg.integ)
-        for name, fn in zip(names, (f, g, h, k))
-    }
+    functions = (f, g, h, k)
+    values = [row[0] for row in _witness_ratios(kinds, [(f, k)], table, functions)]
+    results = {name: table[fn] for name, fn in zip(names, functions)}
     cf = closed_form_power_norm(space)
     r_max = cfg.search.resolved_r_max(space.mode)
     deficit = r_max ** (-space.n * (1.0 - space.p / space.q) / space.p)
@@ -344,12 +353,6 @@ def _cmd_verify_thm1(cfg: RunConfig):
         )
     )
 
-    kinds = _all_kinds(cfg.s_values)
-
-    def eval_kind(kind: ConstantKind) -> float:
-        return ratio(kind, f, k, space, cfg.search, cfg.integ)
-
-    values = _parallel_map(eval_kind, kinds, cfg.threads)
     ratio_tasks = []
     for kind, value in zip(kinds, values):
         tol = _theorem1_ratio_tolerance(kind, deficit, cfg.integ.rel_tol)
@@ -375,14 +378,18 @@ def _cmd_verify_thm1(cfg: RunConfig):
     return tasks, checks
 
 
-def _cmd_verify_thm2(cfg: RunConfig):
+def _cmd_verify_thm2(cfg: RunConfig, table: NormTable):
     space = cfg.space
     space.require_strict()
     ladder = cfg.eps_ladder
     cf = closed_form_power_norm(space)
 
-    f, _ = witness_pair_small_morrey(space, ladder[0])
-    nf = norm(f, space, cfg.search, cfg.integ)
+    kinds = _all_kinds(cfg.s_values)
+    pairs = [witness_pair_small_morrey(space, eps) for eps in ladder]
+    outer = [subtract(f, truncate(f, 0.0, eps)) for (f, _), eps in zip(pairs, ladder)]
+    f = pairs[0][0]
+    rows = _witness_ratios(kinds, pairs, table, [f, *outer])
+    nf = table[f]
     checks = [
         Check(
             "closed_form_norm",
@@ -393,15 +400,9 @@ def _cmd_verify_thm2(cfg: RunConfig):
         )
     ]
 
-    kinds = _all_kinds(cfg.s_values)
     tasks: list[dict[str, Any]] = []
-    per_kind_values: dict[ConstantKind, list[float]] = {kind: [] for kind in kinds}
-
-    for eps in ladder:
-        f_eps, k_eps = witness_pair_small_morrey(space, eps)
-        g_eps = truncate(f_eps, 0.0, eps)
-        h_eps = subtract(f_eps, g_eps)
-        nh = norm(h_eps, space, cfg.search, cfg.integ)
+    for i, (eps, h_eps) in enumerate(zip(ladder, outer)):
+        nh = table[h_eps]
         h_bound = nf.value * (
             1.0 - eps ** (space.n * (1.0 - space.p / space.q))
         ) ** (1.0 / space.p)
@@ -422,14 +423,9 @@ def _cmd_verify_thm2(cfg: RunConfig):
                 1.0 if nh.truncated else 0.0,
             )
         )
-
-        def eval_kind(kind: ConstantKind) -> float:
-            return ratio(kind, f_eps, k_eps, space, cfg.search, cfg.integ)
-
-        values = _parallel_map(eval_kind, kinds, cfg.threads)
         eps_ratios = []
-        for kind, value in zip(kinds, values):
-            per_kind_values[kind].append(value)
+        for kind, row in zip(kinds, rows):
+            value = row[i]
             bound = theorem2_lower_bound(space, eps, kind)
             checks.append(
                 Check(
@@ -453,8 +449,7 @@ def _cmd_verify_thm2(cfg: RunConfig):
             }
         )
 
-    for kind in kinds:
-        values = per_kind_values[kind]
+    for kind, values in zip(kinds, rows):
         monotone = all(b >= a - 1e-9 for a, b in zip(values, values[1:]))
         checks.append(
             Check(
@@ -477,22 +472,13 @@ def _cmd_verify_thm2(cfg: RunConfig):
     return tasks, checks
 
 
-def _cmd_constants(cfg: RunConfig):
+def _cmd_constants(cfg: RunConfig, table: NormTable):
     kinds = _all_kinds(cfg.s_values)
     ceiling = 2.0 + 5.0 * cfg.integ.rel_tol
-
-    def run_kind(kind: ConstantKind):
-        return estimate_constant(
-            kind,
-            cfg.space,
-            random_trials=cfg.random_trials,
-            seed=cfg.seed,
-            eps_ladder=cfg.eps_ladder,
-            search=cfg.search,
-            integ=cfg.integ,
-        )
-
-    estimates = _parallel_map(run_kind, kinds, cfg.threads)
+    pairs = candidate_pairs(
+        cfg.space, random_trials=cfg.random_trials, seed=cfg.seed, eps_ladder=cfg.eps_ladder
+    )
+    estimates = estimate_constants(kinds, pairs, table)
     tasks = []
     checks = []
     for kind, est in zip(kinds, estimates):
@@ -523,29 +509,13 @@ def _cmd_constants(cfg: RunConfig):
     return tasks, checks
 
 
-def _cmd_search(cfg: RunConfig):
+def _cmd_search(cfg: RunConfig, table: NormTable):
     kinds = _all_kinds(cfg.s_values)
     ceiling = 2.0 + 5.0 * cfg.integ.rel_tol
     pairs = candidate_pairs(
-        cfg.space,
-        random_trials=cfg.random_trials,
-        seed=cfg.seed,
-        eps_ladder=cfg.eps_ladder,
+        cfg.space, random_trials=cfg.random_trials, seed=cfg.seed, eps_ladder=cfg.eps_ladder
     )
-
-    def run_kind(kind: ConstantKind):
-        return estimate_constant(
-            kind,
-            cfg.space,
-            random_trials=cfg.random_trials,
-            seed=cfg.seed,
-            eps_ladder=cfg.eps_ladder,
-            search=cfg.search,
-            integ=cfg.integ,
-            keep_trace=True,
-        )
-
-    estimates = _parallel_map(run_kind, kinds, cfg.threads)
+    estimates = estimate_constants(kinds, pairs, table, keep_trace=True)
     tasks = []
     checks = []
     for kind, est in zip(kinds, estimates):
@@ -603,7 +573,8 @@ def run(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     try:
         cfg = _resolve_config(args.command, args)
-        tasks, checks = _COMMANDS[args.command](cfg)
+        with NormTable(cfg.space, cfg.search, cfg.integ, cfg.threads) as table:
+            tasks, checks = _COMMANDS[args.command](cfg, table)
     except (ConfigError, FunctionParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

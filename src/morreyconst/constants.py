@@ -11,12 +11,24 @@ Four ratios over pairs (x, y), all with supremum 2 over any normed space:
 The witness pairs split a borderline power function into its inner and
 outer parts; their ratios approach 2 exactly, with a closed-form lower
 bound as a function of the split point in small mode.
+
+All four ratios are arithmetic on a few norms of the pair: N(x), N(y),
+N(x +- y) and, for the unit-pair ratios, N(x/N(x) +- y/N(y)).
+:func:`pair_ratios` lists the distinct functions among those of every
+candidate pair, has a :class:`NormTable` evaluate each one once (on a
+process pool when asked), and then computes every kind's ratio on every
+pair from the stored values; :func:`estimate_constants` reduces those
+rows to one estimate per kind.  :func:`ratio` is the same arithmetic on
+one pair, with the norms computed as it goes.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
+import os
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +46,7 @@ from morreyconst.model import (
     subtract,
     truncate,
 )
-from morreyconst.norms import SearchSettings, norm
+from morreyconst.norms import NormResult, SearchSettings, norm
 
 __all__ = [
     "Family",
@@ -48,6 +60,9 @@ __all__ = [
     "theorem2_lower_bound",
     "random_pair",
     "candidate_pairs",
+    "NormTable",
+    "pair_ratios",
+    "estimate_constants",
     "estimate_constant",
     "DEFAULT_EPS_LADDER",
 ]
@@ -70,6 +85,10 @@ class Family(enum.Enum):
     MOD_VNJ = "mod_vnj"          # unit vectors, squares
     GEN_MOD_VNJ = "gen_mod_vnj"  # unit vectors, parametrized by s >= 1
     ZBAGANU = "zbaganu"          # product form
+
+
+# the families whose sums are taken over x/N(x) and y/N(y)
+_UNIT_PAIR = (Family.MOD_VNJ, Family.GEN_MOD_VNJ)
 
 
 @dataclass(frozen=True)
@@ -132,13 +151,27 @@ class ConstantEstimate:
         return self.best_ratio
 
 
-def _norm_value(
-    f: PiecewiseRadialFunction,
-    params: SpaceParams,
-    search: SearchSettings,
-    integ: IntegrationSettings,
-) -> float:
-    return norm(f, params, search, integ).value
+def _combine(kind: ConstantKind, nx: float, ny: float, n_sum: float, n_diff: float) -> float:
+    """The ratio of kind from N(x), N(y) and the norms of its two sums.
+
+    The sums are x + y and x - y, or x/N(x) + y/N(y) and x/N(x) - y/N(y)
+    for the unit-pair kinds.
+    """
+    fam, s = kind.family, kind.s
+    if fam is Family.MOD_VNJ:
+        return (n_sum**2 + n_diff**2) / 4.0
+    if fam is Family.GEN_MOD_VNJ:
+        return (n_sum**s + n_diff**s) / 2.0**s
+    if fam is Family.GEN_VNJ:
+        return (n_sum**s + n_diff**s) / (2.0 ** (s - 1.0) * (nx**s + ny**s))
+    # product form
+    return n_sum * n_diff / (nx**2 + ny**2)
+
+
+def _units(
+    x: PiecewiseRadialFunction, y: PiecewiseRadialFunction, nx: float, ny: float
+) -> tuple[PiecewiseRadialFunction, PiecewiseRadialFunction]:
+    return scale(x, 1.0 / nx), scale(y, 1.0 / ny)
 
 
 def ratio(
@@ -157,7 +190,7 @@ def ratio(
     """
 
     def n_of(g: PiecewiseRadialFunction) -> float:
-        v = _norm_value(g, params, search, integ)
+        v = norm(g, params, search, integ).value
         if v == INF:
             raise NotInSpace(f"infinite norm for {g.pieces!r}")
         return v
@@ -165,20 +198,9 @@ def ratio(
     nx, ny = n_of(x), n_of(y)
     if nx == 0.0 or ny == 0.0:
         raise ZeroFunction("ratio needs both arguments to have nonzero norm")
-
-    fam, s = kind.family, kind.s
-    if fam in (Family.MOD_VNJ, Family.GEN_MOD_VNJ):
-        x, y = scale(x, 1.0 / nx), scale(y, 1.0 / ny)
-        n_sum, n_diff = n_of(add(x, y)), n_of(subtract(x, y))
-        if fam is Family.MOD_VNJ:
-            return (n_sum**2 + n_diff**2) / 4.0
-        return (n_sum**s + n_diff**s) / 2.0**s
-
-    n_sum, n_diff = n_of(add(x, y)), n_of(subtract(x, y))
-    if fam is Family.GEN_VNJ:
-        return (n_sum**s + n_diff**s) / (2.0 ** (s - 1.0) * (nx**s + ny**s))
-    # product form
-    return n_sum * n_diff / (nx**2 + ny**2)
+    if kind.family in _UNIT_PAIR:
+        x, y = _units(x, y, nx, ny)
+    return _combine(kind, nx, ny, n_of(add(x, y)), n_of(subtract(x, y)))
 
 
 def _split_pair(
@@ -327,6 +349,165 @@ def candidate_pairs(
     return pairs
 
 
+class NormTable:
+    """Norms of distinct functions, each computed once.
+
+    ``evaluate`` computes the norms of the functions it has not seen yet,
+    in first-seen order; ``table[f]`` then returns f's NormResult.  With
+    ``workers`` > 1 a batch of two or more goes to a process pool, created
+    at the first such batch with at most min(workers, CPU count, batch
+    size) processes and reused until ``close``.  The pool forks where the
+    platform can, since a spawned worker would first import numpy and
+    scipy again; fork copies only the calling thread, so the caller must
+    not be running threads of its own then.  ``pool.map`` keeps input
+    order and every norm is a pure function of its inputs, so the
+    results do not depend on ``workers``.
+    """
+
+    def __init__(
+        self,
+        params: SpaceParams,
+        search: SearchSettings = SearchSettings(),
+        integ: IntegrationSettings = IntegrationSettings(),
+        workers: int = 1,
+    ) -> None:
+        self._task = functools.partial(_norm_task, params, search, integ)
+        self._workers = workers
+        self._pool = None
+        self._results: dict[PiecewiseRadialFunction, NormResult] = {}
+
+    def evaluate(self, functions: Iterable[PiecewiseRadialFunction]) -> None:
+        todo = list(dict.fromkeys(f for f in functions if f not in self._results))
+        pool = self._pool_for(len(todo))
+        results = pool.map(self._task, todo) if pool else map(self._task, todo)
+        self._results.update(zip(todo, results))
+
+    def _pool_for(self, batch: int):
+        """The pool for a batch of this size, or None to evaluate it here."""
+        if batch < 2:
+            return None
+        if self._pool is None:
+            workers = min(self._workers, os.cpu_count() or 1, batch)
+            if workers < 2:
+                return None
+            # imported here, so that commands without a pool do not load them
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
+            fork = "fork" in multiprocessing.get_all_start_methods()
+            context = multiprocessing.get_context("fork" if fork else None)
+            self._pool = ProcessPoolExecutor(max_workers=workers, mp_context=context)
+        return self._pool
+
+    def __getitem__(self, f: PiecewiseRadialFunction) -> NormResult:
+        return self._results[f]
+
+    def close(self) -> None:
+        """Shut the pool down and wait for its processes to exit."""
+        if self._pool is not None:
+            self._pool.shutdown()
+            self._pool = None
+
+    def __enter__(self) -> "NormTable":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+def _norm_task(params, search, integ, f: PiecewiseRadialFunction) -> NormResult:
+    return norm(f, params, search, integ)
+
+
+def _sums(
+    x: PiecewiseRadialFunction, y: PiecewiseRadialFunction
+) -> tuple[PiecewiseRadialFunction, PiecewiseRadialFunction] | None:
+    """(x + y, x - y), or None when they are not representable."""
+    try:
+        return add(x, y), subtract(x, y)
+    except MixedExponentOverlap:
+        return None
+
+
+def pair_ratios(
+    kinds: list[ConstantKind],
+    pairs: list[tuple[PiecewiseRadialFunction, PiecewiseRadialFunction]],
+    table: NormTable,
+    extra: Iterable[PiecewiseRadialFunction] = (),
+) -> list[list[float]]:
+    """Every kind's ratio on every pair, NaN where :func:`ratio` would raise.
+
+    The norms come from ``table`` in two batches.  The first holds x and
+    y of every pair, x + y and x - y where a kind needs them and they
+    are representable, and the caller's ``extra`` functions (read back
+    from ``table`` afterwards).  The second, only when a unit-pair kind
+    is asked for, holds x/N(x) + y/N(y) and x/N(x) - y/N(y) for pairs
+    whose N(x) and N(y) are finite and nonzero.  The ratios are then
+    arithmetic on the stored values: ``rows[k][i]`` is kinds[k] on
+    pairs[i], equal to ``ratio(kinds[k], *pairs[i], ...)`` bit for bit.
+    """
+    plain = any(kind.family not in _UNIT_PAIR for kind in kinds)
+    unit = any(kind.family in _UNIT_PAIR for kind in kinds)
+    sums = [_sums(x, y) if plain else None for x, y in pairs]
+    table.evaluate(
+        [g for (x, y), s in zip(pairs, sums) for g in (x, y, *(s or ()))] + list(extra)
+    )
+
+    def value(g: PiecewiseRadialFunction) -> float:
+        return table[g].value
+
+    bases = [(value(x), value(y)) for x, y in pairs]
+    usable = [INF not in base and 0.0 not in base for base in bases]
+    unit_sums = [
+        _sums(*_units(x, y, *base)) if unit and ok else None
+        for (x, y), base, ok in zip(pairs, bases, usable)
+    ]
+    table.evaluate(g for s in unit_sums for g in (s or ()))
+
+    rows = []
+    for kind in kinds:
+        row = []
+        kind_sums = unit_sums if kind.family in _UNIT_PAIR else sums
+        for (nx, ny), ok, s in zip(bases, usable, kind_sums):
+            n_sum, n_diff = (value(s[0]), value(s[1])) if ok and s else (INF, INF)
+            defined = INF not in (n_sum, n_diff)
+            row.append(_combine(kind, nx, ny, n_sum, n_diff) if defined else math.nan)
+        rows.append(row)
+    return rows
+
+
+def estimate_constants(
+    kinds: list[ConstantKind],
+    pairs: list[tuple[PiecewiseRadialFunction, PiecewiseRadialFunction]],
+    table: NormTable,
+    keep_trace: bool = False,
+) -> list[ConstantEstimate]:
+    """One :class:`ConstantEstimate` per kind over the same candidate pairs.
+
+    Each distinct norm is evaluated once for all kinds (see
+    :func:`pair_ratios`).  Pairs whose ratio is undefined are skipped
+    and counted; ties go to the earliest candidate.
+    """
+    estimates = []
+    for kind, row in zip(kinds, pair_ratios(kinds, pairs, table)):
+        defined = [(value, idx) for idx, value in enumerate(row) if not math.isnan(value)]
+        if not defined:
+            raise ZeroFunction("no candidate pair had a well-defined ratio")
+        best_ratio, best_index = max(defined, key=lambda vi: (vi[0], -vi[1]))
+        estimates.append(
+            ConstantEstimate(
+                kind=kind,
+                best_ratio=best_ratio,
+                best_pair=pairs[best_index],
+                best_index=best_index,
+                n_pairs_tried=len(pairs),
+                n_skipped=len(pairs) - len(defined),
+                trace=tuple(row) if keep_trace else (),
+            )
+        )
+    return estimates
+
+
 def estimate_constant(
     kind: ConstantKind,
     params: SpaceParams,
@@ -343,38 +524,11 @@ def estimate_constant(
 
     Pairs whose ratio is undefined (zero norm, infinite norm,
     unrepresentable sum) are skipped and counted.  Identical inputs give
-    identical output regardless of evaluation schedule: the reduction is
-    a max with ties resolved to the earliest candidate.
+    identical output: the reduction is a max with ties resolved to the
+    earliest candidate.
     """
     pairs = candidate_pairs(
         params, candidates, random_trials, seed, include_witnesses, eps_ladder
     )
-
-    best_ratio = -INF
-    best_pair = None
-    best_index = -1
-    skipped = 0
-    trace: list[float] = []
-    for idx, (x, y) in enumerate(pairs):
-        try:
-            value = ratio(kind, x, y, params, search, integ)
-        except (ZeroFunction, NotInSpace, MixedExponentOverlap):
-            skipped += 1
-            if keep_trace:
-                trace.append(math.nan)
-            continue
-        if keep_trace:
-            trace.append(value)
-        if value > best_ratio:
-            best_ratio, best_pair, best_index = value, (x, y), idx
-    if best_pair is None:
-        raise ZeroFunction("no candidate pair had a well-defined ratio")
-    return ConstantEstimate(
-        kind=kind,
-        best_ratio=best_ratio,
-        best_pair=best_pair,
-        best_index=best_index,
-        n_pairs_tried=len(pairs),
-        n_skipped=skipped,
-        trace=tuple(trace),
-    )
+    with NormTable(params, search, integ) as table:
+        return estimate_constants([kind], pairs, table, keep_trace)[0]

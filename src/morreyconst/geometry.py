@@ -65,7 +65,7 @@ def cap_fraction_radii(n: int, t, d, r) -> np.ndarray:
 
     inside = t + d <= r          # sphere entirely within the ball
     outside = np.abs(t - d) >= r  # sphere entirely outside (or ball inside sphere)
-    out = inside.astype(float)
+    out = np.array(inside, dtype=float)
     # A centered ball (d = 0) and t = 0 never land in `partial`.
     partial = ~(inside | outside)
     if not partial.any():

@@ -335,8 +335,8 @@ def norm(
 ) -> NormResult:
     """Norm in the mode carried by params (dispatches on params.mode).
 
-    Results are memoized on (f, params, search, integ): the constant
-    estimators ask for the same handful of norms many times over.
+    Results are memoized on (f, params, search, integ), so callers that
+    ask one ratio or one kind at a time share their norms.
     """
     return _search_cached(f, params, search, integ)
 

@@ -204,21 +204,37 @@ class TestReportFormats:
 
 
 class TestDeterminism:
-    def _run(self, tmp_path, threads, tag):
+    SEARCH = ("search", "--n", "1", "--p", "1", "--q", "2", "--s", "2",
+              "--trials", "6", "--seed", "42")
+
+    def _run(self, tmp_path, threads, tag, command=SEARCH, exit_code=0):
         out = tmp_path / f"rep_{tag}.json"
         cmd = [
-            sys.executable, "-m", "morreyconst.cli", "search",
-            "--n", "1", "--p", "1", "--q", "2", "--s", "2",
-            "--trials", "6", "--seed", "42", "--threads", str(threads),
-            "--out", str(out),
+            sys.executable, "-m", "morreyconst.cli", *command,
+            "--threads", str(threads), "--out", str(out),
         ]
         proc = subprocess.run(cmd, capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
+        assert proc.returncode == exit_code, proc.stderr
         return out.read_bytes()
 
     def test_reports_byte_identical_across_thread_counts(self, tmp_path):
         single = self._run(tmp_path, 1, "t1")
         multi = self._run(tmp_path, 4, "t4")
+        assert single == multi
+
+    @pytest.mark.parametrize(
+        "command, exit_code",
+        [
+            (("constants", "--trials", "4", "--seed", "3", "--mode", "small"), 0),
+            # the two-step ladder stops far from 2, so the final-split checks fail
+            (("verify-thm2", "--n", "1", "--eps", "0.5", "--eps", "0.1"), 1),
+        ],
+    )
+    def test_other_commands_byte_identical_across_thread_counts(
+        self, tmp_path, command, exit_code
+    ):
+        single = self._run(tmp_path, 1, "t1", command, exit_code)
+        multi = self._run(tmp_path, 2, "t2", command, exit_code)
         assert single == multi
 
     def test_wall_time_only_on_stderr(self, tmp_path):
@@ -230,3 +246,69 @@ class TestDeterminism:
         proc = subprocess.run(cmd, capture_output=True, text=True)
         assert "wall_time_seconds=" in proc.stderr
         assert "wall_time" not in out.read_text()
+
+
+class TestNormPool:
+    def test_each_distinct_norm_computed_once(self, capsys, monkeypatch):
+        import morreyconst.norms as norms_mod
+        from morreyconst.constants import candidate_pairs
+        from morreyconst.model import Mode, SpaceParams, add, scale, subtract
+
+        calls = []
+        original = norms_mod._search_cached
+
+        def counting(f, *args):
+            calls.append(f)
+            return original(f, *args)
+
+        monkeypatch.setattr(norms_mod, "_search_cached", counting)
+        argv = ["search", "--n", "1", "--p", "1", "--q", "2", "--s", "2",
+                "--trials", "4", "--seed", "8", "--threads", "1"]
+        assert run(argv) == 0
+        capsys.readouterr()
+        monkeypatch.undo()
+
+        # x, y, x + y, x - y of every pair, then x/N(x) +- y/N(y)
+        space = SpaceParams(1, 1.0, 2.0, Mode.MORREY)
+        distinct = set()
+        for x, y in candidate_pairs(space, random_trials=4, seed=8):
+            distinct.update((x, y, add(x, y), subtract(x, y)))
+            nx, ny = norms_mod.norm(x, space).value, norms_mod.norm(y, space).value
+            if nx not in (0.0, math.inf) and ny not in (0.0, math.inf):
+                u, v = scale(x, 1.0 / nx), scale(y, 1.0 / ny)
+                distinct.update((add(u, v), subtract(u, v)))
+        assert len(calls) == len(distinct)
+        assert set(calls) == distinct
+
+    def test_pool_capped_at_cpu_count(self, capsys, monkeypatch):
+        import concurrent.futures
+        import os
+
+        sizes = []
+
+        class NoProcessPool:
+            def __init__(self, max_workers, mp_context=None):
+                sizes.append(max_workers)
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+            def shutdown(self):
+                pass
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoProcessPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        argv = ["search", "--n", "1", "--p", "1", "--q", "2",
+                "--trials", "3", "--seed", "5", "--threads", "64"]
+        assert run(argv) == 0
+        capsys.readouterr()
+        assert sizes == [3]  # one pool per command, min(64, CPU count, batch)
+
+    def test_no_worker_outlives_the_command(self, capsys):
+        import multiprocessing
+
+        argv = ["search", "--n", "1", "--p", "1", "--q", "2",
+                "--trials", "3", "--seed", "5", "--threads", "2"]
+        assert run(argv) == 0
+        capsys.readouterr()
+        assert multiprocessing.active_children() == []

@@ -10,9 +10,11 @@ import pytest
 from morreyconst.constants import (
     ConstantKind,
     Family,
+    NormTable,
     NotInSpace,
     ZeroFunction,
     estimate_constant,
+    pair_ratios,
     random_pair,
     ratio,
     theorem2_lower_bound,
@@ -20,6 +22,7 @@ from morreyconst.constants import (
     witness_pair_small_morrey,
 )
 from morreyconst.model import (
+    MixedExponentOverlap,
     Mode,
     RadialPiece,
     SpaceParams,
@@ -333,6 +336,27 @@ class TestEstimator:
         for kind in (ConstantKind.gen_vnj(2.0), ConstantKind.zbaganu()):
             est = estimate_constant(kind, M112, random_trials=25, seed=77)
             assert est.max_ratio_seen <= 2.0 + 5e-10
+
+
+class TestPairRatios:
+    def test_equal_to_ratio_bit_for_bit(self):
+        zero = canonicalize([])
+        x = canonicalize([(0.0, 1.0, 1.0, -0.5)])
+        w = canonicalize([(0.5, 2.0, 1.0, -0.25)])  # x + w is not representable
+        outside = canonicalize([(0.0, INF, 1.0, -1.0)])  # infinite norm
+        rng = np.random.Generator(np.random.Philox(key=4))
+        pairs = [(x, zero), (x, w), (outside, x), (x, x)]
+        pairs += [random_pair(rng, M112) for _ in range(4)]
+        with NormTable(M112) as table:
+            rows = pair_ratios(ALL_KINDS, pairs, table)
+        for kind, row in zip(ALL_KINDS, rows):
+            for (a, b), value in zip(pairs, row):
+                try:
+                    expected = ratio(kind, a, b, M112)
+                except (ZeroFunction, NotInSpace, MixedExponentOverlap):
+                    assert math.isnan(value)
+                else:
+                    assert value == expected
 
 
 class TestRandomPairs:

@@ -120,6 +120,10 @@ class TestCapFraction:
         assert cap_fraction(2, 4.99000001, 5.0, 0.01) == pytest.approx(
             9.0121776587134723e-07, rel=1e-12
         )
+        # all-scalar arguments broadcast to a 0-d result
+        frac = cap_fraction_radii(2, 4.99000001, 5.0, 0.01)
+        assert np.ndim(frac) == 0
+        assert float(frac) == pytest.approx(9.0121776587134723e-07, rel=1e-12)
 
     def test_obtuse_cap_complement(self):
         # d small, r just below d + t: almost the whole sphere is covered
