@@ -106,30 +106,46 @@ class RunConfig:
             "r_max": self.search.resolved_r_max(self.space.mode),
             "d_max": self.search.d_max,
             "rel_tol": self.integ.rel_tol,
-            "mc_samples": self.integ.mc_samples,
             "seed": self.seed,
             "trials": self.random_trials,
             "function": self.function_text,
         }
 
 
-_DEFAULTS: dict[str, Any] = {
-    "n": 1,
-    "p": 1.0,
-    "q": 2.0,
-    "mode": "morrey",
-    "s": [2.0],
-    "eps": list(DEFAULT_EPS_LADDER),
-    "rel_tol": 1e-10,
-    "r_max": None,
-    "d_max": None,
-    "mc_samples": 1_000_000,
-    "seed": 0,
-    "trials": 0,
-    "threads": 1,
-    "out": None,
-    "format": "json",
-    "function": None,
+_MODES = ("morrey", "small")
+_FORMATS = ("json", "csv")
+
+
+def _one_of(options: tuple[str, ...], value: Any) -> str:
+    if value not in options:
+        raise ValueError(f"expected one of {list(options)}")
+    return value
+
+
+def _float_list(value: Any) -> list[float]:
+    if not isinstance(value, list):
+        raise ValueError("expected a list of numbers")
+    return [float(v) for v in value]
+
+
+# Every config key: its default, and how a config-file value is checked
+# and converted, as the flag's parser type and choices check the flag.
+_KEYS: dict[str, tuple[Any, Any]] = {
+    "n": (1, int),
+    "p": (1.0, float),
+    "q": (2.0, float),
+    "mode": ("morrey", lambda value: _one_of(_MODES, value)),
+    "s": ([2.0], _float_list),
+    "eps": (list(DEFAULT_EPS_LADDER), _float_list),
+    "rel_tol": (1e-10, float),
+    "r_max": (None, float),
+    "d_max": (None, float),
+    "seed": (0, int),
+    "trials": (0, int),
+    "threads": (1, int),
+    "out": (None, str),
+    "format": ("json", lambda value: _one_of(_FORMATS, value)),
+    "function": (None, str),
 }
 
 # commands fix the radius domain themselves; --mode only matters elsewhere
@@ -156,7 +172,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--n", type=int, help="space dimension")
         sp.add_argument("--p", type=float, help="integrability exponent")
         sp.add_argument("--q", type=float, help="scaling exponent (p <= q)")
-        sp.add_argument("--mode", choices=["morrey", "small"],
+        sp.add_argument("--mode", choices=_MODES,
                         help="radius domain: all radii, or radii below 1")
         sp.add_argument("--s", type=float, action="append",
                         help="power parameter, repeatable")
@@ -168,14 +184,12 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="largest ball radius searched")
         sp.add_argument("--d-max", type=float, dest="d_max",
                         help="largest center distance searched")
-        sp.add_argument("--mc-samples", type=int, dest="mc_samples",
-                        help="Monte Carlo sample count")
         sp.add_argument("--seed", type=int, help="random-pair generator seed")
         sp.add_argument("--trials", type=int, help="number of random pairs")
         sp.add_argument("--threads", type=int,
                         help="worker processes for the distinct norms (capped at the CPU count)")
         sp.add_argument("--out", help="report path (default: stdout)")
-        sp.add_argument("--format", choices=["json", "csv"], help="report format")
+        sp.add_argument("--format", choices=_FORMATS, help="report format")
         sp.add_argument("--function", help="pieces as 'lo hi coef alpha; ...'")
     return parser
 
@@ -188,7 +202,9 @@ def _resolve_config(command: str, args: argparse.Namespace) -> RunConfig:
                 file_values = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config file {args.config!r}: {exc}")
-        unknown = set(file_values) - set(_DEFAULTS)
+        if not isinstance(file_values, dict):
+            raise ConfigError(f"config file {args.config!r} must hold a JSON object")
+        unknown = set(file_values) - set(_KEYS)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
 
@@ -196,30 +212,32 @@ def _resolve_config(command: str, args: argparse.Namespace) -> RunConfig:
         flag = getattr(args, key, None)
         if flag is not None:
             return flag
-        if key in file_values and file_values[key] is not None:
-            return file_values[key]
-        return _DEFAULTS[key]
+        default, convert = _KEYS[key]
+        value = file_values.get(key)
+        if value is None:
+            return default
+        try:
+            return convert(value)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"config key {key!r}: bad value {value!r} ({exc})")
 
-    mode_text = _FORCED_MODE.get(command, pick("mode"))
-    mode = Mode.MORREY if mode_text == "morrey" else Mode.SMALL_MORREY
+    mode = Mode(_FORCED_MODE.get(command, pick("mode")))
     try:
-        space = SpaceParams(int(pick("n")), float(pick("p")), float(pick("q")), mode)
+        space = SpaceParams(pick("n"), pick("p"), pick("q"), mode)
         search = SearchSettings(r_max=pick("r_max"), d_max=pick("d_max"))
         search.resolved_r_max(mode)  # validate the mode/r_max combination now
-        integ = IntegrationSettings(
-            rel_tol=float(pick("rel_tol")), mc_samples=int(pick("mc_samples"))
-        )
+        integ = IntegrationSettings(rel_tol=pick("rel_tol"))
     except ValueError as exc:
         raise ConfigError(str(exc))
 
-    eps_ladder = tuple(sorted((float(e) for e in pick("eps")), reverse=True))
+    eps_ladder = tuple(sorted(pick("eps"), reverse=True))
     if any(not (0.0 < e < 1.0) for e in eps_ladder):
         raise ConfigError(f"split radii must lie in (0, 1), got {list(eps_ladder)}")
-    s_values = tuple(float(s) for s in pick("s"))
+    s_values = tuple(pick("s"))
     if any(s < 1.0 for s in s_values):
         raise ConfigError(f"s values must be >= 1, got {list(s_values)}")
 
-    trials = int(pick("trials"))
+    trials = pick("trials")
     if command == "search" and getattr(args, "trials", None) is None and "trials" not in file_values:
         trials = 100
     if trials < 0:
@@ -227,7 +245,7 @@ def _resolve_config(command: str, args: argparse.Namespace) -> RunConfig:
     if command == "search" and trials < 1:
         raise ConfigError("search requires trials >= 1")
 
-    threads = int(pick("threads"))
+    threads = pick("threads")
     if threads < 1:
         raise ConfigError("threads must be >= 1")
 
@@ -238,7 +256,7 @@ def _resolve_config(command: str, args: argparse.Namespace) -> RunConfig:
         search=search,
         integ=integ,
         random_trials=trials,
-        seed=int(pick("seed")),
+        seed=pick("seed"),
         threads=threads,
         out=pick("out"),
         format=pick("format"),
@@ -247,20 +265,9 @@ def _resolve_config(command: str, args: argparse.Namespace) -> RunConfig:
 
 
 def _all_kinds(s_values: tuple[float, ...]) -> list[ConstantKind]:
-    kinds: list[ConstantKind] = []
-    for s in s_values:
-        kinds.append(ConstantKind.gen_vnj(s))
-    kinds.append(ConstantKind.mod_vnj())
-    for s in s_values:
-        kinds.append(ConstantKind.gen_mod_vnj(s))
-    kinds.append(ConstantKind.zbaganu())
-    seen: set[ConstantKind] = set()
-    unique = []
-    for k in kinds:
-        if k not in seen:
-            seen.add(k)
-            unique.append(k)
-    return unique
+    kinds = [ConstantKind.gen_vnj(s) for s in s_values] + [ConstantKind.mod_vnj()]
+    kinds += [ConstantKind.gen_mod_vnj(s) for s in s_values] + [ConstantKind.zbaganu()]
+    return list(dict.fromkeys(kinds))
 
 
 def _witness_ratios(kinds, pairs, table: NormTable, extra) -> list[list[float]]:

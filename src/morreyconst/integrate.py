@@ -15,6 +15,9 @@
 * Monte Carlo: an independent stochastic route used to cross-check the
   quadrature, never as the primary evaluator.
 
+Every ball goes through the vectorized :func:`ball_integrals`;
+:func:`integrate_abs_pow_ball` is its one-ball form.
+
 Divergent integrals are detected analytically (a power t^alpha with
 alpha*p + n <= 0 supported down to radius 0, inside the ball) and
 reported as the value math.inf rather than by raising.
@@ -33,8 +36,6 @@ from morreyconst.model import Ball, PiecewiseRadialFunction
 __all__ = [
     "IntegrationSettings",
     "BallIntegral",
-    "integral_diverges_in_ball",
-    "integrate_abs_pow_centered",
     "centered_integrals",
     "ball_integrals",
     "integrate_abs_pow_ball",
@@ -50,15 +51,12 @@ class IntegrationSettings:
 
     rel_tol: float = 1e-10
     max_subdivisions: int = 2000
-    mc_samples: int = 1_000_000
 
     def __post_init__(self) -> None:
         if not (0.0 < self.rel_tol < 1.0):
             raise ValueError(f"rel_tol must be in (0, 1), got {self.rel_tol}")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be >= 1")
-        if self.mc_samples < 2:
-            raise ValueError("mc_samples must be >= 2")
 
 
 @dataclass(frozen=True)
@@ -75,72 +73,24 @@ class BallIntegral:
     tol_ok: bool = True
 
 
-def integral_diverges_in_ball(
-    f: PiecewiseRadialFunction, p: float, n: int, ball: Ball
-) -> bool:
-    """True iff the integral of |f|^p over the ball is +infinity.
-
-    That happens exactly when the closed ball reaches the origin
-    (d <= r) and f carries a power with alpha*p + n <= 0 supported on
-    radii arbitrarily close to 0.
-    """
-    return ball.d <= ball.r and _singular_at_origin(f, p, n)
-
-
 def _singular_at_origin(f: PiecewiseRadialFunction, p: float, n: int) -> bool:
     """True iff some power of f with alpha*p + n <= 0 reaches radius 0."""
     return any(pc.lo == 0.0 and pc.alpha * p + n <= 0.0 for pc in f.pieces)
 
 
-def _segment_power_integral(gamma: float, lo: float, hi: float) -> float:
-    """Integral of t^(gamma-1) over [lo, hi], allowing lo = 0 and hi = inf."""
-    if hi <= lo:
-        return 0.0
-    if gamma == 0.0:
-        if lo == 0.0 or hi == INF:
-            return INF
-        return math.log(hi / lo)
-    if gamma > 0.0:
-        if hi == INF:
-            return INF
-        return (hi**gamma - lo**gamma) / gamma
-    # gamma < 0: integrable at infinity, divergent at 0
-    if lo == 0.0:
-        return INF
-    top = 0.0 if hi == INF else hi**gamma
-    return (top - lo**gamma) / gamma
-
-
-def integrate_abs_pow_centered(
-    f: PiecewiseRadialFunction, p: float, n: int, r: float
-) -> float:
-    """Exact integral of |f|^p over the centered ball of radius r."""
-    if not r > 0.0:
-        raise ValueError(f"radius must be > 0, got {r}")
-    area = unit_sphere_area(n)
-    total = 0.0
-    for pc in f.pieces:
-        gamma = pc.alpha * p + n
-        seg = _segment_power_integral(gamma, pc.lo, min(pc.hi, r))
-        if seg == INF:
-            return INF
-        total += area * abs(pc.coef) ** p * seg
-    return total
-
-
 def centered_integrals(
     f: PiecewiseRadialFunction, p: float, n: int, rs: np.ndarray
 ) -> np.ndarray:
-    """Vectorized :func:`integrate_abs_pow_centered` over an array of radii."""
+    """Exact integrals of |f|^p over the centered balls of radii rs (any shape)."""
     rs = np.asarray(rs, dtype=float)
-    if (rs <= 0.0).any():
-        raise ValueError("radii must be > 0")
+    if not (rs > 0.0).all():
+        raise ValueError(f"radii must be > 0, got {rs}")
     area = unit_sphere_area(n)
     out = np.zeros(rs.shape, dtype=float)
     for pc in f.pieces:
         gamma = pc.alpha * p + n
         if pc.lo == 0.0 and gamma <= 0.0:
-            out[:] = INF
+            out[...] = INF
             return out
         top = np.clip(rs, pc.lo, pc.hi)
         if gamma == 0.0:
@@ -399,34 +349,9 @@ def integrate_abs_pow_ball(
     ball: Ball,
     settings: IntegrationSettings = IntegrationSettings(),
 ) -> BallIntegral:
-    """Integral of |f|^p over one ball, with a tolerance flag.
-
-    Centered balls and n = 1 are closed form, evaluated here in scalar
-    arithmetic; any other ball is a one-ball :func:`ball_integrals` call.
-    """
-    if f.is_zero:
-        return BallIntegral(0.0, True)
-    if integral_diverges_in_ball(f, p, n, ball):
-        return BallIntegral(INF, True)
-    d, r = ball.d, ball.r
-    if d == 0.0:
-        return BallIntegral(integrate_abs_pow_centered(f, p, n, r), True)
-    if n >= 2:
-        values, tol_ok = ball_integrals(f, p, n, d, r, settings)
-        return BallIntegral(float(values), bool(tol_ok))
-
-    # n = 1: the cap fraction is exactly 1/2 on the open shell
-    area = unit_sphere_area(n)
-    inner = 0.0
-    if d < r:
-        inner = integrate_abs_pow_centered(f, p, n, r - d)
-    t_lo, t_hi = abs(d - r), d + r
-    shell = 0.0
-    for pc in f.pieces:
-        gamma = pc.alpha * p + n
-        seg = _segment_power_integral(gamma, max(pc.lo, t_lo), min(pc.hi, t_hi))
-        shell += area * abs(pc.coef) ** p * seg
-    return BallIntegral(inner + 0.5 * shell, True)
+    """Integral of |f|^p over one ball: a one-ball :func:`ball_integrals` call."""
+    values, tol_ok = ball_integrals(f, p, n, ball.d, ball.r, settings)
+    return BallIntegral(float(values), bool(tol_ok))
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ this up for anything the analysis might miss.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -31,7 +31,6 @@ from morreyconst.integrate import (
     ball_integrals,
     centered_integrals,
     integrate_abs_pow_ball,
-    integrate_abs_pow_centered,
 )
 from morreyconst.model import Ball, Mode, PiecewiseRadialFunction, SpaceParams
 
@@ -39,7 +38,6 @@ __all__ = [
     "SearchSettings",
     "NormResult",
     "centered_norm_profile",
-    "centered_norm_profile_radii",
     "norm",
     "closed_form_power_norm",
     "norm_is_infinite",
@@ -81,8 +79,10 @@ class SearchSettings:
     def __post_init__(self) -> None:
         if not self.r_min > 0.0:
             raise ValueError(f"r_min must be > 0, got {self.r_min}")
-        if self.r_max is not None and not (self.r_min < self.r_max):
-            raise ValueError(f"need r_min < r_max, got {self.r_min} >= {self.r_max}")
+        if self.r_max is not None and not (self.r_min < self.r_max < INF):
+            raise ValueError(f"r_max must be finite and > r_min = {self.r_min}, got {self.r_max}")
+        if self.d_max is not None and not (0.0 <= self.d_max < INF):
+            raise ValueError(f"d_max must be finite and >= 0, got {self.d_max}")
         if self.n_radii < 2 or self.n_centers < 2:
             raise ValueError("grid sizes must be >= 2")
 
@@ -137,32 +137,17 @@ def _weight(params: SpaceParams, r) -> float | np.ndarray:
     return vol ** (1.0 / params.q - 1.0 / params.p)
 
 
-def _check_mode_radius(params: SpaceParams, r: float) -> None:
-    if not r > 0.0:
-        raise ValueError(f"radius must be > 0, got {r}")
-    if params.mode is Mode.SMALL_MORREY and not r < 1.0:
+def centered_norm_profile(f: PiecewiseRadialFunction, params: SpaceParams, r):
+    """Norm quantity of the centered balls of radii r (exact closed form).
+
+    r may be a number or an array; the result has r's shape.
+    """
+    r = np.asarray(r, dtype=float)
+    if params.mode is Mode.SMALL_MORREY and not (r < 1.0).all():
         raise ValueError(f"small mode requires radius < 1, got {r}")
-
-
-def centered_norm_profile(f: PiecewiseRadialFunction, params: SpaceParams, r: float) -> float:
-    """Norm quantity of the centered ball of radius r (exact closed form)."""
-    _check_mode_radius(params, r)
-    integral = integrate_abs_pow_centered(f, params.p, params.n, r)
-    if integral == INF:
-        return INF
-    return _weight(params, r) * integral ** (1.0 / params.p)
-
-
-def centered_norm_profile_radii(
-    f: PiecewiseRadialFunction, params: SpaceParams, rs: np.ndarray
-) -> np.ndarray:
-    """Vectorized :func:`centered_norm_profile`."""
-    rs = np.asarray(rs, dtype=float)
-    for r in rs:
-        _check_mode_radius(params, float(r))
-    integrals = centered_integrals(f, params.p, params.n, rs)
+    integrals = centered_integrals(f, params.p, params.n, r)
     with np.errstate(over="ignore"):
-        return _weight(params, rs) * integrals ** (1.0 / params.p)
+        return _weight(params, r) * integrals ** (1.0 / params.p)
 
 
 def closed_form_power_norm(params: SpaceParams) -> float:
@@ -239,11 +224,7 @@ def _search(
     rs = np.geomspace(r_min, r_max, search.n_radii)
     ds = np.linspace(0.0, d_max, search.n_centers)
 
-    scout = IntegrationSettings(
-        rel_tol=max(integ.rel_tol, _SCOUT_REL_TOL),
-        max_subdivisions=integ.max_subdivisions,
-        mc_samples=integ.mc_samples,
-    )
+    scout = replace(integ, rel_tol=max(integ.rel_tol, _SCOUT_REL_TOL))
     tol_ok = True
 
     def evaluate(d: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -253,10 +234,8 @@ def _search(
         tol_ok = tol_ok and bool(ok.all())
         return _weight(params, r) * ints ** (1.0 / params.p)
 
-    # The d = 0 row is exact; the off-centre rows are one batched kernel call.
-    grid = np.empty((search.n_centers, search.n_radii))
-    grid[0, :] = centered_norm_profile_radii(f, params, rs)
-    grid[1:, :] = evaluate(ds[1:, None], rs[None, :])
+    # The whole grid, the exact d = 0 row included, is one kernel call.
+    grid = evaluate(ds[:, None], rs[None, :])
 
     if np.isinf(grid).any():
         return NormResult(INF, None, tol_ok=tol_ok)

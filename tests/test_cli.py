@@ -170,8 +170,19 @@ class TestConfigFile:
 
     def test_unknown_keys_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"radius": 2}))
-        assert run(["norm", "--config", str(cfg)]) == 2
+        for values in ({"radius": 2}, {"mc_samples": 1_000_000}):
+            cfg.write_text(json.dumps(values))
+            assert run(["norm", "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize(
+        "values",
+        [{"mode": "morey"}, {"format": "xml"}, {"s": 3}, {"eps": 0.1}, {"n": [1]}],
+    )
+    def test_bad_values_rejected(self, capsys, tmp_path, values):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(values))
+        assert run(["norm", "--function", "", "--config", str(cfg)]) == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_missing_file_rejected(self, capsys):
         assert run(["norm", "--config", "/nonexistent/cfg.json"]) == 2

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
@@ -16,9 +17,7 @@ from morreyconst.integrate import (
     _adaptive_quadrature,
     ball_integrals,
     centered_integrals,
-    integral_diverges_in_ball,
     integrate_abs_pow_ball,
-    integrate_abs_pow_centered,
     mc_integrate,
 )
 from morreyconst.model import Ball, canonicalize
@@ -34,7 +33,6 @@ class TestSettings:
         s = IntegrationSettings()
         assert s.rel_tol == 1e-10
         assert s.max_subdivisions == 2000
-        assert s.mc_samples == 1_000_000
 
     def test_rejects_bad_tol(self):
         with pytest.raises(ValueError):
@@ -45,23 +43,23 @@ class TestDivergence:
     def test_origin_inside_negative_power(self):
         f = canonicalize([(0.0, 1.0, 1.0, -2.0)])
         # alpha*p + n = -2 + 1 <= 0 and the ball reaches the origin
-        assert integral_diverges_in_ball(f, 1.0, 1, Ball(0.5, 1.0))
+        assert integrate_abs_pow_ball(f, 1.0, 1, Ball(0.5, 1.0)).value == INF
 
     def test_origin_on_boundary_still_diverges(self):
         f = canonicalize([(0.0, 1.0, 1.0, -2.0)])
-        assert integral_diverges_in_ball(f, 1.0, 1, Ball(1.0, 1.0))
+        assert integrate_abs_pow_ball(f, 1.0, 1, Ball(1.0, 1.0)).value == INF
 
     def test_origin_outside_converges(self):
         f = canonicalize([(0.0, 1.0, 1.0, -2.0)])
-        assert not integral_diverges_in_ball(f, 1.0, 1, Ball(2.0, 0.5))
+        assert math.isfinite(integrate_abs_pow_ball(f, 1.0, 1, Ball(2.0, 0.5)).value)
 
     def test_integrable_power_converges(self):
         # alpha*p + n = -1/2 + 1 > 0
-        assert not integral_diverges_in_ball(POWER_HALF, 1.0, 1, Ball(0.0, 1.0))
+        assert math.isfinite(integrate_abs_pow_ball(POWER_HALF, 1.0, 1, Ball(0.0, 1.0)).value)
 
     def test_support_away_from_origin_converges(self):
         f = canonicalize([(0.5, 1.0, 1.0, -5.0)])
-        assert not integral_diverges_in_ball(f, 1.0, 1, Ball(0.0, 2.0))
+        assert math.isfinite(integrate_abs_pow_ball(f, 1.0, 1, Ball(0.0, 2.0)).value)
 
     def test_ball_integral_reports_inf(self):
         f = canonicalize([(0.0, 1.0, 1.0, -2.0)])
@@ -72,33 +70,38 @@ class TestDivergence:
 class TestCenteredClosedForm:
     def test_power_half_n1(self):
         # [DERIVED] int over [-1,1] of |x|^{-1/2} = 2 * 2 = 4, frozen
-        assert integrate_abs_pow_centered(POWER_HALF, 1.0, 1, 1.0) == pytest.approx(4.0)
+        assert centered_integrals(POWER_HALF, 1.0, 1, 1.0) == pytest.approx(4.0)
 
     def test_power_half_n1_p2_log(self):
         # p=2 makes the exponent -1: gamma = 0, divergent at the origin
-        assert integrate_abs_pow_centered(POWER_HALF, 2.0, 1, 1.0) == INF
+        assert centered_integrals(POWER_HALF, 2.0, 1, 1.0) == INF
 
     def test_constant_gives_volume(self):
         f = canonicalize([(0.0, INF, 1.0, 0.0)])
         for n in (1, 2, 3):
-            got = integrate_abs_pow_centered(f, 1.0, n, 2.0)
+            got = centered_integrals(f, 1.0, n, 2.0)
             assert got == pytest.approx(unit_ball_volume(n) * 2.0**n, rel=1e-13)
 
     def test_truncated_support(self):
         # [DERIVED] n=2, f = chi_{1<=|x|<2}: area pi(4-1) = 3 pi, frozen
         f = canonicalize([(1.0, 2.0, 1.0, 0.0)])
-        assert integrate_abs_pow_centered(f, 1.0, 2, 5.0) == pytest.approx(
+        assert centered_integrals(f, 1.0, 2, 5.0) == pytest.approx(
             3.0 * math.pi, rel=1e-13
         )
 
     def test_vectorized_matches_scalar(self):
+        # [DERIVED] 2 pi (2^1.5 min(r, 1)^1.25 / 1.25 + 2 max(sqrt(r) - 1, 0)),
+        # evaluated per radius in 30-digit mpmath
         f = canonicalize([(0.0, 1.0, 2.0, -0.5), (1.0, INF, 1.0, -1.0)])
         rs = np.array([0.25, 0.5, 1.0, 2.0, 10.0])
         vec = centered_integrals(f, 1.5, 2, rs)
-        for r, v in zip(rs, vec):
-            assert v == pytest.approx(
-                integrate_abs_pow_centered(f, 1.5, 2, float(r)), rel=1e-13
-            )
+        with mpmath.workdps(30):
+            for r, v in zip(rs, vec):
+                t = mpmath.mpf(float(r))
+                inner = mpmath.mpf(2) ** mpmath.mpf("1.5") * min(t, 1) ** mpmath.mpf("1.25")
+                outer = 2 * max(mpmath.sqrt(t) - 1, 0)
+                ref = 2 * mpmath.pi * (inner / mpmath.mpf("1.25") + outer)
+                assert v == pytest.approx(float(ref), rel=1e-13)
 
     def test_vectorized_divergent(self):
         f = canonicalize([(0.0, 1.0, 1.0, -3.0)])
@@ -212,7 +215,7 @@ class TestBallIntegralHigherDim:
             cap = float(cap_fraction_radii(3, np.array([t]), d, r)[0])
             return abs(f.evaluate(t)) * area * t**2 * cap
 
-        core = integrate_abs_pow_centered(f, 1.0, 3, r - d)
+        core = float(centered_integrals(f, 1.0, 3, r - d))
         ref, _ = scipy.integrate.quad(
             integrand, r - d, r + d, points=[2.0], epsabs=1e-12, epsrel=1e-12, limit=200
         )
@@ -298,7 +301,8 @@ class TestBatchedBallIntegrals:
     def test_n1_closed_form(self):
         values, tol_ok = ball_integrals(POWER_HALF, 1.0, 1, [2.0, 0.5], [1.0, 1.0])
         assert values[0] == pytest.approx(1.4641016151377544, rel=1e-14)
-        assert values[1] == integrate_abs_pow_ball(POWER_HALF, 1.0, 1, Ball(0.5, 1.0)).value
+        # [DERIVED] int over [-0.5, 1.5] of |x|^{-1/2} = 2 sqrt(0.5) + 2 sqrt(1.5)
+        assert values[1] == pytest.approx(3.863703305156273, rel=1e-14)
         assert tol_ok.all()
 
 

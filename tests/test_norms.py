@@ -20,7 +20,6 @@ from morreyconst.model import (
 from morreyconst.norms import (
     SearchSettings,
     centered_norm_profile,
-    centered_norm_profile_radii,
     closed_form_power_norm,
     norm,
     norm_is_infinite,
@@ -56,8 +55,17 @@ class TestSearchSettings:
         assert SearchSettings().resolved_r_min(f) == pytest.approx(1e-5)
 
     def test_rejects_inverted_window(self):
-        with pytest.raises(ValueError):
-            SearchSettings(r_min=2.0, r_max=1.0)
+        bad = [
+            ("r_max", {"r_min": 2.0, "r_max": 1.0}),
+            ("r_max", {"r_max": INF}),
+            ("r_max", {"r_max": math.nan}),
+            ("d_max", {"d_max": math.nan}),
+            ("d_max", {"d_max": INF}),
+            ("d_max", {"d_max": -1.0}),
+        ]
+        for field, kwargs in bad:
+            with pytest.raises(ValueError, match=field):
+                SearchSettings(**kwargs)
 
     def test_rejects_small_grid(self):
         with pytest.raises(ValueError):
@@ -99,10 +107,14 @@ class TestCenteredProfile:
             centered_norm_profile(POWER, S112, 1.5)
 
     def test_vectorized_matches_scalar(self):
-        rs = np.array([0.01, 0.3, 2.0, 50.0])
-        vec = centered_norm_profile_radii(POWER_OUT, M112, rs)
-        for r, v in zip(rs, vec):
-            assert v == pytest.approx(centered_norm_profile(POWER_OUT, M112, float(r)), rel=1e-13)
+        # [DERIVED] 2 sqrt(2) (1 - r^{-1/2}) for r >= 1, and 0 below
+        for rs in (np.array([0.01, 0.3, 2.0, 50.0]), np.array(2.0)):
+            vec = centered_norm_profile(POWER_OUT, M112, rs)
+            assert np.shape(vec) == rs.shape
+            expected = np.where(rs >= 1.0, TWO_SQRT2 * (1.0 - rs**-0.5), 0.0)
+            np.testing.assert_allclose(vec, expected, rtol=1e-13, atol=0.0)
+            for r, v in zip(rs.ravel(), np.ravel(vec)):
+                assert v == centered_norm_profile(POWER_OUT, M112, r)
 
 
 class TestClosedFormPowerNorm:
