@@ -238,7 +238,7 @@ def _resolve_config(command: str, args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"s values must be >= 1, got {list(s_values)}")
 
     trials = pick("trials")
-    if command == "search" and getattr(args, "trials", None) is None and "trials" not in file_values:
+    if command == "search" and args.trials is None and file_values.get("trials") is None:
         trials = 100
     if trials < 0:
         raise ConfigError("trials must be >= 0")

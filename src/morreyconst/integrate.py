@@ -1,8 +1,10 @@
 """Integrals of |f|^p over balls, for piecewise radial power f.
 
-* Centered balls, and every ball when n = 1 (where the cap fraction is
-  piecewise constant): exact closed form from power-function
-  antiderivatives.
+* Centered balls: exact closed form from power-function antiderivatives.
+* Every ball when n = 1, where the ball is the interval [d - r, d + r]:
+  exact, from an antiderivative table of |f|^p built once per (f, p)
+  and cached (:class:`_N1Table`).  A ball costs one searchsorted and one
+  power per shell end |d - r| and d + r.
 * Off-center balls when n >= 2: the spheres of radius t <= r - d lie
   inside the ball and give a closed-form core; the shell
   |d - r| <= t <= d + r contributes through the spherical cap fraction.
@@ -26,7 +28,9 @@ reported as the value math.inf rather than by raising.
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -268,37 +272,142 @@ def _shells(f, p, n, d, r, inner, settings):
     return shell, ok
 
 
-def _ball_integrals_n1(f, p, d, r):
-    """Exact n = 1 ball integrals: the cap fraction is 1/2 on the open shell."""
-    out = np.zeros(d.shape, dtype=float)
-    t_lo = np.abs(d - r)
-    t_hi = d + r
-    inner_top = r - d  # spheres below this radius lie fully inside
+def _powers(t: np.ndarray, gamma) -> np.ndarray:
+    """P(t) = t^gamma, or log t where gamma = 0, for 1-d t.
 
-    for pc in f.pieces:
-        gamma = pc.alpha * p + 1.0
-        amp = 2.0 * abs(pc.coef) ** p
-
-        def seg(lo_arr, hi_arr):
-            lo_c = np.maximum(lo_arr, pc.lo)
-            hi_c = np.minimum(hi_arr, pc.hi)
-            mask = hi_c > lo_c
-            lo_c = np.where(mask, lo_c, 1.0)
-            hi_c = np.where(mask, hi_c, 1.0)
-            if gamma == 0.0:
-                val = np.log(hi_c / lo_c)
-            else:
-                val = (hi_c**gamma - lo_c**gamma) / gamma
-            return np.where(mask, val, 0.0)
-
-        if pc.lo == 0.0 and gamma <= 0.0:
-            # divergent at the origin: infinite wherever the ball reaches
-            # it, plain shell contribution wherever it does not
-            shell = amp * 0.5 * seg(np.where(t_lo > 0.0, t_lo, 1.0), t_hi)
-            out = np.where(d <= r, INF, out + shell)
-        else:
-            out += amp * (seg(np.zeros_like(r), inner_top) + 0.5 * seg(t_lo, t_hi))
+    gamma is a number or an array like t.  Table knots and shell ends go
+    through this one function, so a shell end on a knot has the knot's
+    power bit for bit.
+    """
+    if np.ndim(gamma) == 0:
+        return np.log(t) if gamma == 0.0 else t**gamma
+    out = t**gamma
+    log = gamma == 0.0
+    if log.any():
+        out[log] = np.log(t[log])
     return out
+
+
+@dataclass(frozen=True)
+class _N1Table:
+    """Antiderivative table of |f|^p on the line, for the n = 1 kernel.
+
+    The intervals [knots[j-1], knots[j]) for j = 1..K (knots[K] = inf)
+    tile [0, inf); support gaps are intervals with w = 0.  On interval j
+    the integral of |f|^p from u to v is w[j] (P_j(v) - P_j(u)), with
+    P_j(t) = t^gamma_j (or log t when gamma_j = 0), gamma_j = alpha p + 1
+    and w[j] = |c|^p / gamma_j (|c|^p when gamma_j = 0).  p_lo[j] and
+    p_hi[j] are P_j at the interval's two knots, and below[j] is the
+    integral from 0 up to knots[j-1].  between[i, j] is the integral over
+    the whole intervals strictly between i and j, summed term by term: a
+    difference of two prefix sums would lose the digits of a small
+    middle after a large earlier interval.  Index 0 pads every
+    per-interval axis, so np.searchsorted(knots, t, "right") indexes the
+    arrays directly.
+
+    ``gamma`` is the exponent every interval shares (gaps take it too),
+    or None, and then ``gammas`` holds one per interval (gaps take 1).
+    Radii below ``floor``, the start of the support, are raised to
+    powers as ``floor`` (w = 0 there), so radius 0 never meets a
+    gamma <= 0 power unless f lives at the origin.  ``divergent`` marks
+    such a piece: the balls that reach it are INF, and the table entries
+    only they would read (P at 0, below) hold finite stand-ins.
+    """
+
+    knots: np.ndarray
+    gamma: float | None
+    gammas: np.ndarray
+    w: np.ndarray
+    p_lo: np.ndarray
+    p_hi: np.ndarray
+    below: np.ndarray
+    between: np.ndarray
+    floor: float
+    divergent: bool
+
+
+@lru_cache(maxsize=256)
+def _n1_table(f: PiecewiseRadialFunction, p: float) -> _N1Table:
+    """The :class:`_N1Table` of |f|^p, built once per (f, p)."""
+    cells = []  # (lo, hi, |c|^p, gamma); gamma is None on a support gap
+    edge = 0.0
+    for pc in f.pieces:
+        if pc.lo > edge:
+            cells.append((edge, pc.lo, 0.0, None))
+        cells.append((pc.lo, pc.hi, abs(pc.coef) ** p, pc.alpha * p + 1.0))
+        edge = pc.hi
+    if edge < INF:
+        cells.append((edge, INF, 0.0, None))
+    lo, hi, amp, gam = zip(*cells)
+
+    live = {g for g in gam if g is not None}
+    shared = live.pop() if len(live) == 1 else None
+    gap = 1.0 if shared is None else shared
+    gammas = np.array([1.0, *(gap if g is None else g for g in gam)])
+    floor = f.pieces[0].lo
+    divergent = floor == 0.0 and gam[0] <= 0.0
+
+    # radius 1 stands in where no power is read: the pad, the infinite
+    # end of the last interval, and the origin end of a divergent piece
+    low_ends = np.array([1.0, *lo])
+    high_ends = np.array([1.0, *hi[:-1], 1.0])
+    if divergent:
+        low_ends[1] = 1.0
+    exponent = gammas if shared is None else shared
+    p_lo = _powers(np.maximum(low_ends, floor), exponent)
+    p_hi = _powers(np.maximum(high_ends, floor), exponent)
+
+    w = np.array([0.0, *amp]) / np.where(gammas == 0.0, 1.0, gammas)
+    whole = w * (p_hi - p_lo)
+    below = np.concatenate([[0.0], np.cumsum(whole)[:-1]])
+    upper = np.triu(np.broadcast_to(whole, (whole.size, whole.size)), k=1)
+    between = np.zeros_like(upper)
+    between[:, 1:] = np.cumsum(upper, axis=1)[:, :-1]
+    return _N1Table(np.array(lo), shared, gammas, w, p_lo, p_hi, below, between, floor, divergent)
+
+
+def _ball_integrals_n1(f, p, d, r):
+    """Exact n = 1 ball integrals from the table of :func:`_n1_table`.
+
+    The ball is the interval [d - r, d + r]; by symmetry its integral is
+    the integral over the shell t_lo = |d - r| <= t <= t_hi = d + r, plus
+    2 G(t_lo) when d < r, where G(t) is the integral from 0 to t.  Each
+    shell end is located by one searchsorted and raised to one power.
+    A shell inside one interval is w (P(t_hi) - P(t_lo)) directly, never
+    a difference of two sums that both hold the interval, which would
+    lose the digits of a tiny far ball.
+    """
+    tab = _n1_table(f, p)
+    shape = d.shape
+    diff = (d - r).reshape(-1)  # 1-d, so every power is the array power
+    t_lo = np.abs(diff)
+    t_hi = (d + r).reshape(-1)
+    j_lo = np.searchsorted(tab.knots, t_lo, side="right")
+    j_hi = np.searchsorted(tab.knots, t_hi, side="right")
+    if tab.floor > 0.0:
+        t_lo, t_hi = np.maximum(t_lo, tab.floor), np.maximum(t_hi, tab.floor)
+    if tab.gamma is None:
+        exp_lo, exp_hi = tab.gammas[j_lo], tab.gammas[j_hi]
+    else:
+        exp_lo = exp_hi = tab.gamma
+    # a divergent piece meets radius 0 where d = r: those balls are INF
+    with np.errstate(divide="ignore", invalid="ignore") if tab.divergent else nullcontext():
+        pw_lo, pw_hi = _powers(t_lo, exp_lo), _powers(t_hi, exp_hi)
+        w_lo, w_hi = tab.w[j_lo], tab.w[j_hi]
+        split = (
+            w_hi * (pw_hi - tab.p_lo[j_hi])
+            + tab.between[j_lo, j_hi]
+            + w_lo * (tab.p_hi[j_lo] - pw_lo)
+        )
+        out = np.where(j_lo == j_hi, w_hi * (pw_hi - pw_lo), split)
+    if tab.divergent:
+        out = np.where(diff <= 0.0, INF, out)
+    else:
+        inner = diff < 0.0
+        if inner.any():
+            core = tab.below[j_lo] + w_lo * (pw_lo - tab.p_lo[j_lo])
+            out = out + np.where(inner, 2.0 * core, 0.0)
+    return out.reshape(shape)
 
 
 def ball_integrals(

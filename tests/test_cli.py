@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from morreyconst.cli import run
+from morreyconst.cli import _build_parser, _resolve_config, run
 from morreyconst.report import flatten
 
 
@@ -186,6 +186,14 @@ class TestConfigFile:
 
     def test_missing_file_rejected(self, capsys):
         assert run(["norm", "--config", "/nonexistent/cfg.json"]) == 2
+
+    @pytest.mark.parametrize("values", [{}, {"trials": None}])
+    def test_search_trials_default_when_absent_or_null(self, tmp_path, values):
+        # a JSON null means "not given" for every key, trials included
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(values))
+        args = _build_parser().parse_args(["search", "--config", str(cfg)])
+        assert _resolve_config("search", args).random_trials == 100
 
 
 class TestReportFormats:

@@ -170,6 +170,97 @@ class TestBallIntegralN1:
         assert res.value == pytest.approx(4.0, rel=1e-14)
 
 
+def _mp_ball_n1(f, p, d, r):
+    """30-digit n = 1 ball integral of |f|^p from per-piece antiderivatives."""
+    with mpmath.workdps(30):
+        p, d, r = mpmath.mpf(p), mpmath.mpf(float(d)), mpmath.mpf(float(r))
+
+        def between(u, v):  # integral of |f|^p over radii [u, v]
+            total = mpmath.mpf(0)
+            for pc in f.pieces:
+                hi = mpmath.inf if pc.hi == INF else mpmath.mpf(pc.hi)
+                lo, top = max(u, mpmath.mpf(pc.lo)), min(v, hi)
+                if top > lo:
+                    gamma = mpmath.mpf(pc.alpha) * p + 1
+                    amp = abs(mpmath.mpf(pc.coef)) ** p
+                    if gamma == 0:
+                        total += amp * mpmath.log(top / lo)
+                    else:
+                        total += amp * (top**gamma - lo**gamma) / gamma
+            return total
+
+        t_lo = abs(d - r)
+        value = between(t_lo, d + r) + (2 * between(0, t_lo) if d < r else 0)
+        return float(value)
+
+
+class TestBallIntegralN1Reference:
+    """The n = 1 table kernel against 30-digit mpmath, piece layouts and ball kinds."""
+
+    FUNCS = {
+        # support gaps at [0, 0.1), [0.5, 1) and [2, inf)
+        "gaps": (canonicalize([(0.1, 0.5, 1.3, -0.5), (1.0, 2.0, -0.7, -0.5)]), 1.0),
+        "mixed": (
+            canonicalize([(0.0, 0.5, 1.0, 0.4), (0.5, 2.0, -1.5, -0.3), (2.0, 4.0, 0.8, -2.0)]),
+            1.0,
+        ),
+        # alpha = -1/p on [1, 3): gamma = 0, the log antiderivative
+        "log_piece": (
+            canonicalize([(0.0, 1.0, 1.0, 0.5), (1.0, 3.0, 2.0, -0.5), (3.0, 5.0, 0.3, 0.25)]),
+            2.0,
+        ),
+        "tail": (canonicalize([(0.0, 2.0, 1.5, -0.5), (2.0, INF, 0.5, -2.0)]), 1.0),
+        # one shared gamma = -1 off the origin: radius 0 has no finite power
+        "shared_negative": (canonicalize([(0.5, 2.0, 1.0, -2.0), (3.0, 4.0, 2.0, -2.0)]), 1.0),
+        # a large early integral (about 1e6) ahead of small later pieces:
+        # a shell beyond it must not be a difference of two prefix sums
+        "steep": (
+            canonicalize([(0.01, 4.0, 1.8, -2.0), (4.0, 5.0, 1.0, -0.3), (5.0, INF, 0.1, -0.6)]),
+            2.0,
+        ),
+    }
+    # (d, r): centered, covering the origin, tangent, and shells across
+    # 0, 1 and 2 or more of the knots 0.01, 0.1, 0.5, 1, 2, 3, 4, 5
+    BALLS = [
+        (0.0, 0.3), (0.0, 2.5), (0.0, 7.0),
+        (0.2, 0.7), (1.0, 3.0), (0.05, 0.06),
+        (0.6, 0.6), (1.5, 1.5), (3.0, 3.0),
+        (0.3, 0.1), (1.5, 0.2), (2.5, 0.3), (6.0, 0.5),
+        (0.5, 0.2), (1.0, 0.3), (2.2, 0.5),
+        (1.5, 1.2), (2.5, 2.0), (4.0, 3.5), (8.0, 6.0), (8.5, 4.0),
+    ]
+    # tiny far balls, r / d = 1e-5, inside intervals and across knots
+    TINY = [(d, 1e-5 * d) for d in (0.3, 0.5, 0.75, 1.0, 1.7, 2.0, 3.0, 4.5, 12.0)]
+
+    @pytest.mark.parametrize("name", sorted(FUNCS))
+    def test_matches_mpmath(self, name):
+        f, p = self.FUNCS[name]
+        balls = self.BALLS + self.TINY
+        d = np.array([b[0] for b in balls])
+        r = np.array([b[1] for b in balls])
+        values, tol_ok = ball_integrals(f, p, 1, d, r)
+        assert tol_ok.all()
+        for k, (dk, rk) in enumerate(balls):
+            ref = _mp_ball_n1(f, p, dk, rk)
+            rel = 1e-12 if rk >= 1e-3 * dk else 1e-10
+            assert values[k] == pytest.approx(ref, rel=rel, abs=1e-300), (dk, rk)
+            one = integrate_abs_pow_ball(f, p, 1, Ball(dk, rk)).value
+            assert one == pytest.approx(ref, rel=rel, abs=1e-300), (dk, rk)
+
+    def test_divergent_first_piece(self):
+        # |x|^{-1} on [0, 1) diverges at the origin; balls that keep off it
+        # are finite, and their shells span the knots 1 and 2
+        f = canonicalize([(0.0, 1.0, 1.0, -1.0), (1.0, 2.0, 0.5, -0.5), (2.0, 4.0, 2.0, -0.25)])
+        balls = [(2.0, 1.5), (2.5, 1.0), (3.0, 2.5), (0.9, 0.2), (1.5, 0.9), (2.0, 2e-5)]
+        d = np.array([b[0] for b in balls] + [1.0, 0.5])
+        r = np.array([b[1] for b in balls] + [1.0, 2.0])
+        values, _ = ball_integrals(f, 1.0, 1, d, r)
+        for k, (dk, rk) in enumerate(balls):
+            rel = 1e-12 if rk >= 1e-3 * dk else 1e-10
+            assert values[k] == pytest.approx(_mp_ball_n1(f, 1.0, dk, rk), rel=rel), (dk, rk)
+        assert np.isinf(values[-2:]).all()  # tangent, and covering the origin
+
+
 class TestBallIntegralHigherDim:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_constant_recovers_ball_volume(self, n):

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+import morreyconst.integrate as integrate_mod
 import morreyconst.norms as norms_mod
 from morreyconst.integrate import IntegrationSettings
 from morreyconst.model import (
@@ -253,12 +254,64 @@ class TestZoomSearch:
         assert 0 < len(calls) <= 24
 
     def test_cold_runs_identical(self):
-        sp = SpaceParams(2, 1.0, 2.0, Mode.SMALL_MORREY)
-        f = canonicalize([(0.0, 0.5, 1.0, -1.0), (0.5, 2.0, -0.7, -1.0)])
-        norms_mod._search_cached.cache_clear()
-        first = norm(f, sp)
-        norms_mod._search_cached.cache_clear()
-        assert norm(f, sp) == first
+        cases = [
+            (
+                SpaceParams(2, 1.0, 2.0, Mode.SMALL_MORREY),
+                canonicalize([(0.0, 0.5, 1.0, -1.0), (0.5, 2.0, -0.7, -1.0)]),
+            ),
+            (
+                M112,
+                canonicalize(
+                    [(0.0, 0.05, 1.3, -0.5), (0.2, 0.9, -0.7, -0.5), (0.9, 3.0, 1.9, -0.5),
+                     (3.0, INF, -0.4, -0.5)]
+                ),
+            ),
+        ]
+        for sp, f in cases:
+            # cold: the norm cache and the n = 1 antiderivative tables both empty
+            norms_mod._search_cached.cache_clear()
+            integrate_mod._n1_table.cache_clear()
+            first = norm(f, sp)
+            norms_mod._search_cached.cache_clear()
+            integrate_mod._n1_table.cache_clear()
+            assert norm(f, sp) == first
+
+
+class TestBestInRows:
+    """The zoom's per-row argmax against the sort it replaced."""
+
+    @staticmethod
+    def lexsort_reference(values, d, r):
+        return np.lexsort((r, d, -values), axis=-1)[..., 0]
+
+    def check(self, values, d, r):
+        values, d, r = (np.asarray(a, dtype=float) for a in (values, d, r))
+        best = norms_mod._best_in_rows(values, d, r)
+        assert (best == self.lexsort_reference(values, d, r)).all()
+        return best
+
+    def test_equal_values_go_to_smaller_d(self):
+        assert self.check([1.0, 3.0, 3.0, 2.0], [0.5, 0.7, 0.2, 0.0], [1, 1, 1, 1]) == 2
+
+    def test_equal_values_and_d_go_to_smaller_r(self):
+        assert self.check([3.0, 3.0, 3.0, 1.0], [0.2, 0.2, 0.9, 0.0], [0.5, 0.1, 0.01, 0.0]) == 1
+
+    def test_full_ties_go_to_first_column(self):
+        assert self.check([2.0, 2.0, 2.0], [0.3, 0.3, 0.3], [0.1, 0.1, 0.1]) == 0
+
+    def test_rows_are_independent(self):
+        values = [[1.0, 4.0, 4.0, 4.0], [5.0, 5.0, 0.0, 5.0], [0.0, 0.0, 0.0, 0.0]]
+        d = [[0.0, 0.3, 0.1, 0.1], [0.2, 0.2, 0.0, 0.2], [1.0, 0.5, 0.5, 0.7]]
+        r = [[9.0, 1.0, 2.0, 1.5], [0.4, 0.3, 0.1, 0.3], [0.1, 0.2, 0.1, 0.3]]
+        assert list(self.check(values, d, r)) == [3, 1, 2]
+
+    def test_planted_ties_in_random_rows(self):
+        # coarse integer grids make ties in value, in d and in r common
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            shape = (int(rng.integers(1, 7)), int(rng.integers(1, 99)))
+            values, d, r = (rng.integers(0, 3, shape) for _ in range(3))
+            self.check(values, d, r)
 
 
 class TestSmallNormSearch:
