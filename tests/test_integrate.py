@@ -169,6 +169,16 @@ class TestBallIntegralN1:
         res = integrate_abs_pow_ball(f, 1.0, 1, Ball(5.0, 2.0))
         assert res.value == pytest.approx(4.0, rel=1e-14)
 
+    def test_half_power_correctly_rounded(self):
+        # [DERIVED] |x|^{-1/2}, p = 1 (gamma = 1/2): the centered ball is
+        # 4 sqrt(r) and the tangent ball 2 sqrt(2r), exact but for the one
+        # rounding of sqrt, so the kernel must take its powers as sqrt
+        r = np.geomspace(1e-6, 1e6, 401)
+        centered, _ = ball_integrals(POWER_HALF, 1.0, 1, 0.0, r)
+        tangent, _ = ball_integrals(POWER_HALF, 1.0, 1, r, r)
+        assert (centered == 4.0 * np.sqrt(r)).all()
+        assert (tangent == 2.0 * np.sqrt(2.0 * r)).all()
+
 
 def _mp_ball_n1(f, p, d, r):
     """30-digit n = 1 ball integral of |f|^p from per-piece antiderivatives."""
