@@ -32,6 +32,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import Generator, Philox
 
 from morreyconst.integrate import IntegrationSettings
 from morreyconst.model import (
@@ -273,7 +274,7 @@ def theorem2_lower_bound(params: SpaceParams, eps: float, kind: ConstantKind) ->
 
 
 def _random_function(
-    rng: np.random.Generator, params: SpaceParams
+    rng: Generator, params: SpaceParams
 ) -> PiecewiseRadialFunction:
     """One random canonical function with everywhere-shared exponent -n/q.
 
@@ -305,7 +306,7 @@ def _random_function(
 
 
 def random_pair(
-    rng: np.random.Generator, params: SpaceParams
+    rng: Generator, params: SpaceParams
 ) -> tuple[PiecewiseRadialFunction, PiecewiseRadialFunction]:
     """A random candidate pair whose sums stay representable."""
     return _random_function(rng, params), _random_function(rng, params)
@@ -343,7 +344,7 @@ def candidate_pairs(
     if candidates:
         pairs.extend(candidates)
     if random_trials:
-        rng = np.random.Generator(np.random.Philox(key=seed))
+        rng = Generator(Philox(key=seed))
         for _ in range(random_trials):
             pairs.append(random_pair(rng, params))
     return pairs
@@ -358,10 +359,12 @@ class NormTable:
     at the first such batch with at most min(workers, CPU count, batch
     size) processes and reused until ``close``.  The pool forks where the
     platform can, since a spawned worker would first import numpy and
-    scipy again; fork copies only the calling thread, so the caller must
-    not be running threads of its own then.  ``pool.map`` keeps input
-    order and every norm is a pure function of its inputs, so the
-    results do not depend on ``workers``.
+    the package again; fork copies only the calling thread, so the
+    caller must not be running threads of its own then.  A batch goes
+    out in about eight chunks per worker, so that a cheap norm does not
+    pay for a round trip to the pool of its own.  ``pool.map``
+    keeps input order and every norm is a pure function of its inputs,
+    so the results do not depend on ``workers``.
     """
 
     def __init__(
@@ -374,12 +377,17 @@ class NormTable:
         self._task = functools.partial(_norm_task, params, search, integ)
         self._workers = workers
         self._pool = None
+        self._pool_size = 0
         self._results: dict[PiecewiseRadialFunction, NormResult] = {}
 
     def evaluate(self, functions: Iterable[PiecewiseRadialFunction]) -> None:
         todo = list(dict.fromkeys(f for f in functions if f not in self._results))
         pool = self._pool_for(len(todo))
-        results = pool.map(self._task, todo) if pool else map(self._task, todo)
+        if pool is not None:
+            chunk = max(1, len(todo) // (8 * self._pool_size))
+            results = pool.map(self._task, todo, chunksize=chunk)
+        else:
+            results = map(self._task, todo)
         self._results.update(zip(todo, results))
 
     def _pool_for(self, batch: int):
@@ -397,6 +405,7 @@ class NormTable:
             fork = "fork" in multiprocessing.get_all_start_methods()
             context = multiprocessing.get_context("fork" if fork else None)
             self._pool = ProcessPoolExecutor(max_workers=workers, mp_context=context)
+            self._pool_size = workers
         return self._pool
 
     def __getitem__(self, f: PiecewiseRadialFunction) -> NormResult:

@@ -5,28 +5,46 @@ sphere of radius t about the origin that lies inside a ball of radius r
 whose center sits at distance d from the origin.  With it, the integral
 of a radial function over an arbitrary ball collapses to a
 one-dimensional integral in the radius t.
+
+Both helpers are elementary for n <= 3, so the kernel never needs
+scipy there: the ball volume is exact rational arithmetic rounded once,
+and the cap fraction is arcsin (n = 2) or a square root (n = 3).  Only
+n >= 4 cap fractions import ``scipy.special.betainc``, on first use.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
-from scipy.special import betainc, gammaln
 
 __all__ = [
     "unit_ball_volume",
     "unit_sphere_area",
-    "ball_volume",
     "cap_fraction_radii",
 ]
 
+# pi to about 32 digits: the double nearest pi plus the double nearest
+# the remainder, summed exactly
+_PI = Fraction(math.pi) + Fraction(1.2246467991473532e-16)
 
+
+@lru_cache(maxsize=None)
 def unit_ball_volume(n: int) -> float:
-    """Volume of the unit ball in R^n: pi^(n/2) / Gamma(n/2 + 1)."""
+    """Volume of the unit ball in R^n: pi^(n/2) / Gamma(n/2 + 1).
+
+    Evaluated by the recurrence v_n = (2 pi / n) v_(n-2) from v_0 = 1 and
+    v_1 = 2 in exact rational arithmetic, then rounded once, so the
+    result is the double nearest v_n (within 0.5 ulp).
+    """
     if not (isinstance(n, int) and n >= 1):
         raise ValueError(f"dimension must be a positive integer, got {n!r}")
-    return math.exp(0.5 * n * math.log(math.pi) - gammaln(0.5 * n + 1.0))
+    v = Fraction(2 if n % 2 else 1)
+    for k in range(2 + n % 2, n + 1, 2):
+        v *= 2 * _PI / k
+    return float(v)
 
 
 def unit_sphere_area(n: int) -> float:
@@ -34,21 +52,22 @@ def unit_sphere_area(n: int) -> float:
     return n * unit_ball_volume(n)
 
 
-def ball_volume(n: int, r: float) -> float:
-    """Volume of a ball of radius r in R^n."""
-    if not r > 0.0:
-        raise ValueError(f"radius must be > 0, got {r}")
-    return unit_ball_volume(n) * r**n
-
-
 def cap_fraction_radii(n: int, t, d, r) -> np.ndarray:
     """Fraction of the sphere {|x| = t} inside the ball {|x - a| <= r}, |a| = d.
 
     Vectorized: t, d and r broadcast against each other, so one call can
-    serve many balls.  The closed form uses the regularized incomplete
-    beta function: the cap {phi <= theta} on S^(n-1) with cos(theta) >= 0
-    has fraction I(sin^2 theta; (n-1)/2, 1/2) / 2, and the complement
-    rule covers cos(theta) < 0.  sin^2 theta comes from the factored form
+    serve many balls.  The cap {phi <= theta} on S^(n-1) with
+    cos(theta) >= 0 has fraction I(s2; (n-1)/2, 1/2) / 2, with s2 =
+    sin^2 theta and I the regularized incomplete beta function, and the
+    complement rule covers cos(theta) < 0.  For n = 2 and 3 that half cap
+    is elementary:
+
+        n = 2:  arcsin(sqrt(s2)) / pi
+        n = 3:  (1 - sqrt(1 - s2)) / 2 = s2 / (2 (1 + sqrt(1 - s2)))
+
+    and the n = 3 form is taken on the right, which has no cancellation
+    on thin caps.  Only n >= 4 calls ``scipy.special.betainc``.  s2
+    comes from the factored form
 
         (d+r-t) (t-(d-r)) (t+(d-r)) (t+d+r) / (4 t^2 d^2),
 
@@ -82,6 +101,15 @@ def cap_fraction_radii(n: int, t, d, r) -> np.ndarray:
     near_inner = np.where(d > 2.0 * r, (t - d) + r, t - diff)
     two_td = 2.0 * t * d
     s2 = ((total - t) * near_inner / two_td) * ((t + diff) * (t + total) / two_td)
-    half_cap = 0.5 * betainc(0.5 * (n - 1), 0.5, np.clip(s2, 0.0, 1.0))
+    s2 = np.clip(s2, 0.0, 1.0)
+    if n == 2:
+        half_cap = np.arcsin(np.sqrt(s2)) / np.pi
+    elif n == 3:
+        half_cap = s2 / (2.0 * (1.0 + np.sqrt(1.0 - s2)))
+    else:
+        # imported here, so that n <= 3 never loads scipy
+        from scipy.special import betainc
+
+        half_cap = 0.5 * betainc(0.5 * (n - 1), 0.5, s2)
     out[partial] = np.where(t * t + diff * total >= 0.0, half_cap, 1.0 - half_cap)
     return out

@@ -309,7 +309,7 @@ class TestNormPool:
             def __init__(self, max_workers, mp_context=None):
                 sizes.append(max_workers)
 
-            def map(self, fn, items):
+            def map(self, fn, items, chunksize=1):
                 return map(fn, items)
 
             def shutdown(self):

@@ -3,14 +3,17 @@
 from __future__ import annotations
 
 import math
+import subprocess
+import sys
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import betainc
 
 from morreyconst.geometry import (
-    ball_volume,
     cap_fraction_radii,
     unit_ball_volume,
     unit_sphere_area,
@@ -43,8 +46,22 @@ class TestVolumes:
     def test_unit_sphere_area(self, n, expected):
         assert unit_sphere_area(n) == pytest.approx(expected, rel=1e-14)
 
-    def test_ball_volume_scaling(self):
-        assert ball_volume(3, 2.0) == pytest.approx(8.0 * unit_ball_volume(3), rel=1e-14)
+    @pytest.mark.parametrize(
+        "n, expected",
+        [(1, 2.0), (2, math.pi), (3, 4.188790204786391), (4, 4.934802200544679)],
+    )
+    def test_low_dimensions_bit_for_bit(self, n, expected):
+        # the doubles the earlier pi^(n/2) / Gamma(n/2 + 1) form gave, which
+        # every report for n <= 4 was computed with
+        assert unit_ball_volume(n) == expected
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_within_half_ulp(self, n):
+        # [DERIVED] correctly rounded: pi^(n/2) / Gamma(n/2 + 1) at 40 digits
+        with mpmath.workdps(40):
+            exact = mpmath.pi ** mpmath.mpf(n / 2) / mpmath.gamma(mpmath.mpf(n / 2) + 1)
+            v = unit_ball_volume(n)
+            assert abs(mpmath.mpf(v) - exact) <= 0.5 * math.ulp(v)
 
     def test_rejects_bad_dimension(self):
         with pytest.raises(ValueError):
@@ -125,10 +142,88 @@ class TestCapFraction:
         assert np.ndim(frac) == 0
         assert float(frac) == pytest.approx(9.0121776587134723e-07, rel=1e-12)
 
+    def test_n3_thin_cap_keeps_digits(self):
+        # [DERIVED] n=3, t=4.99000001 on the ball (d, r) = (5, 0.01):
+        # (1 - cos(phi)) / 2 = 2.0e-12, where 1 - sqrt(1 - s2) cancels.
+        # From 40-digit mpmath on the same floats, frozen
+        assert cap_fraction(3, 4.99000001, 5.0, 0.01) == pytest.approx(
+            2.0040070405923957388e-12, rel=1e-12, abs=0.0
+        )
+
     def test_obtuse_cap_complement(self):
         # d small, r just below d + t: almost the whole sphere is covered
         frac = cap_fraction(3, 1.0, 0.2, 1.19)
         assert 0.9 < frac < 1.0
+
+
+def betainc_cap_fraction(n, t, d, r):
+    """Reference: the same sin^2 theta through scipy's incomplete beta."""
+    t, d, r = (np.asarray(x, dtype=float) for x in (t, d, r))
+    diff, total = d - r, d + r
+    near_inner = np.where(d > 2.0 * r, (t - d) + r, t - diff)
+    two_td = 2.0 * t * d
+    s2 = ((total - t) * near_inner / two_td) * ((t + diff) * (t + total) / two_td)
+    half_cap = 0.5 * betainc(0.5 * (n - 1), 0.5, np.clip(s2, 0.0, 1.0))
+    return np.where(t * t + diff * total >= 0.0, half_cap, 1.0 - half_cap)
+
+
+class TestClosedFormsMatchBetainc:
+    """n = 2 and 3 use arcsin and sqrt forms; betainc stays the reference."""
+
+    # a few ulp of the dtype: the two routes round differently
+    REL = 1e-14
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from([2, 3]),
+        st.floats(min_value=0.01, max_value=5.0),
+        st.floats(min_value=0.01, max_value=5.0),
+        st.floats(min_value=0.01, max_value=5.0),
+    )
+    def test_random_balls(self, n, t, d, r):
+        if t + d <= r or abs(t - d) >= r:
+            return  # not a partial cap: neither route is used
+        assert cap_fraction(n, t, d, r) == pytest.approx(
+            float(betainc_cap_fraction(n, t, d, r)), rel=self.REL, abs=0.0
+        )
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("d, r", [(5.0, 0.01), (0.3, 0.2), (1.0, 1.0)])
+    def test_thin_caps(self, n, d, r):
+        # both shell ends, with s2 from about 1e-14 up to 1e-7
+        s2 = np.logspace(-14, -7, 36)
+        gap = s2 * d * d / (2.0 * r)
+        t = np.concatenate([d + r - gap, abs(d - r) + gap])
+        got = cap_fraction_radii(n, t, d, r)
+        ref = betainc_cap_fraction(n, t, d, r)
+        assert (got > 0.0).all()
+        np.testing.assert_allclose(got, ref, rtol=self.REL, atol=0.0)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_obtuse_complement(self, n):
+        # cos(theta) < 0: the ball covers more than half the sphere
+        # t^2 < r^2 - d^2 and t + d > r: 0.99 < t < 1.173
+        t = np.linspace(1.0, 1.17, 35)
+        got = cap_fraction_radii(n, t, 0.2, 1.19)
+        ref = betainc_cap_fraction(n, t, 0.2, 1.19)
+        assert ((got > 0.5) & (got < 1.0)).all()
+        np.testing.assert_allclose(got, ref, rtol=self.REL, atol=0.0)
+
+
+def test_scipy_loaded_only_for_n_at_least_4():
+    """An n = 3 norm runs without scipy; an n = 4 cap fraction imports it."""
+    code = "\n".join([
+        "import sys",
+        "from morreyconst.cli import run",
+        "assert run(['norm', '--function', '0 inf 1 -1.5', '--n', '3',"
+        " '--p', '1', '--q', '2']) == 0",
+        "assert 'scipy' not in sys.modules, 'n = 3 loaded scipy'",
+        "from morreyconst.geometry import cap_fraction_radii",
+        "cap_fraction_radii(4, 1.0, 0.7, 1.2)",
+        "assert 'scipy' in sys.modules, 'n = 4 did not load scipy'",
+    ])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 @settings(max_examples=200, deadline=None)
@@ -163,7 +258,7 @@ def test_cap_fraction_monotone_in_r(n, t, d):
     st.floats(min_value=0.05, max_value=3.0),
 )
 def test_cap_fraction_montecarlo(n, t, d, r):
-    """Cross-check the beta closed form against direct sphere sampling."""
+    """Cross-check the cap fraction against direct sphere sampling."""
     rng = np.random.default_rng(12345)
     x = rng.standard_normal((20000, n))
     x *= t / np.linalg.norm(x, axis=1, keepdims=True)
