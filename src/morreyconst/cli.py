@@ -15,10 +15,10 @@ a fixed configuration and seed; wall time goes to stderr only.  Exit
 status is 0 exactly when every check in the report passed.
 
 Each command owns one NormTable: the ratio commands hand it all their
-candidate pairs at once, so every distinct norm is computed once, and
---threads N > 1 lets it compute a batch of norms on a pool of at most
-N (and at most the CPU count) worker processes, shut down before the
-command returns.  The thread count never changes the report.
+candidate pairs at once, so every distinct norm is computed once, in
+lockstep groups, and --threads N > 1 lets it hand those groups to a pool
+of at most N (and at most the CPU count) worker processes, shut down
+before the command returns.  The thread count never changes the report.
 """
 
 from __future__ import annotations
@@ -187,7 +187,8 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=int, help="random-pair generator seed")
         sp.add_argument("--trials", type=int, help="number of random pairs")
         sp.add_argument("--threads", type=int,
-                        help="worker processes for the distinct norms (capped at the CPU count)")
+                        help="worker processes for the lockstep groups of distinct norms "
+                        "(capped at the CPU count)")
         sp.add_argument("--out", help="report path (default: stdout)")
         sp.add_argument("--format", choices=_FORMATS, help="report format")
         sp.add_argument("--function", help="pieces as 'lo hi coef alpha; ...'")

@@ -47,7 +47,8 @@ from morreyconst.model import (
     subtract,
     truncate,
 )
-from morreyconst.norms import NormResult, SearchSettings, norm
+from morreyconst.norms import _GROUP as _LOCKSTEP_GROUP
+from morreyconst.norms import NormResult, SearchSettings, norm, norm_batch
 
 __all__ = [
     "Family",
@@ -354,15 +355,17 @@ class NormTable:
     """Norms of distinct functions, each computed once.
 
     ``evaluate`` computes the norms of the functions it has not seen yet,
-    in first-seen order; ``table[f]`` then returns f's NormResult.  With
+    in first-seen order, through :func:`norm_batch`, which searches them
+    in lockstep groups; ``table[f]`` then returns f's NormResult.  With
     ``workers`` > 1 a batch of two or more goes to a process pool, created
     at the first such batch with at most min(workers, CPU count, batch
     size) processes and reused until ``close``.  The pool forks where the
     platform can, since a spawned worker would first import numpy and
     the package again; fork copies only the calling thread, so the
-    caller must not be running threads of its own then.  A batch goes
-    out in about eight chunks per worker, so that a cheap norm does not
-    pay for a round trip to the pool of its own.  ``pool.map``
+    caller must not be running threads of its own then.  Each item of
+    the pool's ``map`` is a chunk of at most one lockstep group, which a
+    worker searches in lockstep; the chunks are cut evenly when the
+    batch is too small to give every worker a whole group.  ``map``
     keeps input order and every norm is a pure function of its inputs,
     so the results do not depend on ``workers``.
     """
@@ -384,10 +387,11 @@ class NormTable:
         todo = list(dict.fromkeys(f for f in functions if f not in self._results))
         pool = self._pool_for(len(todo))
         if pool is not None:
-            chunk = max(1, len(todo) // (8 * self._pool_size))
-            results = pool.map(self._task, todo, chunksize=chunk)
+            size = min(_LOCKSTEP_GROUP, -(-len(todo) // self._pool_size))
+            chunks = [todo[k:k + size] for k in range(0, len(todo), size)]
+            results = [res for chunk in pool.map(self._task, chunks) for res in chunk]
         else:
-            results = map(self._task, todo)
+            results = self._task(todo)
         self._results.update(zip(todo, results))
 
     def _pool_for(self, batch: int):
@@ -424,8 +428,10 @@ class NormTable:
         self.close()
 
 
-def _norm_task(params, search, integ, f: PiecewiseRadialFunction) -> NormResult:
-    return norm(f, params, search, integ)
+def _norm_task(
+    params, search, integ, fs: list[PiecewiseRadialFunction]
+) -> list[NormResult]:
+    return norm_batch(fs, params, search, integ)
 
 
 def _sums(

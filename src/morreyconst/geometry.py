@@ -72,7 +72,8 @@ def cap_fraction_radii(n: int, t, d, r) -> np.ndarray:
         (d+r-t) (t-(d-r)) (t+(d-r)) (t+d+r) / (4 t^2 d^2),
 
     which keeps its digits on thin caps, where 1 - cos^2 theta cancels;
-    on far balls (d > 2r) the factor t-(d-r) is formed as (t-d)+r.
+    on far balls (d > 2r) the factors t-(d-r) and d+r-t are formed as
+    (t-d)+r and (d-t)+r.
     For n = 1 the sphere is the two-point set {-t, +t} and the fraction
     is exactly 0, 1/2 or 1.
     """
@@ -96,11 +97,21 @@ def cap_fraction_radii(n: int, t, d, r) -> np.ndarray:
     t, d, r = (x if x.ndim == 0 else np.broadcast_to(x, out.shape)[partial] for x in (t, d, r))
     diff, total = d - r, d + r
     # On a far ball (d > 2r) every t in the shell is within a factor 2 of
-    # d, so t - d is exact and (t - d) + r rounds once; t - (d - r) would
-    # carry the rounding of d - r into the thin-cap factor.
-    near_inner = np.where(d > 2.0 * r, (t - d) + r, t - diff)
+    # d, so t - d is exact and the two thin-cap factors (t - d) + r and
+    # r - (t - d) = (d - t) + r round once; t - (d - r) and (d + r) - t
+    # would carry the rounding of d - r or d + r into them.  The product
+    # is formed in place, so that few point-sized arrays are alive at once.
+    far = d > 2.0 * r
+    if np.any(far):
+        t_d = t - d
+        s2 = np.where(far, r - t_d, total - t)
+        s2 *= np.where(far, t_d + r, t - diff)
+        del t_d
+    else:
+        s2 = (total - t) * (t - diff)
     two_td = 2.0 * t * d
-    s2 = ((total - t) * near_inner / two_td) * ((t + diff) * (t + total) / two_td)
+    s2 /= two_td
+    s2 *= (t + diff) * (t + total) / two_td
     s2 = np.clip(s2, 0.0, 1.0)
     if n == 2:
         half_cap = np.arcsin(np.sqrt(s2)) / np.pi

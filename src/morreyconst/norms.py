@@ -8,9 +8,18 @@ a coarse log-r x linear-d grid, filled by one batched kernel call, then
 a zoom.  The zoom starts from the best grid cells and from the best
 balls whose faces d - r and d + r both sit on breakpoints of f (or at
 the origin); each round evaluates a small patch in (d, log r) and one in
-(d - r, d + r) around every start in one kernel call, moves each start
-to its best ball and shrinks the patches.  Centered balls (d = 0) are
-exact.
+(d - r, d + r) around every start, moves each start to its best ball
+and shrinks the patches.  Centered balls (d = 0) are exact.
+
+Norms are searched in lockstep groups (:func:`norm_batch`): each
+function has its own grid call, and then the aligned balls, every zoom
+round and the final re-evaluation of the whole group are one kernel call
+each (:func:`~morreyconst.integrate.group_ball_integrals`), so the
+per-call cost of numpy is paid once per round for the group.  A row of
+those calls is one (function, start) pair with its function's own window
+and steps, and every ball's value is independent of the group, so a
+norm comes out bit for bit the same in any group; :func:`norm` is the
+batch of one.  Results are memoized.
 
 Whether the norm is infinite is decided analytically from the piece
 exponents before any search runs; a growth heuristic on the r-grid backs
@@ -21,16 +30,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
+import threading
+from collections import OrderedDict
+from collections.abc import Iterable
 
 import numpy as np
 
 from morreyconst.geometry import unit_ball_volume
 from morreyconst.integrate import (
     IntegrationSettings,
-    ball_integrals,
     centered_integrals,
-    integrate_abs_pow_ball,
+    group_ball_integrals,
 )
 from morreyconst.model import Ball, Mode, PiecewiseRadialFunction, SpaceParams
 
@@ -39,6 +49,7 @@ __all__ = [
     "NormResult",
     "centered_norm_profile",
     "norm",
+    "norm_batch",
     "closed_form_power_norm",
     "norm_is_infinite",
 ]
@@ -60,6 +71,11 @@ _PATCH = 7
 _SHRINK = 1.0 / 3.0
 _ROUNDS = 20
 _OFFSETS = np.linspace(-1.0, 1.0, _PATCH)
+
+# Functions searched in lockstep: a group's aligned balls, each zoom
+# round and the final re-evaluation are one kernel call each.  Larger
+# groups amortize the per-call overhead further but hold larger arrays.
+_GROUP = 8
 
 
 @dataclass(frozen=True)
@@ -212,106 +228,223 @@ def _best_in_rows(values: np.ndarray, d: np.ndarray, r: np.ndarray) -> np.ndarra
     return np.where(top, r, INF).argmin(axis=-1)
 
 
-def _search(
-    f: PiecewiseRadialFunction,
+def _search_group(
+    fs: list[PiecewiseRadialFunction],
     params: SpaceParams,
     search: SearchSettings,
     integ: IntegrationSettings,
-) -> NormResult:
-    if f.is_zero:
-        return NormResult(0.0, None)
-    if norm_is_infinite(f, params):
-        return NormResult(INF, None)
+) -> list[NormResult]:
+    """Norms of the functions fs, searched in lockstep.
 
-    r_min = search.resolved_r_min(f)
-    r_max = search.resolved_r_max(params.mode)
-    if not r_min < r_max:
-        r_min = r_max / 2.0
-    d_max = search.resolved_d_max(f)
-
-    rs = np.geomspace(r_min, r_max, search.n_radii)
-    ds = np.linspace(0.0, d_max, search.n_centers)
-
+    Each function gets its own window and grid call.  Those that survive
+    their grid then share one kernel call for the aligned balls, one per
+    zoom round and one for the final re-evaluation.  A row of a shared
+    call is one (function, start) pair and carries its function's window
+    and steps, and a ball's value does not depend on the group it is
+    evaluated in, so every result equals the function's search alone
+    bit for bit.
+    """
+    p, n = params.p, params.n
     scout = replace(integ, rel_tol=max(integ.rel_tol, _SCOUT_REL_TOL))
-    tol_ok = True
+    results: list[NormResult | None] = [None] * len(fs)
+    tol_ok = np.ones(len(fs), dtype=bool)  # every scout probe met its tolerance
 
-    def evaluate(d: np.ndarray, r: np.ndarray) -> np.ndarray:
-        """Norm quantity of many balls at the scout tolerance."""
-        nonlocal tol_ok
-        ints, ok = ball_integrals(f, params.p, params.n, d, r, scout)
-        tol_ok = tol_ok and bool(ok.all())
-        return _weight(params, r) * ints ** (1.0 / params.p)
+    def evaluate(members: list[int], which, d, r) -> np.ndarray:
+        """Norm quantity of many balls at the scout tolerance.
 
-    # The whole grid, the exact d = 0 row included, is one kernel call.
-    grid = evaluate(ds[:, None], rs[None, :])
+        Ball k belongs to fs[members[which[k]]]; see group_ball_integrals.
+        """
+        group = tuple(fs[i] for i in members)
+        ints, ok = group_ball_integrals(group, p, n, which, d, r, scout)
+        if not ok.all():
+            tol_ok[np.asarray(members)[np.broadcast_to(which, ok.shape)[~ok]]] = False
+        return _weight(params, r) * ints ** (1.0 / p)
 
-    if np.isinf(grid).any():
-        return NormResult(INF, None, tol_ok=tol_ok)
+    # per function that survives its grid: its index in fs, zoom window,
+    # best grid cells, breakpoint-aligned balls and truncation flag
+    members, windows, grid_starts, aligned, truncated = [], [], [], [], []
+    for i, f in enumerate(fs):
+        if f.is_zero:
+            results[i] = NormResult(0.0, None)
+            continue
+        if norm_is_infinite(f, params):
+            results[i] = NormResult(INF, None)
+            continue
 
-    # Backstop divergence heuristic: still climbing a full factor of 10
-    # over the final decade of radii signals an unbounded profile that
-    # slipped past the analytic test.
-    col_max = grid.max(axis=0)
-    last = float(col_max[-1])
-    if last > 0.0 and r_max / 10.0 > r_min:
-        j_ref = int(np.searchsorted(rs, r_max / 10.0))
-        tail = col_max[j_ref:]
-        if last >= 10.0 * float(col_max[j_ref]) and np.all(np.diff(tail) > 0.0):
-            return NormResult(INF, None, tol_ok=tol_ok)
+        r_min = search.resolved_r_min(f)
+        r_max = search.resolved_r_max(params.mode)
+        if not r_min < r_max:
+            r_min = r_max / 2.0
+        d_max = search.resolved_d_max(f)
 
-    # Starts: the best grid cells and the best breakpoint-aligned balls.
-    flat = np.argsort(grid, axis=None)[::-1][:_STARTS]
-    i, j = np.unravel_index(flat, grid.shape)
-    seed_d, seed_r = _aligned_balls(f, r_min, r_max, d_max)
-    top = np.argsort(evaluate(seed_d, seed_r))[::-1][:_STARTS]
-    d_cur = np.concatenate([ds[i], seed_d[top]])
-    r_cur = np.concatenate([rs[j], seed_r[top]])
+        rs = np.geomspace(r_min, r_max, search.n_radii)
+        ds = np.linspace(0.0, d_max, search.n_centers)
+
+        # The whole grid, the exact d = 0 row included, is one kernel call.
+        grid = evaluate([i], 0, ds[:, None], rs[None, :])
+
+        if np.isinf(grid).any():
+            results[i] = NormResult(INF, None, tol_ok=bool(tol_ok[i]))
+            continue
+
+        # Backstop divergence heuristic: still climbing a full factor of 10
+        # over the final decade of radii signals an unbounded profile that
+        # slipped past the analytic test.
+        col_max = grid.max(axis=0)
+        last = float(col_max[-1])
+        if last > 0.0 and r_max / 10.0 > r_min:
+            j_ref = int(np.searchsorted(rs, r_max / 10.0))
+            tail = col_max[j_ref:]
+            if last >= 10.0 * float(col_max[j_ref]) and np.all(np.diff(tail) > 0.0):
+                results[i] = NormResult(INF, None, tol_ok=bool(tol_ok[i]))
+                continue
+
+        flat = np.argsort(grid, axis=None)[::-1][:_STARTS]
+        gi, gj = np.unravel_index(flat, grid.shape)
+        members.append(i)
+        # the zoom's first steps: one grid cell in d and in log r
+        windows.append((float(ds[1] - ds[0]), math.log(rs[1] / rs[0]), r_min, r_max, d_max))
+        grid_starts.append((ds[gi], rs[gj]))
+        aligned.append(_aligned_balls(f, r_min, r_max, d_max))
+        # Margin sits above quadrature scout noise but far below any genuine
+        # boundary climb (the witness profiles move by >= 1e-4 per grid step).
+        truncated.append(bool(col_max[-1] > col_max[-2] * (1.0 + 1e-7)))
+    if not members:
+        return results
+
+    # Starts: each function's best grid cells and best breakpoint-aligned
+    # balls, the aligned balls of the whole group scored in one call.
+    seed_d, seed_r = zip(*aligned)
+    counts = [s.size for s in seed_d]
+    seed_vals = evaluate(
+        members,
+        np.repeat(np.arange(len(members)), counts),
+        np.concatenate(seed_d),
+        np.concatenate(seed_r),
+    )
+    starts_d, starts_r = [], []
+    for (grid_d, grid_r), sd, sr, vals in zip(
+        grid_starts, seed_d, seed_r, np.split(seed_vals, np.cumsum(counts)[:-1])
+    ):
+        top = np.argsort(vals)[::-1][:_STARTS]
+        starts_d.append(np.concatenate([grid_d, sd[top]]))
+        starts_r.append(np.concatenate([grid_r, sr[top]]))
 
     # Zoom: one patch in (d, log r) and one in (u, v) = (d - r, d + r)
     # around every start, all evaluated in one kernel call per round.
     # The (u, v) patch follows ridges where a face of the ball hugs a
     # breakpoint and (d, r) must move diagonally.  Each patch spans one
-    # grid cell at first.  Row s of d, r and vals holds start s's patches.
+    # grid cell at first.  Row s of d, r and vals holds start s's
+    # patches; the rows come function by function, and each carries its
+    # function's steps and window.
+    n_rows = np.array([s.size for s in starts_d])
+    row_fn = np.repeat(np.arange(len(members)), n_rows)
+    step_d, step_log_r, r_min, r_max, d_max = (
+        np.array(col)[row_fn][:, None] for col in zip(*windows)
+    )
+    d_cur, r_cur = np.concatenate(starts_d), np.concatenate(starts_r)
     x, y = (o.ravel() for o in np.meshgrid(_OFFSETS, _OFFSETS, indexing="ij"))
-    step_d = float(ds[1] - ds[0])
-    step_log_r = math.log(rs[1] / rs[0])
     rows = np.arange(d_cur.size)
     for k in range(_ROUNDS):
         scale = _SHRINK**k
-        h_uv = np.minimum(step_d, r_cur * step_log_r)[:, None] * scale
+        h_uv = np.minimum(step_d, r_cur[:, None] * step_log_r) * scale
         u = (d_cur - r_cur)[:, None] + h_uv * x
         v = (d_cur + r_cur)[:, None] + h_uv * y
         d = np.hstack([d_cur[:, None] + step_d * scale * x, 0.5 * (u + v)])
         r = np.hstack([r_cur[:, None] * np.exp(step_log_r * scale * y), 0.5 * (v - u)])
-        d, r = np.clip(d, 0.0, d_max), np.clip(r, r_min, r_max)
-        vals = evaluate(d, r)
+        # np.clip's result, without its slow path for array bounds
+        d = np.minimum(np.maximum(d, 0.0), d_max)
+        r = np.minimum(np.maximum(r, r_min), r_max)
+        vals = evaluate(members, row_fn[:, None], d, r)
         best = _best_in_rows(vals, d, r)
         d_cur, r_cur, v_cur = d[rows, best], r[rows, best], vals[rows, best]
 
-    win = _best_in_rows(v_cur, d_cur, r_cur)
-    best_d, best_r = float(d_cur[win]), float(r_cur[win])
+    # Each function's best row, from a table of 2 * _STARTS row indices
+    # per function.  A function with fewer aligned balls fills its table
+    # by repeating its first row, whose ball is already in the running,
+    # so the winning ball is the one its own rows give.
+    first = np.cumsum(n_rows) - n_rows
+    pick = first[:, None] + np.arange(2 * _STARTS)
+    pick = np.where(pick < (first + n_rows)[:, None], pick, first[:, None])
+    win = pick[np.arange(len(members)), _best_in_rows(v_cur[pick], d_cur[pick], r_cur[pick])]
 
     # The scout tolerance guided the search; the reported value is the
     # winning ball re-evaluated at the requested tolerance.
-    final = integrate_abs_pow_ball(f, params.p, params.n, Ball(best_d, best_r), integ)
-    if final.value == INF:
-        return NormResult(INF, None, tol_ok=tol_ok)
-    value = _weight(params, best_r) * final.value ** (1.0 / params.p)
-
-    # Margin sits above quadrature scout noise but far below any genuine
-    # boundary climb (the witness profiles move by >= 1e-4 per grid step).
-    truncated = bool(col_max[-1] > col_max[-2] * (1.0 + 1e-7))
-    return NormResult(
-        value=value,
-        argmax=Ball(best_d, best_r),
-        truncated=truncated,
-        tol_ok=tol_ok and final.tol_ok,
+    group = tuple(fs[i] for i in members)
+    final, final_ok = group_ball_integrals(
+        group, p, n, np.arange(len(members)), d_cur[win], r_cur[win], integ
     )
+    for i, best_d, best_r, value, ok, trunc in zip(
+        members, d_cur[win].tolist(), r_cur[win].tolist(), final.tolist(), final_ok.tolist(),
+        truncated,
+    ):
+        if value == INF:
+            results[i] = NormResult(INF, None, tol_ok=bool(tol_ok[i]))
+            continue
+        results[i] = NormResult(
+            value=_weight(params, best_r) * value ** (1.0 / p),
+            argmax=Ball(best_d, best_r),
+            truncated=trunc,
+            tol_ok=bool(tol_ok[i]) and ok,
+        )
+    return results
 
 
-@lru_cache(maxsize=4096)
-def _search_cached(f, params, search, integ) -> NormResult:
-    return _search(f, params, search, integ)
+class _SearchMemo:
+    """Finished searches keyed by (f, params, search, integ), oldest use first.
+
+    Holds at most ``maxsize`` results and drops the least recently used;
+    ``cache_clear`` empties it.
+    """
+
+    def __init__(self, maxsize: int) -> None:
+        self._maxsize = maxsize
+        self._results: OrderedDict = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, key) -> NormResult | None:
+        with self._lock:
+            result = self._results.get(key)
+            if result is not None:
+                self._results.move_to_end(key)
+            return result
+
+    def put(self, key, result: NormResult) -> None:
+        with self._lock:
+            self._results[key] = result
+            self._results.move_to_end(key)
+            if len(self._results) > self._maxsize:
+                self._results.popitem(last=False)
+
+    def cache_clear(self) -> None:
+        with self._lock:
+            self._results.clear()
+
+
+_search_cached = _SearchMemo(maxsize=4096)
+
+
+def norm_batch(
+    fs: Iterable[PiecewiseRadialFunction],
+    params: SpaceParams,
+    search: SearchSettings = SearchSettings(),
+    integ: IntegrationSettings = IntegrationSettings(),
+) -> list[NormResult]:
+    """The norm of every function of fs, in order.
+
+    Results are memoized on (f, params, search, integ).  The functions
+    not in the memo are searched in lockstep groups of ``_GROUP``, in
+    first-seen order; each result equals :func:`norm`'s bit for bit.
+    """
+    fs = list(fs)
+    found = {f: _search_cached.get((f, params, search, integ)) for f in fs}
+    todo = [f for f, result in found.items() if result is None]
+    for start in range(0, len(todo), _GROUP):
+        group = todo[start:start + _GROUP]
+        for f, result in zip(group, _search_group(group, params, search, integ)):
+            _search_cached.put((f, params, search, integ), result)
+            found[f] = result
+    return [found[f] for f in fs]
 
 
 def norm(
@@ -322,8 +455,7 @@ def norm(
 ) -> NormResult:
     """Norm in the mode carried by params (dispatches on params.mode).
 
-    Results are memoized on (f, params, search, integ), so callers that
-    ask one ratio or one kind at a time share their norms.
+    The memoized batch of one: callers that ask one ratio or one kind at
+    a time share their norms with each other and with :func:`norm_batch`.
     """
-    return _search_cached(f, params, search, integ)
-
+    return norm_batch([f], params, search, integ)[0]

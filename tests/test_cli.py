@@ -273,14 +273,15 @@ class TestNormPool:
         from morreyconst.constants import candidate_pairs
         from morreyconst.model import Mode, SpaceParams, add, scale, subtract
 
-        calls = []
-        original = norms_mod._search_cached
+        calls = []  # every function that enters the search
+        original = norms_mod._search_group
 
-        def counting(f, *args):
-            calls.append(f)
-            return original(f, *args)
+        def counting(fs, *args):
+            calls.extend(fs)
+            return original(fs, *args)
 
-        monkeypatch.setattr(norms_mod, "_search_cached", counting)
+        monkeypatch.setattr(norms_mod, "_search_group", counting)
+        norms_mod._search_cached.cache_clear()
         argv = ["search", "--n", "1", "--p", "1", "--q", "2", "--s", "2",
                 "--trials", "4", "--seed", "8", "--threads", "1"]
         assert run(argv) == 0

@@ -150,6 +150,18 @@ class TestCapFraction:
             2.0040070405923957388e-12, rel=1e-12, abs=0.0
         )
 
+    @pytest.mark.parametrize(
+        "n, expected",
+        [(2, 2.8397862424345968629e-09), (3, 1.9898074649394063997e-17)],
+    )
+    def test_far_ball_outer_end_keeps_digits(self, n, expected):
+        # [DERIVED] t=5.0099999999999, 1e-13 below the outer shell end of
+        # the ball (d, r) = (5, 0.01), where d + r = 5.01 is inexact.
+        # From 40-digit mpmath on the same floats, frozen
+        assert cap_fraction(n, 5.0099999999999, 5.0, 0.01) == pytest.approx(
+            expected, rel=1e-12, abs=0.0
+        )
+
     def test_obtuse_cap_complement(self):
         # d small, r just below d + t: almost the whole sphere is covered
         frac = cap_fraction(3, 1.0, 0.2, 1.19)
@@ -160,9 +172,11 @@ def betainc_cap_fraction(n, t, d, r):
     """Reference: the same sin^2 theta through scipy's incomplete beta."""
     t, d, r = (np.asarray(x, dtype=float) for x in (t, d, r))
     diff, total = d - r, d + r
-    near_inner = np.where(d > 2.0 * r, (t - d) + r, t - diff)
+    far = d > 2.0 * r
+    near_inner = np.where(far, (t - d) + r, t - diff)
+    near_outer = np.where(far, (d - t) + r, total - t)
     two_td = 2.0 * t * d
-    s2 = ((total - t) * near_inner / two_td) * ((t + diff) * (t + total) / two_td)
+    s2 = (near_outer * near_inner / two_td) * ((t + diff) * (t + total) / two_td)
     half_cap = 0.5 * betainc(0.5 * (n - 1), 0.5, np.clip(s2, 0.0, 1.0))
     return np.where(t * t + diff * total >= 0.0, half_cap, 1.0 - half_cap)
 

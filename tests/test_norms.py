@@ -9,10 +9,12 @@ import pytest
 
 import morreyconst.integrate as integrate_mod
 import morreyconst.norms as norms_mod
+from morreyconst.constants import random_pair
 from morreyconst.integrate import IntegrationSettings
 from morreyconst.model import (
     Mode,
     SpaceParams,
+    add,
     canonicalize,
     scale,
     subtract,
@@ -176,7 +178,7 @@ class TestInfiniteDetection:
         # a profile growing a full factor of 10 per decade
         monkeypatch.setattr(norms_mod, "norm_is_infinite", lambda f, p: False)
         f = canonicalize([(0.0, INF, 1.0, 1.0)])  # profile ~ r^{3/2}
-        res = norms_mod._search(f, M112, SearchSettings(), IntegrationSettings())
+        (res,) = norms_mod._search_group([f], M112, SearchSettings(), IntegrationSettings())
         assert res.value == INF
 
 
@@ -234,8 +236,9 @@ class TestZoomSearch:
         res = norm(self.TWO_PIECE, sp)
         assert res.value == pytest.approx(0.576651072842332, rel=1e-12)
 
-    def test_kernel_calls_per_cold_norm(self, monkeypatch):
-        # every kernel entry the search uses counts, batched or one-ball
+    @staticmethod
+    def _count_kernel_calls(monkeypatch) -> list[str]:
+        # every kernel entry the search module holds counts, batched or one-ball
         calls = []
 
         def counting(kernel):
@@ -245,13 +248,35 @@ class TestZoomSearch:
 
             return wrapper
 
-        for name in ("ball_integrals", "integrate_abs_pow_ball"):
+        kernels = [
+            name
+            for name in ("ball_integrals", "group_ball_integrals", "integrate_abs_pow_ball")
+            if hasattr(norms_mod, name)
+        ]
+        assert "group_ball_integrals" in kernels
+        for name in kernels:
             monkeypatch.setattr(norms_mod, name, counting(getattr(norms_mod, name)))
+        return calls
+
+    def test_kernel_calls_per_cold_norm(self, monkeypatch):
+        calls = self._count_kernel_calls(monkeypatch)
         sp = SpaceParams(2, 1.0, 2.0, Mode.MORREY)
         f = canonicalize([(0.0, 1.0, 1.0, -1.0), (1.0, 3.0, 0.5, -1.0)])
         norms_mod._search_cached.cache_clear()
         norm(f, sp)
         assert 0 < len(calls) <= 24
+
+    def test_kernel_calls_per_lockstep_group(self, monkeypatch):
+        # G cold n = 1 norms in one group: G grid calls, then one call for
+        # the aligned balls, one per zoom round and one final, shared
+        calls = self._count_kernel_calls(monkeypatch)
+        rng = np.random.Generator(np.random.Philox(key=5))
+        fs = list(dict.fromkeys(random_pair(rng, M112)[0] for _ in range(5)))
+        monkeypatch.setattr(norms_mod, "_GROUP", len(fs))
+        norms_mod._search_cached.cache_clear()
+        results = norms_mod.norm_batch(fs, M112)
+        assert all(res.argmax is not None for res in results)
+        assert len(calls) <= len(fs) + 2 + norms_mod._ROUNDS
 
     def test_cold_runs_identical(self):
         cases = [
@@ -275,6 +300,78 @@ class TestZoomSearch:
             norms_mod._search_cached.cache_clear()
             integrate_mod._n1_table.cache_clear()
             assert norm(f, sp) == first
+
+
+def _same_result(a, b) -> bool:
+    """Field for field: value and argmax to the bit, and both flags."""
+    def bits(res):
+        ball = None if res.argmax is None else (res.argmax.d.hex(), res.argmax.r.hex())
+        return res.value.hex(), ball, res.truncated, res.tol_ok
+
+    return bits(a) == bits(b)
+
+
+class TestLockstepBatch:
+    """norm_batch searches groups in lockstep; every result equals the search alone."""
+
+    MIXED = canonicalize([(0.0, 0.5, 1.0, 0.4), (0.5, 2.0, -1.5, -0.3), (2.0, 4.0, 0.8, -2.0)])
+
+    def _alone(self, fs, sp):
+        return [norms_mod._search_group([f], sp, SearchSettings(), IntegrationSettings())[0]
+                for f in fs]
+
+    @pytest.mark.parametrize("group", [1, 3, norms_mod._GROUP])
+    @pytest.mark.parametrize("sp", [M112, S112])
+    def test_mixed_batch_equals_batches_of_one(self, monkeypatch, sp, group):
+        rng = np.random.Generator(np.random.Philox(key=13))
+        fs = []
+        for _ in range(3):
+            x, y = random_pair(rng, sp)
+            fs += [x, y, add(x, y), subtract(x, y)]
+        fs += [
+            canonicalize([]),                         # zero: leaves before the grid
+            canonicalize([(0.0, INF, 1.0, 0.5)]),     # infinite norm
+            POWER,                                    # no breakpoint-aligned balls
+            self.MIXED,                               # gathered exponents
+            POWER_OUT,                                # truncated at r_max
+        ]
+        alone = self._alone(fs, sp)
+        monkeypatch.setattr(norms_mod, "_GROUP", group)
+        norms_mod._search_cached.cache_clear()
+        batch = norms_mod.norm_batch(fs, sp)
+        assert [res.value for res in alone[12:14]] == [0.0, INF]
+        assert alone[16].truncated or sp.mode is Mode.SMALL_MORREY
+        for k, (a, b) in enumerate(zip(alone, batch)):
+            assert _same_result(a, b), (k, a, b)
+
+    @pytest.mark.parametrize("group", [1, 3])
+    def test_n2_batch_of_two(self, monkeypatch, group):
+        sp = SpaceParams(2, 1.0, 2.0, Mode.MORREY)
+        fs = [
+            canonicalize([(0.0, 1.0, 1.0, -1.0), (1.0, 3.0, 0.5, -1.0)]),
+            canonicalize([(0.0, 0.5, 1.0, -0.5), (0.5, 2.0, -0.7, -1.0)]),
+        ]
+        alone = self._alone(fs, sp)
+        monkeypatch.setattr(norms_mod, "_GROUP", group)
+        norms_mod._search_cached.cache_clear()
+        for a, b in zip(alone, norms_mod.norm_batch(fs, sp)):
+            assert _same_result(a, b), (a, b)
+
+    def test_batch_shares_the_memo_with_norm(self, monkeypatch):
+        searched = []
+        original = norms_mod._search_group
+
+        def counting(fs, *args):
+            searched.extend(fs)
+            return original(fs, *args)
+
+        monkeypatch.setattr(norms_mod, "_search_group", counting)
+        norms_mod._search_cached.cache_clear()
+        first = norm(POWER_IN, M112)
+        batch = norms_mod.norm_batch([POWER_OUT, POWER_IN, POWER_OUT], M112)
+        assert batch[1] is first and batch[0] is batch[2]
+        assert norm(POWER_OUT, M112) is batch[0]
+        assert searched == [POWER_IN, POWER_OUT]
 
 
 class TestBestInRows:
