@@ -47,8 +47,7 @@ from morreyconst.model import (
     subtract,
     truncate,
 )
-from morreyconst.norms import _GROUP as _LOCKSTEP_GROUP
-from morreyconst.norms import NormResult, SearchSettings, norm, norm_batch
+from morreyconst.norms import NormResult, SearchSettings, lockstep_chunks, norm, norm_batch
 
 __all__ = [
     "Family",
@@ -363,9 +362,8 @@ class NormTable:
     platform can, since a spawned worker would first import numpy and
     the package again; fork copies only the calling thread, so the
     caller must not be running threads of its own then.  Each item of
-    the pool's ``map`` is a chunk of at most one lockstep group, which a
-    worker searches in lockstep; the chunks are cut evenly when the
-    batch is too small to give every worker a whole group.  ``map``
+    the pool's ``map`` is one chunk of :func:`lockstep_chunks`, at most
+    one lockstep group, which a worker searches in lockstep.  ``map``
     keeps input order and every norm is a pure function of its inputs,
     so the results do not depend on ``workers``.
     """
@@ -387,8 +385,7 @@ class NormTable:
         todo = list(dict.fromkeys(f for f in functions if f not in self._results))
         pool = self._pool_for(len(todo))
         if pool is not None:
-            size = min(_LOCKSTEP_GROUP, -(-len(todo) // self._pool_size))
-            chunks = [todo[k:k + size] for k in range(0, len(todo), size)]
+            chunks = lockstep_chunks(todo, self._pool_size)
             results = [res for chunk in pool.map(self._task, chunks) for res in chunk]
         else:
             results = self._task(todo)

@@ -102,13 +102,10 @@ def cap_fraction_radii(n: int, t, d, r) -> np.ndarray:
     # would carry the rounding of d - r or d + r into them.  The product
     # is formed in place, so that few point-sized arrays are alive at once.
     far = d > 2.0 * r
-    if np.any(far):
-        t_d = t - d
-        s2 = np.where(far, r - t_d, total - t)
-        s2 *= np.where(far, t_d + r, t - diff)
-        del t_d
-    else:
-        s2 = (total - t) * (t - diff)
+    t_d = t - d
+    s2 = np.where(far, r - t_d, total - t)
+    s2 *= np.where(far, t_d + r, t - diff)
+    del t_d
     two_td = 2.0 * t * d
     s2 /= two_td
     s2 *= (t + diff) * (t + total) / two_td

@@ -419,6 +419,11 @@ def _n1_table(fs: tuple[PiecewiseRadialFunction, ...], p: float) -> _N1Table:
     )
 
 
+def _joined(parts: list[np.ndarray]) -> np.ndarray:
+    """The 1-d parts end to end; a lone part is returned as it is."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
 def _ball_integrals_n1(tab: _N1Table, ends: list[int], d: np.ndarray, r: np.ndarray):
     """Exact n = 1 ball integrals from a group's stacked :class:`_N1Table`.
 
@@ -436,17 +441,17 @@ def _ball_integrals_n1(tab: _N1Table, ends: list[int], d: np.ndarray, r: np.ndar
     """
     diff = d - r
     t_lo, t_hi = np.abs(diff), d + r
-    c_lo = np.empty(d.shape, dtype=np.intp)
-    c_hi = np.empty(d.shape, dtype=np.intp)
+    c_lo, c_hi = [], []  # cells of the shell ends, per function
     origin = None  # balls of a divergent function that reach radius 0
     runs = []  # [exponent rule, first ball, end ball] per run of functions
     for i, (a, b) in enumerate(zip(ends, ends[1:])):
         knots = tab.knots[tab.k_off[i]:tab.k_off[i + 1]]
-        c_lo[a:b] = np.searchsorted(knots, t_lo[a:b], side="right") + tab.off[i]
-        c_hi[a:b] = np.searchsorted(knots, t_hi[a:b], side="right") + tab.off[i]
-        if tab.floor[i] > 0.0:
-            t_lo[a:b] = np.maximum(t_lo[a:b], tab.floor[i])
-            t_hi[a:b] = np.maximum(t_hi[a:b], tab.floor[i])
+        for t, cells in ((t_lo, c_lo), (t_hi, c_hi)):
+            cells.append(np.searchsorted(knots, t[a:b], side="right"))
+            if tab.off[i]:
+                cells[-1] += tab.off[i]
+            if tab.floor[i] > 0.0:
+                np.maximum(t[a:b], tab.floor[i], out=t[a:b])
         if tab.divergent[i]:
             if origin is None:
                 origin = np.zeros(d.shape, dtype=bool)
@@ -455,15 +460,18 @@ def _ball_integrals_n1(tab: _N1Table, ends: list[int], d: np.ndarray, r: np.ndar
             runs[-1][2] = b
         else:
             runs.append([tab.gamma[i], a, b])
+    c_lo, c_hi = _joined(c_lo), _joined(c_hi)
     # a divergent piece meets radius 0 where d = r: those balls are INF
     with np.errstate(divide="ignore", invalid="ignore") if origin is not None else nullcontext():
-        pw_lo, pw_hi = np.empty(d.shape), np.empty(d.shape)
+        pw_lo, pw_hi = [], []
         for gamma, a, b in runs:
             if gamma is None:
                 exp_lo, exp_hi = tab.gammas[c_lo[a:b]], tab.gammas[c_hi[a:b]]
             else:
                 exp_lo = exp_hi = gamma
-            pw_lo[a:b], pw_hi[a:b] = _powers(t_lo[a:b], exp_lo), _powers(t_hi[a:b], exp_hi)
+            pw_lo.append(_powers(t_lo[a:b], exp_lo))
+            pw_hi.append(_powers(t_hi[a:b], exp_hi))
+        pw_lo, pw_hi = _joined(pw_lo), _joined(pw_hi)
         w_lo, w_hi = tab.w[c_lo], tab.w[c_hi]
         split = (
             w_hi * (pw_hi - tab.p_lo[c_hi])

@@ -390,6 +390,17 @@ def _search_group(
     return results
 
 
+def lockstep_chunks(fs: list, parts: int = 1) -> list[list]:
+    """fs cut, in order, into chunks of at most one lockstep group.
+
+    The chunks are cut evenly when fs is too short to give each of
+    ``parts`` consumers (pool workers, say) a whole group, so that every
+    consumer gets a share.
+    """
+    size = max(1, min(_GROUP, -(-len(fs) // parts)))
+    return [fs[k:k + size] for k in range(0, len(fs), size)]
+
+
 class _SearchMemo:
     """Finished searches keyed by (f, params, search, integ), oldest use first.
 
@@ -439,8 +450,7 @@ def norm_batch(
     fs = list(fs)
     found = {f: _search_cached.get((f, params, search, integ)) for f in fs}
     todo = [f for f, result in found.items() if result is None]
-    for start in range(0, len(todo), _GROUP):
-        group = todo[start:start + _GROUP]
+    for group in lockstep_chunks(todo):
         for f, result in zip(group, _search_group(group, params, search, integ)):
             _search_cached.put((f, params, search, integ), result)
             found[f] = result

@@ -373,6 +373,24 @@ class TestLockstepBatch:
         assert norm(POWER_OUT, M112) is batch[0]
         assert searched == [POWER_IN, POWER_OUT]
 
+    @pytest.mark.parametrize(
+        "size, parts, lengths",
+        [
+            (20, 1, [8, 8, 4]),     # whole groups
+            (20, 2, [8, 8, 4]),     # enough for every part
+            (5, 2, [3, 2]),         # cut evenly, one chunk per part
+            (7, 4, [2, 2, 2, 1]),
+            (1, 3, [1]),
+            (0, 2, []),
+        ],
+    )
+    def test_lockstep_chunks(self, monkeypatch, size, parts, lengths):
+        monkeypatch.setattr(norms_mod, "_GROUP", 8)
+        items = list(range(size))
+        chunks = norms_mod.lockstep_chunks(items, parts)
+        assert [len(c) for c in chunks] == lengths
+        assert [x for c in chunks for x in c] == items
+
 
 class TestBestInRows:
     """The zoom's per-row argmax against the sort it replaced."""
