@@ -12,10 +12,9 @@
   |d - r| <= t <= d + r contributes through the spherical cap fraction.
   The shell integral is taken in the cap angle theta, with
   t = max(d, r) - min(d, r) cos(theta), which smooths the square-root
-  behaviour of the cap fraction at both shell ends.  Gauss-Kronrod
-  quadrature, vectorized over many balls, gives the value and an error
-  estimate judged against the whole ball integral (core plus shell);
-  balls that miss it go on to adaptive subdivision.
+  behaviour of the cap fraction at both shell ends.  One adaptive
+  Gauss-Kronrod loop, vectorized over many balls, subdivides each shell
+  until its error estimate meets rel_tol of the whole ball integral.
 * Monte Carlo: an independent stochastic route used to cross-check the
   quadrature, never as the primary evaluator.
 
@@ -56,7 +55,7 @@ INF = math.inf
 
 @dataclass(frozen=True)
 class IntegrationSettings:
-    """Quadrature and sampling knobs shared by the norm and constant engines."""
+    """Quadrature tolerance and panel budget shared by the norm and constant engines."""
 
     rel_tol: float = 1e-10
     max_subdivisions: int = 2000
@@ -112,7 +111,7 @@ def centered_integrals(
 
 
 # ---------------------------------------------------------------------------
-# Adaptive Gauss-Kronrod quadrature, vectorized over panels.
+# Adaptive Gauss-Kronrod quadrature, vectorized over panels and rows.
 #
 # 15-point Kronrod rule with embedded 7-point Gauss rule; the standard
 # abscissae/weights for the interval [-1, 1].
@@ -138,22 +137,35 @@ _GAUSS_W = np.zeros(15)
 _GAUSS_W[1:-1:2] = np.concatenate([_WG[:-1], _WG[::-1]])      # Gauss nodes sit at odd slots
 
 
-def _gk15_panels(func, lo: np.ndarray, hi: np.ndarray):
-    """Apply the 15-point rule to each panel [lo_i, hi_i].
+_POINTS_PER_CALL = 1 << 13  # bounds the temporary arrays of a GK15 pass
+
+
+def _gk15_panels(func, lo: np.ndarray, hi: np.ndarray, rows: np.ndarray):
+    """Apply the 15-point rule to each panel [lo_i, hi_i] of row rows_i.
 
     Returns (values, errors) per panel.  The error estimate follows the
     usual practice of sharpening |K15 - G7| by the panel's total
     variation measure, so it stays meaningful near endpoint
-    singularities.
+    singularities.  func(x, rows) takes the points x and the row of
+    each; it sees at most ``_POINTS_PER_CALL`` points per call.
     """
+    step = _POINTS_PER_CALL // len(_NODES)
+    if lo.size > step:
+        parts = [
+            _gk15_panels(func, lo[a:a + step], hi[a:a + step], rows[a:a + step])
+            for a in range(0, lo.size, step)
+        ]
+        return tuple(np.concatenate(x) for x in zip(*parts))
     center = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     pts = center[:, None] + half[:, None] * _NODES[None, :]
-    fv = func(pts.ravel()).reshape(pts.shape)
-    resk = fv @ _KRONROD_W
-    resg = fv @ _GAUSS_W
+    fv = func(pts.ravel(), np.repeat(rows, len(_NODES))).reshape(pts.shape)
+    # Row sums, not BLAS products, whose rounding of a panel depends on
+    # its position in the call: a row's result must not depend on others.
+    resk = (fv * _KRONROD_W).sum(axis=1)
+    resg = (fv * _GAUSS_W).sum(axis=1)
     values = resk * half
-    resasc = (np.abs(fv - 0.5 * resk[:, None]) @ _KRONROD_W) * half
+    resasc = (np.abs(fv - 0.5 * resk[:, None]) * _KRONROD_W).sum(axis=1) * half
     raw = np.abs(resk - resg) * half
     with np.errstate(divide="ignore", invalid="ignore"):
         scaled = resasc * np.minimum(1.0, (200.0 * raw / resasc) ** 1.5)
@@ -162,51 +174,59 @@ def _gk15_panels(func, lo: np.ndarray, hi: np.ndarray):
 
 
 def _adaptive_quadrature(
-    func, cuts: list[float], settings: IntegrationSettings, offset: float = 0.0
+    func, cuts: np.ndarray, offset: np.ndarray, settings: IntegrationSettings
 ):
-    """Globally adaptive GK15 over the union of [cuts[i], cuts[i+1]].
+    """Globally adaptive GK15 over the rows of cuts at once: (values, tol_ok).
 
-    Returns (value, tol_ok).  Splits the worst panels until the summed
-    error estimate is below rel_tol * |integral + offset| or the panel
-    budget is exhausted.  ``offset`` is a known part of the quantity the
-    integral belongs to (the closed-form core of a ball), so a small
-    piece of a large total is judged against the total.
+    Row i integrates func(x, rows) over the union of the panels
+    [cuts[i, j], cuts[i, j+1]], its cuts NaN-padded on the right.  Each
+    round finishes every row whose summed error estimate is below
+    rel_tol * |integral + offset| (tol_ok True) or that holds
+    ``max_subdivisions`` panels (False), and splits the worst panels of
+    the others, all in one GK15 pass.  ``offset`` is a known part of the
+    quantity a row belongs to (the closed-form core of a ball), so a
+    small piece of a large total is judged against the total.
     """
-    lo = np.array(cuts[:-1], dtype=float)
-    hi = np.array(cuts[1:], dtype=float)
-    values, errors = _gk15_panels(func, lo, hi)
+    n_rows = len(cuts)
+    values, tol_ok = np.zeros(n_rows), np.zeros(n_rows, dtype=bool)
+    pending = np.ones(n_rows, dtype=bool)
+    owner, slot = np.nonzero(~np.isnan(cuts[:, 1:]))
+    lo, hi = cuts[owner, slot], cuts[owner, slot + 1]
+    vals, errs = _gk15_panels(func, lo, hi, owner)
     while True:
-        total = float(values.sum())
-        tol = settings.rel_tol * max(abs(total + offset), 1e-300)
-        if float(errors.sum()) <= tol:
-            return total, True
-        budget = settings.max_subdivisions - len(lo)
-        if budget <= 0:
-            return total, False
-        # split every panel whose error exceeds its fair share of the target
-        bad = np.flatnonzero(errors > tol / max(len(lo), 1))
-        if bad.size == 0:
-            bad = np.array([int(np.argmax(errors))])
-        if bad.size > budget:
-            bad = bad[np.argsort(errors[bad])[::-1][:budget]]
-        mid = 0.5 * (lo[bad] + hi[bad])
-        new_lo = np.concatenate([lo[bad], mid])
-        new_hi = np.concatenate([mid, hi[bad]])
-        new_vals, new_errs = _gk15_panels(func, new_lo, new_hi)
-        keep = np.ones(len(lo), dtype=bool)
-        keep[bad] = False
-        lo = np.concatenate([lo[keep], new_lo])
-        hi = np.concatenate([hi[keep], new_hi])
-        values = np.concatenate([values[keep], new_vals])
-        errors = np.concatenate([errors[keep], new_errs])
+        total, err, count = (np.bincount(owner, w, n_rows) for w in (vals, errs, None))
+        tol = settings.rel_tol * np.maximum(np.abs(total + offset), 1e-300)
+        met = err <= tol
+        done = pending & (met | (count >= settings.max_subdivisions))
+        values[done], tol_ok[done] = total[done], met[done]
+        pending &= ~done
+        if not pending.any():
+            return values, tol_ok
+        # Rank each row's panels worst first, so the panels above the
+        # row's share of its target lead; split the first of them, at
+        # least one and at most the row's remaining budget.
+        order = np.lexsort((-errs, owner))
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size) - (np.cumsum(count) - count)[owner[order]]
+        over = np.bincount(owner, errs > tol[owner] / count[owner], n_rows)
+        quota = np.minimum(np.maximum(over, 1), settings.max_subdivisions - count)
+        split = pending[owner] & (rank < quota[owner])
+        keep = pending[owner] & ~split
+        mid = 0.5 * (lo[split] + hi[split])
+        new = [np.tile(owner[split], 2), np.concatenate([lo[split], mid]),
+               np.concatenate([mid, hi[split]])]
+        new += _gk15_panels(func, new[1], new[2], new[0])
+        owner, lo, hi, vals, errs = (
+            np.concatenate([x[keep], y]) for x, y in zip((owner, lo, hi, vals, errs), new)
+        )
 
 
 # ---------------------------------------------------------------------------
 # Off-center balls: closed-form core plus a shell integral in the cap angle.
 
 
-def _shell_integrand(f, p, n, area, theta, d, r):
-    """Shell integrand of area * |f|^p t^(n-1) cap(t) in the cap angle theta.
+def _shell_integrand(f, p, n, theta, d, r):
+    """Shell integrand of |S^(n-1)| |f|^p t^(n-1) cap(t) in the cap angle theta.
 
     With c = max(d, r) and h = min(d, r), the sphere radius is
     t = c - h cos(theta) = |d - r| + 2 h sin^2(theta / 2) (the second
@@ -216,8 +236,8 @@ def _shell_integrand(f, p, n, area, theta, d, r):
     h = np.minimum(d, r)
     s = np.sin(0.5 * theta)
     t = np.abs(d - r) + 2.0 * h * s * s
-    vals = np.abs(f.evaluate_radii(t)) ** p
-    return area * vals * t ** (n - 1) * cap_fraction_radii(n, t, d, r) * h * np.sin(theta)
+    vals = unit_sphere_area(n) * np.abs(f.evaluate_radii(t)) ** p
+    return vals * t ** (n - 1) * cap_fraction_radii(n, t, d, r) * h * np.sin(theta)
 
 
 _HALF_TURNS = np.array([0.0, 0.5 * math.pi, math.pi])
@@ -242,39 +262,8 @@ def _shell_cuts(f: PiecewiseRadialFunction, d: np.ndarray, r: np.ndarray) -> np.
     return np.sort(np.concatenate(cols, axis=-1), axis=-1)
 
 
-# Balls per vectorized GK15 pass: bounds the pass's temporary arrays.
+# Balls per adaptive quadrature call: bounds the call's panel state.
 _BALLS_PER_PASS = 256
-
-
-def _shells(f, p, n, d, r, inner, settings):
-    """Shell integrals of off-center balls (1-D d, r), with tolerance flags.
-
-    One GK15 pass covers the initial theta panels of every ball; a ball
-    whose summed error estimate misses rel_tol * |inner + shell| goes on
-    to adaptive subdivision.
-    """
-    area = unit_sphere_area(n)
-    cuts = _shell_cuts(f, d, r)
-    owner, slot = np.nonzero(~np.isnan(cuts[:, 1:]))
-    at = np.repeat(owner, len(_NODES))
-    panel_vals, panel_errs = _gk15_panels(
-        lambda theta: _shell_integrand(f, p, n, area, theta, d[at], r[at]),
-        cuts[owner, slot],
-        cuts[owner, slot + 1],
-    )
-    shell = np.bincount(owner, panel_vals, minlength=d.size)
-    err = np.bincount(owner, panel_errs, minlength=d.size)
-    ok = err <= settings.rel_tol * np.maximum(np.abs(inner + shell), 1e-300)
-    for k in np.flatnonzero(~ok):
-        dk, rk = float(d[k]), float(r[k])
-        row = cuts[k]
-        shell[k], ok[k] = _adaptive_quadrature(
-            lambda theta: _shell_integrand(f, p, n, area, theta, dk, rk),
-            row[~np.isnan(row)].tolist(),
-            settings,
-            offset=float(inner[k]),
-        )
-    return shell, ok
 
 
 def _powers(t: np.ndarray, gamma) -> np.ndarray:
@@ -546,7 +535,8 @@ def ball_integrals(
     :class:`BallIntegral`: the group-of-one form of
     :func:`group_ball_integrals`.  For n = 1 every value is closed form.
     For n >= 2 the closed-form cores are vectorized, and the off-center
-    shells go through :func:`_shells` in blocks of ``_BALLS_PER_PASS``.
+    shells go through :func:`_adaptive_quadrature` in blocks of
+    ``_BALLS_PER_PASS``.
     """
     return group_ball_integrals((f,), p, n, 0, d, r, settings)
 
@@ -565,10 +555,14 @@ def _ball_integrals_nd(f, p, n, d, r, settings):
     idx = np.flatnonzero((d > 0.0) & ~diverges)
     for start in range(0, idx.size, _BALLS_PER_PASS):
         k = idx[start:start + _BALLS_PER_PASS]
-        inner = values[k]
-        shell, ok = _shells(f, p, n, d[k], r[k], inner, settings)
-        values[k] = inner + shell
-        tol_ok[k] = ok
+        dk, rk = d[k], r[k]
+        shell, tol_ok[k] = _adaptive_quadrature(
+            lambda theta, rows: _shell_integrand(f, p, n, theta, dk[rows], rk[rows]),
+            _shell_cuts(f, dk, rk),
+            values[k],
+            settings,
+        )
+        values[k] += shell
     return values, tol_ok
 
 

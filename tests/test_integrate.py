@@ -109,42 +109,78 @@ class TestCenteredClosedForm:
         assert np.isinf(centered_integrals(f, 1.0, 2, np.array([0.5, 1.0]))).all()
 
 
+def _quad(func, cuts, settings, offset=0.0):
+    """One row through the row-vectorized driver: (value, tol_ok)."""
+    values, ok = _adaptive_quadrature(
+        lambda t, rows: func(t), np.array([cuts], dtype=float), np.array([offset]), settings
+    )
+    return float(values[0]), bool(ok[0])
+
+
 class TestAdaptiveQuadrature:
     def test_polynomial_exact_in_one_panel(self):
         # GK15 integrates degree-22 polynomials exactly
-        value, ok = _adaptive_quadrature(
-            lambda t: 23.0 * t**22, [0.0, 1.0], IntegrationSettings()
-        )
+        value, ok = _quad(lambda t: 23.0 * t**22, [0.0, 1.0], IntegrationSettings())
         assert ok and value == pytest.approx(1.0, rel=1e-14)
 
     def test_matches_scipy_on_oscillatory(self):
         f = lambda t: np.cos(10.0 * t) * np.exp(-t)
-        value, ok = _adaptive_quadrature(f, [0.0, 5.0], IntegrationSettings())
+        value, ok = _quad(f, [0.0, 5.0], IntegrationSettings())
         ref, _ = scipy.integrate.quad(lambda t: math.cos(10.0 * t) * math.exp(-t), 0, 5)
         assert ok and value == pytest.approx(ref, rel=1e-10)
 
     def test_endpoint_singularity(self):
         # t^{-1/2} on (0, 1]: integrable endpoint singularity
-        value, ok = _adaptive_quadrature(
-            lambda t: 1.0 / np.sqrt(t), [1e-12, 1.0], IntegrationSettings()
-        )
+        value, ok = _quad(lambda t: 1.0 / np.sqrt(t), [1e-12, 1.0], IntegrationSettings())
         assert value == pytest.approx(2.0, rel=1e-5)
 
     def test_offset_sets_the_target(self):
         # one panel, no subdivision: sqrt(t) on [0, 1] misses the target
         # on its own but meets it as a small part of a large total
         one_panel = IntegrationSettings(max_subdivisions=1)
-        _, alone = _adaptive_quadrature(np.sqrt, [0.0, 1.0], one_panel)
-        value, part = _adaptive_quadrature(np.sqrt, [0.0, 1.0], one_panel, offset=1e9)
+        _, alone = _quad(np.sqrt, [0.0, 1.0], one_panel)
+        value, part = _quad(np.sqrt, [0.0, 1.0], one_panel, offset=1e9)
         assert not alone and part
         assert value == pytest.approx(2.0 / 3.0, rel=1e-3)
 
     def test_budget_exhaustion_flags(self):
         tight = IntegrationSettings(rel_tol=1e-14, max_subdivisions=2)
-        _, ok = _adaptive_quadrature(
-            lambda t: 1.0 / np.sqrt(np.abs(t - 0.3) + 1e-9), [0.0, 1.0], tight
-        )
+        _, ok = _quad(lambda t: 1.0 / np.sqrt(np.abs(t - 0.3) + 1e-9), [0.0, 1.0], tight)
         assert not ok
+
+    def test_rows_are_independent(self):
+        # different integrands, cuts, offsets and panel counts in one call;
+        # with a 40-panel budget the kink at 0.3 runs out of budget while
+        # the smooth rows converge
+        integrands = [
+            lambda t: np.cos(10.0 * t) * np.exp(-t),
+            lambda t: 1.0 / np.sqrt(np.abs(t - 0.3) + 1e-9),
+            np.sqrt,
+            lambda t: 1.0 / np.sqrt(t),
+            lambda t: 23.0 * t**22,
+        ]
+        cuts = np.array([
+            [0.0, 2.5, 5.0, np.nan],
+            [0.0, 1.0, np.nan, np.nan],
+            [0.0, 0.25, 0.5, 1.0],
+            [1e-12, 1.0, np.nan, np.nan],
+            [0.0, 1.0, np.nan, np.nan],
+        ])
+        offset = np.array([0.0, 0.0, 1e3, 0.0, -0.5])
+        settings = IntegrationSettings(rel_tol=1e-12, max_subdivisions=40)
+
+        def func(t, rows):
+            out = np.empty_like(t)
+            for i, g in enumerate(integrands):
+                out[rows == i] = g(t[rows == i])
+            return out
+
+        values, ok = _adaptive_quadrature(func, cuts, offset, settings)
+        assert not ok[1] and ok[[0, 2, 4]].all()
+        for i, g in enumerate(integrands):
+            row = cuts[i][~np.isnan(cuts[i])].tolist()
+            alone = _quad(g, row, settings, offset=offset[i])
+            assert (float(values[i]), bool(ok[i])) == alone, i
 
 
 class TestBallIntegralN1:
@@ -453,13 +489,38 @@ class TestBatchedBallIntegrals:
         values, tol_ok = ball_integrals(self.F, 1.0, n, d, r, settings)
         for k, (dk, rk) in enumerate(self.BALLS):
             single = integrate_abs_pow_ball(self.F, 1.0, n, Ball(dk, rk), settings)
-            assert values[k] == pytest.approx(single.value, rel=1e-12)
+            assert values[k] == single.value  # a ball's bits do not depend on its block
             assert tol_ok[k] == single.tol_ok
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_one_block_calls_the_integrand_once_per_round(self, monkeypatch, n):
+        # every ball of a block subdivides in the same rounds: the block
+        # makes no more integrand calls than its slowest ball alone
+        calls = []
+        shell = integrate_mod._shell_integrand
+
+        def counting(*args):
+            calls.append(1)
+            return shell(*args)
+
+        monkeypatch.setattr(integrate_mod, "_shell_integrand", counting)
+        settings = IntegrationSettings(rel_tol=1e-13)
+        alone = []
+        for dk, rk in self.BALLS:
+            calls.clear()
+            ball_integrals(self.F, 1.0, n, dk, rk, settings)
+            alone.append(len(calls))
+        assert sum(c > 1 for c in alone) >= 2  # two or more balls subdivide
+        calls.clear()
+        d, r = np.array(self.BALLS).T
+        ball_integrals(self.F, 1.0, n, d, r, settings)
+        assert len(calls) <= max(alone)
 
     def test_blocks_do_not_change_values(self, monkeypatch):
         d, r = np.meshgrid(np.linspace(0.1, 4.0, 9), np.geomspace(0.01, 10.0, 7))
         whole = ball_integrals(self.F, 1.0, 3, d, r)
         monkeypatch.setattr(integrate_mod, "_BALLS_PER_PASS", 4)
+        monkeypatch.setattr(integrate_mod, "_POINTS_PER_CALL", 3 * 15)
         blocks = ball_integrals(self.F, 1.0, 3, d, r)
         np.testing.assert_allclose(blocks[0], whole[0], rtol=1e-15)
         assert (blocks[1] == whole[1]).all()

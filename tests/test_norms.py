@@ -10,6 +10,7 @@ import pytest
 import morreyconst.integrate as integrate_mod
 import morreyconst.norms as norms_mod
 from morreyconst.constants import random_pair
+from morreyconst.geometry import unit_ball_volume
 from morreyconst.integrate import IntegrationSettings
 from morreyconst.model import (
     Mode,
@@ -173,13 +174,30 @@ class TestInfiniteDetection:
     def test_borderline_power_is_finite(self):
         assert not norm_is_infinite(POWER, M112)
 
-    def test_growth_heuristic_backstop(self, monkeypatch):
-        # disable the analytic test; the r-grid climb must still catch
-        # a profile growing a full factor of 10 per decade
-        monkeypatch.setattr(norms_mod, "norm_is_infinite", lambda f, p: False)
-        f = canonicalize([(0.0, INF, 1.0, 1.0)])  # profile ~ r^{3/2}
-        (res,) = norms_mod._search_group([f], M112, SearchSettings(), IntegrationSettings())
-        assert res.value == INF
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_wide_bounded_support_is_finite(self, n):
+        # [DERIVED] f = 1 on |x| < 1e7, p = 1, q = 2: a ball inside the
+        # support gives |B|^(1/2 - 1) |B| = |B|^(1/2), and no ball beats
+        # that, so the window's supremum is the ball of radius r_max = 1e6
+        # inside the support, (v_n 1e6^n)^(1/2); it still climbs there
+        f = canonicalize([(0.0, 1e7, 1.0, 0.0)])
+        sp = SpaceParams(n, 1.0, 2.0, Mode.MORREY)
+        assert not norm_is_infinite(f, sp)
+        res = norm(f, sp)
+        expected = math.sqrt(unit_ball_volume(n) * 1e6**n)
+        assert res.value == pytest.approx(expected, rel=1e-9)
+        assert res.truncated
+
+    def test_logarithmic_tail_diverges_when_p_equals_q(self):
+        # [DERIVED] p = q = 1, n = 1: the weight is 1, and |x|^{-1} on
+        # [1, inf) gives the centered balls 2 log r -> infinity
+        f = canonicalize([(1.0, INF, 1.0, -1.0)])
+        sp = SpaceParams(1, 1.0, 1.0, Mode.MORREY)
+        assert norm_is_infinite(f, sp)
+        assert norm(f, sp).infinite
+        # a faster tail is in L^1, and small mode never sees r -> infinity
+        assert not norm_is_infinite(canonicalize([(1.0, INF, 1.0, -1.5)]), sp)
+        assert not norm_is_infinite(f, sp.with_mode(Mode.SMALL_MORREY))
 
 
 class TestMorreyNormSearch:
