@@ -320,7 +320,7 @@ def _cmd_verify_thm1(cfg: RunConfig, table: NormTable):
     values = [row[0] for row in _witness_ratios(kinds, [(f, k)], table, functions)]
     results = {name: table[fn] for name, fn in zip(names, functions)}
     cf = closed_form_power_norm(space)
-    r_max = cfg.search.resolved_r_max(space.mode)
+    r_max = cfg.search.resolved_r_max(space.mode, h)
     deficit = r_max ** (-space.n * (1.0 - space.p / space.q) / space.p)
 
     checks = [

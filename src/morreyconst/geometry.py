@@ -2,7 +2,8 @@
 
 The key quantity is :func:`cap_fraction_radii`: the fraction of the
 sphere of radius t about the origin that lies inside a ball of radius r
-whose center sits at distance d from the origin.  With it, the integral
+whose center sits at distance d from the origin, with t given by its
+gaps to the two ends of the ball's shell.  With it, the integral
 of a radial function over an arbitrary ball collapses to a
 one-dimensional integral in the radius t.
 
@@ -52,72 +53,63 @@ def unit_sphere_area(n: int) -> float:
     return n * unit_ball_volume(n)
 
 
-def cap_fraction_radii(n: int, t, d, r) -> np.ndarray:
+def cap_fraction_radii(n: int, inner, outer, d, r) -> np.ndarray:
     """Fraction of the sphere {|x| = t} inside the ball {|x - a| <= r}, |a| = d.
 
-    Vectorized: t, d and r broadcast against each other, so one call can
-    serve many balls.  The cap {phi <= theta} on S^(n-1) with
-    cos(theta) >= 0 has fraction I(s2; (n-1)/2, 1/2) / 2, with s2 =
-    sin^2 theta and I the regularized incomplete beta function, and the
-    complement rule covers cos(theta) < 0.  For n = 2 and 3 that half cap
+    The sphere is given by its gaps to the two ends of the ball's shell
+    |d - r| <= |x| <= d + r: inner = t - |d - r| and outer = d + r - t.
+    Vectorized: inner, outer, d and r broadcast against each other, so
+    one call can serve many balls.  The cap {angle <= phi} on S^(n-1),
+    phi the angle at the origin between a and the cap's rim, has
+    fraction I(s2; (n-1)/2, 1/2) / 2 when cos(phi) >= 0, with s2 =
+    sin^2 phi and I the regularized incomplete beta function, and the
+    complement rule covers cos(phi) < 0.  For n = 2 and 3 that half cap
     is elementary:
 
         n = 2:  arcsin(sqrt(s2)) / pi
         n = 3:  (1 - sqrt(1 - s2)) / 2 = s2 / (2 (1 + sqrt(1 - s2)))
 
     and the n = 3 form is taken on the right, which has no cancellation
-    on thin caps.  Only n >= 4 calls ``scipy.special.betainc``.  s2
-    comes from the factored form
+    on thin caps.  Only n >= 4 calls ``scipy.special.betainc``.  s2 is
 
-        (d+r-t) (t-(d-r)) (t+(d-r)) (t+d+r) / (4 t^2 d^2),
+        inner outer (t + |d - r|) (t + d + r) / (2 t d)^2,
 
-    which keeps its digits on thin caps, where 1 - cos^2 theta cancels;
-    on far balls (d > 2r) the factors t-(d-r) and d+r-t are formed as
-    (t-d)+r and (d-t)+r.
-    For n = 1 the sphere is the two-point set {-t, +t} and the fraction
-    is exactly 0, 1/2 or 1.
+    a product of sums: the gaps carry the digits of a thin cap, where
+    1 - cos^2 phi cancels, and nothing here subtracts.  A caller that
+    forms both gaps without cancellation keeps every digit; in the cap
+    angle theta of the shell they are 2 h sin^2(theta/2) and
+    2 h cos^2(theta/2), h = min(d, r), while t - |d - r| and d + r - t
+    on a far thin ball would carry the rounding of t, about ulp(d).
+    A sphere off the shell has fraction 1 when inner <= 0 and d <= r
+    (it lies inside the ball) and 0 otherwise.  For n = 1 the sphere is
+    the two-point set {-t, +t}, and a partial cap is exactly 1/2.
     """
     if not (isinstance(n, int) and n >= 1):
         raise ValueError(f"dimension must be a positive integer, got {n!r}")
-    t, d, r = (np.asarray(x, dtype=float) for x in (t, d, r))
-    if (d < 0.0).any() or (r <= 0.0).any() or (t < 0.0).any():
-        raise ValueError("need sphere radii >= 0, center distances >= 0 and radii > 0")
-
-    inside = t + d <= r          # sphere entirely within the ball
-    outside = np.abs(t - d) >= r  # sphere entirely outside (or ball inside sphere)
-    out = np.array(inside, dtype=float)
-    # A centered ball (d = 0) and t = 0 never land in `partial`.
-    partial = ~(inside | outside)
-    if not partial.any():
-        return out
+    inner, outer, d, r = (np.asarray(x, dtype=float) for x in (inner, outer, d, r))
+    if (d < 0.0).any() or (r <= 0.0).any():
+        raise ValueError("need center distances >= 0 and radii > 0")
     if n == 1:
-        # exactly one of the two points {-t, +t} is within reach
-        out[partial] = 0.5
-        return out
-    t, d, r = (x if x.ndim == 0 else np.broadcast_to(x, out.shape)[partial] for x in (t, d, r))
-    diff, total = d - r, d + r
-    # On a far ball (d > 2r) every t in the shell is within a factor 2 of
-    # d, so t - d is exact and the two thin-cap factors (t - d) + r and
-    # r - (t - d) = (d - t) + r round once; t - (d - r) and (d + r) - t
-    # would carry the rounding of d - r or d + r into them.  The product
-    # is formed in place, so that few point-sized arrays are alive at once.
-    far = d > 2.0 * r
-    t_d = t - d
-    s2 = np.where(far, r - t_d, total - t)
-    s2 *= np.where(far, t_d + r, t - diff)
-    del t_d
-    two_td = 2.0 * t * d
-    s2 /= two_td
-    s2 *= (t + diff) * (t + total) / two_td
-    s2 = np.clip(s2, 0.0, 1.0)
-    if n == 2:
-        half_cap = np.arcsin(np.sqrt(s2)) / np.pi
-    elif n == 3:
-        half_cap = s2 / (2.0 * (1.0 + np.sqrt(1.0 - s2)))
+        frac = np.full(np.broadcast_shapes(inner.shape, outer.shape, d.shape, r.shape), 0.5)
     else:
-        # imported here, so that n <= 3 never loads scipy
-        from scipy.special import betainc
+        diff, total = d - r, d + r
+        gap = np.abs(diff)
+        t = gap + inner
+        with np.errstate(divide="ignore", invalid="ignore"):  # t d = 0 only off the shell
+            two_td = 2.0 * t * d
+            s2 = (inner * outer / two_td) * ((t + gap) * (t + total) / two_td)
+        s2 = np.minimum(np.maximum(s2, 0.0), 1.0)
+        if n == 2:
+            half_cap = np.arcsin(np.sqrt(s2)) / np.pi
+        elif n == 3:
+            half_cap = s2 / (2.0 * (1.0 + np.sqrt(1.0 - s2)))
+        else:
+            # imported here, so that n <= 3 never loads scipy
+            from scipy.special import betainc
 
-        half_cap = 0.5 * betainc(0.5 * (n - 1), 0.5, s2)
-    out[partial] = np.where(t * t + diff * total >= 0.0, half_cap, 1.0 - half_cap)
-    return out
+            half_cap = 0.5 * betainc(0.5 * (n - 1), 0.5, s2)
+        frac = np.where(t * t + diff * total >= 0.0, half_cap, 1.0 - half_cap)
+    below, above = inner <= 0.0, outer <= 0.0
+    if below.any() or above.any():
+        frac = np.where(below, d <= r, np.where(above, 0.0, frac))
+    return frac

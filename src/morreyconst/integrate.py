@@ -229,15 +229,21 @@ def _shell_integrand(f, p, n, theta, d, r):
     """Shell integrand of |S^(n-1)| |f|^p t^(n-1) cap(t) in the cap angle theta.
 
     With c = max(d, r) and h = min(d, r), the sphere radius is
-    t = c - h cos(theta) = |d - r| + 2 h sin^2(theta / 2) (the second
-    form keeps t's digits near the inner shell end), and dt = h sin(theta)
-    d(theta).  d and r broadcast against theta.
+    t = c - h cos(theta), which lies 2 h sin^2(theta / 2) above the inner
+    shell end |d - r| and 2 h cos^2(theta / 2) below the outer end d + r,
+    and dt = h sin(theta) d(theta).  The cap fraction takes those two
+    gaps as they are: gaps formed from t would carry t's rounding, about
+    ulp(d), which on a thin ball far out is a large part of its width
+    2 h.  d and r broadcast against theta.
     """
-    h = np.minimum(d, r)
-    s = np.sin(0.5 * theta)
-    t = np.abs(d - r) + 2.0 * h * s * s
+    two_h = 2.0 * np.minimum(d, r)
+    half = 0.5 * theta
+    s, c = np.sin(half), np.cos(half)
+    two_hs = two_h * s
+    inner, outer = two_hs * s, two_h * c * c
+    t = np.abs(d - r) + inner
     vals = unit_sphere_area(n) * np.abs(f.evaluate_radii(t)) ** p
-    return vals * t ** (n - 1) * cap_fraction_radii(n, t, d, r) * h * np.sin(theta)
+    return vals * t ** (n - 1) * cap_fraction_radii(n, inner, outer, d, r) * (two_hs * c)
 
 
 _HALF_TURNS = np.array([0.0, 0.5 * math.pi, math.pi])

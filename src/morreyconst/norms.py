@@ -9,7 +9,14 @@ a zoom.  The zoom starts from the best grid cells and from the best
 balls whose faces d - r and d + r both sit on breakpoints of f (or at
 the origin); each round evaluates a small patch in (d, log r) and one in
 (d - r, d + r) around every start, moves each start to its best ball
-and shrinks the patches.  Centered balls (d = 0) are exact.
+and shrinks the patches.  Centered balls (d = 0) are exact.  A
+function leaves the zoom once its best ball has moved in three rounds
+with a gain of at most 1e-13 relative each, counted since its last
+larger gain; rounds in which the best ball stands still do not count,
+because a ball that rests says nothing about the gains still to come
+(near the window's edge the best ball can rest for a few rounds before
+it climbs again).  The winner is then re-evaluated at the requested
+tolerance, as after a full zoom.
 
 Norms are searched in lockstep groups (:func:`norm_batch`): each
 function has its own grid call, and then the aligned balls, every zoom
@@ -72,6 +79,11 @@ _SHRINK = 1.0 / 3.0
 _ROUNDS = 20
 _OFFSETS = np.linspace(-1.0, 1.0, _PATCH)
 
+# A function leaves the zoom after _STOP_ROUNDS rounds in which its best
+# ball moved and gained at most _STOP_GAIN relative (see the zoom loop).
+_STOP_GAIN = 1e-13
+_STOP_ROUNDS = 3
+
 # Functions searched in lockstep: a group's aligned balls, each zoom
 # round and the final re-evaluation are one kernel call each.  Larger
 # groups amortize the per-call overhead further but hold larger arrays.
@@ -82,8 +94,9 @@ _GROUP = 8
 class SearchSettings:
     """Supremum-search window and grid.
 
-    ``r_max`` defaults by mode: 1e6 for Morrey, 1 - 1e-6 for small.
-    ``d_max`` defaults to 10 + the function's largest finite breakpoint.
+    ``r_max`` defaults by mode: 1 - 1e-6 for small, and for Morrey
+    1e6 or 10 times the function's largest finite breakpoint, whichever
+    is larger.  ``d_max`` defaults to 10 + that breakpoint.
     """
 
     r_min: float = 1e-3
@@ -102,12 +115,43 @@ class SearchSettings:
         if self.n_radii < 2 or self.n_centers < 2:
             raise ValueError("grid sizes must be >= 2")
 
-    def resolved_r_max(self, mode: Mode) -> float:
+    def resolved_r_max(self, mode: Mode, f: PiecewiseRadialFunction | None = None) -> float:
+        """The window's largest radius: ``r_max`` if set, else by mode.
+
+        Small mode: 1 - 1e-6.  Morrey mode: R = max(1e6, 10 b), b the
+        largest finite breakpoint of f (1e6 without f or breakpoints),
+        which no ball beyond the window beats when the profile of f has
+        stopped rising at R:
+
+        * With the default d_max = 10 + b every ball of the window's
+          centers with r > R contains B(0, b), since R >= 10 + 2 b.
+        * Past b, f is one power |c| |x|^alpha or 0, and a finite norm
+          has alpha <= -n/q there (:func:`norm_is_infinite`), so |f|^p
+          does not grow with |x| outside B(0, b).  A ball holding B(0, b)
+          adds a set of measure |B_r| - |B_b| outside it, and no such set
+          carries more of |f|^p than the annulus b <= |x| <= r (the
+          bathtub principle): the centered ball of the same radius is at
+          least as good.
+        * For r >= b the centered integral is I(r) = C + K r^gamma,
+          gamma = alpha p + n (C + K log r when gamma = 0), and the
+          profile's derivative in log r is
+          n/q - n/p + |c|^p |S^(n-1)| r^gamma / (p I(r)), monotone in r,
+          with limit alpha + n/q <= 0 (n/q - n/p <= 0 when gamma <= 0).
+          So a profile that does not rise at R rises nowhere beyond it,
+          and the centered ball of radius R beats every larger ball; one
+          that still rises at R has its supremum beyond the window,
+          which ``truncated`` reports.  When f vanishes past b, the
+          centered ball of radius b <= R holds all of |f|^p in the least
+          volume and beats every larger ball.
+        """
         if self.r_max is not None:
             if mode is Mode.SMALL_MORREY and self.r_max >= 1.0:
                 raise ValueError(f"small mode needs r_max < 1, got {self.r_max}")
             return self.r_max
-        return 1e6 if mode is Mode.MORREY else 1.0 - 1e-6
+        if mode is Mode.SMALL_MORREY:
+            return 1.0 - 1e-6
+        finite = [b for b in f.breakpoints() if b > 0.0] if f is not None else []
+        return max(1e6, 10.0 * max(finite, default=0.0))
 
     def resolved_d_max(self, f: PiecewiseRadialFunction) -> float:
         if self.d_max is not None:
@@ -282,7 +326,7 @@ def _search_group(
             continue
 
         r_min = search.resolved_r_min(f)
-        r_max = search.resolved_r_max(params.mode)
+        r_max = search.resolved_r_max(params.mode, f)
         if not r_min < r_max:
             r_min = r_max / 2.0
         d_max = search.resolved_d_max(f)
@@ -330,7 +374,7 @@ def _search_group(
         starts_r.append(np.concatenate([grid_r, sr[top]]))
 
     # Zoom: one patch in (d, log r) and one in (u, v) = (d - r, d + r)
-    # around every start, all evaluated in one kernel call per round.
+    # around every live start, all evaluated in one kernel call per round.
     # The (u, v) patch follows ridges where a face of the ball hugs a
     # breakpoint and (d, r) must move diagonally.  Each patch spans one
     # grid cell at first.  Row s of d, r and vals holds start s's
@@ -338,25 +382,10 @@ def _search_group(
     # function's steps and window.
     n_rows = np.array([s.size for s in starts_d])
     row_fn = np.repeat(np.arange(len(members)), n_rows)
-    step_d, step_log_r, r_min, r_max, d_max = (
-        np.array(col)[row_fn][:, None] for col in zip(*windows)
-    )
+    window = [np.array(col)[row_fn][:, None] for col in zip(*windows)]
     d_cur, r_cur = np.concatenate(starts_d), np.concatenate(starts_r)
+    v_cur = np.empty(d_cur.size)
     x, y = (o.ravel() for o in np.meshgrid(_OFFSETS, _OFFSETS, indexing="ij"))
-    rows = np.arange(d_cur.size)
-    for k in range(_ROUNDS):
-        scale = _SHRINK**k
-        h_uv = np.minimum(step_d, r_cur[:, None] * step_log_r) * scale
-        u = (d_cur - r_cur)[:, None] + h_uv * x
-        v = (d_cur + r_cur)[:, None] + h_uv * y
-        d = np.hstack([d_cur[:, None] + step_d * scale * x, 0.5 * (u + v)])
-        r = np.hstack([r_cur[:, None] * np.exp(step_log_r * scale * y), 0.5 * (v - u)])
-        # np.clip's result, without its slow path for array bounds
-        d = np.minimum(np.maximum(d, 0.0), d_max)
-        r = np.minimum(np.maximum(r, r_min), r_max)
-        vals = evaluate(members, row_fn[:, None], d, r)
-        best = _best_in_rows(vals, d, r)
-        d_cur, r_cur, v_cur = d[rows, best], r[rows, best], vals[rows, best]
 
     # Each function's best row, from a table of 2 * _STARTS row indices
     # per function.  A function with fewer aligned balls fills its table
@@ -365,7 +394,50 @@ def _search_group(
     first = np.cumsum(n_rows) - n_rows
     pick = first[:, None] + np.arange(2 * _STARTS)
     pick = np.where(pick < (first + n_rows)[:, None], pick, first[:, None])
-    win = pick[np.arange(len(members)), _best_in_rows(v_cur[pick], d_cur[pick], r_cur[pick])]
+    fns = np.arange(len(members))
+
+    # The stop rule, after every round: a round in which a function's
+    # best ball moved and gained at most _STOP_GAIN relative counts, a
+    # larger gain resets the count, and a round in which the best ball
+    # stood still leaves it as it is.  A ball that rests says nothing
+    # about the gains to come: near the window's edge the best ball can
+    # rest for a few rounds before it climbs again.  After _STOP_ROUNDS
+    # counted rounds the function's rows keep their balls and leave the
+    # kernel calls, so each function's rounds depend on its own values.
+    lead_d = lead_r = lead_v = np.full(len(members), np.nan)
+    calm = np.zeros(len(members), dtype=int)
+    n_stopped = 0
+    # every row is live until a function stops
+    live, at, fn_rows = slice(None), np.arange(d_cur.size), row_fn[:, None]
+    step_d, step_log_r, r_min, r_max, d_max = window
+    for k in range(_ROUNDS):
+        scale = _SHRINK**k
+        dl, rl = d_cur[live], r_cur[live]
+        h_uv = np.minimum(step_d, rl[:, None] * step_log_r) * scale
+        u = (dl - rl)[:, None] + h_uv * x
+        v = (dl + rl)[:, None] + h_uv * y
+        d = np.hstack([dl[:, None] + step_d * scale * x, 0.5 * (u + v)])
+        r = np.hstack([rl[:, None] * np.exp(step_log_r * scale * y), 0.5 * (v - u)])
+        # np.clip's result, without its slow path for array bounds
+        d = np.minimum(np.maximum(d, 0.0), d_max)
+        r = np.minimum(np.maximum(r, r_min), r_max)
+        vals = evaluate(members, fn_rows, d, r)
+        best = _best_in_rows(vals, d, r)
+        d_cur[live], r_cur[live], v_cur[live] = d[at, best], r[at, best], vals[at, best]
+
+        win = pick[fns, _best_in_rows(v_cur[pick], d_cur[pick], r_cur[pick])]
+        moved = (d_cur[win] != lead_d) | (r_cur[win] != lead_r)
+        gain = v_cur[win] - lead_v  # NaN in round 0, which resets
+        lead_d, lead_r, lead_v = d_cur[win], r_cur[win], v_cur[win]
+        calm = np.where(moved, np.where(gain <= _STOP_GAIN * lead_v, calm + 1, 0), calm)
+        stopped = np.count_nonzero(calm >= _STOP_ROUNDS)
+        if stopped == len(members):
+            break
+        if stopped > n_stopped:
+            n_stopped = stopped
+            live = np.flatnonzero(calm[row_fn] < _STOP_ROUNDS)
+            at, fn_rows = np.arange(live.size), row_fn[live][:, None]
+            step_d, step_log_r, r_min, r_max, d_max = (w[live] for w in window)
 
     # The scout tolerance guided the search; the reported value is the
     # winning ball re-evaluated at the requested tolerance.

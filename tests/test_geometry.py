@@ -20,9 +20,27 @@ from morreyconst.geometry import (
 )
 
 
+def shell_gaps(t, d, r):
+    """t - |d - r| and d + r - t of the sphere radius t on the ball (d, r).
+
+    On a far ball (d > 2r) t - d is exact, so (t - d) + r and (d - t) + r
+    round once and do not carry the rounding of d - r or d + r.
+    """
+    t, d, r = (np.asarray(x, dtype=float) for x in (t, d, r))
+    far = d > 2.0 * r
+    inner = np.where(far, (t - d) + r, t - np.abs(d - r))
+    outer = np.where(far, (d - t) + r, (d + r) - t)
+    return inner, outer
+
+
+def cap_fraction_at(n, t, d, r):
+    """The cap fraction at sphere radii t, given to the routine as shell gaps."""
+    return cap_fraction_radii(n, *shell_gaps(t, d, r), d, r)
+
+
 def cap_fraction(n, t, d, r):
     """One sphere radius through the vectorized routine."""
-    (frac,) = cap_fraction_radii(n, np.array([t]), d, r)
+    (frac,) = cap_fraction_at(n, np.array([t]), d, r)
     return float(frac)
 
 
@@ -109,7 +127,7 @@ class TestCapFraction:
 
     def test_vector_matches_scalar(self):
         ts = np.linspace(0.0, 3.0, 50)
-        vec = cap_fraction_radii(4, ts, 0.7, 1.2)
+        vec = cap_fraction_at(4, ts, 0.7, 1.2)
         for t, v in zip(ts, vec):
             assert v == cap_fraction(4, float(t), 0.7, 1.2)
 
@@ -118,7 +136,7 @@ class TestCapFraction:
         ts = np.array([0.3, 0.9, 1.6, 2.5])
         ds = np.array([0.2, 0.7, 1.0, 2.0])
         rs = np.array([1.0, 0.5, 1.0, 0.6])
-        vec = cap_fraction_radii(3, ts, ds, rs)
+        vec = cap_fraction_at(3, ts, ds, rs)
         for t, d, r, v in zip(ts, ds, rs, vec):
             assert v == cap_fraction(3, float(t), float(d), float(r))
 
@@ -138,7 +156,8 @@ class TestCapFraction:
             9.0121776587134723e-07, rel=1e-12
         )
         # all-scalar arguments broadcast to a 0-d result
-        frac = cap_fraction_radii(2, 4.99000001, 5.0, 0.01)
+        inner, outer = (float(g) for g in shell_gaps(4.99000001, 5.0, 0.01))
+        frac = cap_fraction_radii(2, inner, outer, 5.0, 0.01)
         assert np.ndim(frac) == 0
         assert float(frac) == pytest.approx(9.0121776587134723e-07, rel=1e-12)
 
@@ -169,14 +188,18 @@ class TestCapFraction:
 
 
 def betainc_cap_fraction(n, t, d, r):
-    """Reference: the same sin^2 theta through scipy's incomplete beta."""
-    t, d, r = (np.asarray(x, dtype=float) for x in (t, d, r))
+    """Reference: the routine's sin^2 theta, through scipy's incomplete beta.
+
+    s2 is formed from the same gaps and in the same order as in the
+    routine, so the comparison checks the half-cap maps alone: near
+    theta = pi/2 they amplify an ulp of s2 by about 1 / (2 cos theta).
+    """
+    inner, outer = shell_gaps(t, d, r)
+    d, r = (np.asarray(x, dtype=float) for x in (d, r))
     diff, total = d - r, d + r
-    far = d > 2.0 * r
-    near_inner = np.where(far, (t - d) + r, t - diff)
-    near_outer = np.where(far, (d - t) + r, total - t)
+    t = np.abs(diff) + inner
     two_td = 2.0 * t * d
-    s2 = (near_outer * near_inner / two_td) * ((t + diff) * (t + total) / two_td)
+    s2 = (inner * outer / two_td) * ((t + np.abs(diff)) * (t + total) / two_td)
     half_cap = 0.5 * betainc(0.5 * (n - 1), 0.5, np.clip(s2, 0.0, 1.0))
     return np.where(t * t + diff * total >= 0.0, half_cap, 1.0 - half_cap)
 
@@ -208,7 +231,7 @@ class TestClosedFormsMatchBetainc:
         s2 = np.logspace(-14, -7, 36)
         gap = s2 * d * d / (2.0 * r)
         t = np.concatenate([d + r - gap, abs(d - r) + gap])
-        got = cap_fraction_radii(n, t, d, r)
+        got = cap_fraction_at(n, t, d, r)
         ref = betainc_cap_fraction(n, t, d, r)
         assert (got > 0.0).all()
         np.testing.assert_allclose(got, ref, rtol=self.REL, atol=0.0)
@@ -218,7 +241,7 @@ class TestClosedFormsMatchBetainc:
         # cos(theta) < 0: the ball covers more than half the sphere
         # t^2 < r^2 - d^2 and t + d > r: 0.99 < t < 1.173
         t = np.linspace(1.0, 1.17, 35)
-        got = cap_fraction_radii(n, t, 0.2, 1.19)
+        got = cap_fraction_at(n, t, 0.2, 1.19)
         ref = betainc_cap_fraction(n, t, 0.2, 1.19)
         assert ((got > 0.5) & (got < 1.0)).all()
         np.testing.assert_allclose(got, ref, rtol=self.REL, atol=0.0)
@@ -233,7 +256,7 @@ def test_scipy_loaded_only_for_n_at_least_4():
         " '--p', '1', '--q', '2']) == 0",
         "assert 'scipy' not in sys.modules, 'n = 3 loaded scipy'",
         "from morreyconst.geometry import cap_fraction_radii",
-        "cap_fraction_radii(4, 1.0, 0.7, 1.2)",
+        "cap_fraction_radii(4, 0.5, 0.9, 0.7, 1.2)",
         "assert 'scipy' in sys.modules, 'n = 4 did not load scipy'",
     ])
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)

@@ -424,7 +424,7 @@ class TestBallIntegralHigherDim:
         area = unit_sphere_area(3)
 
         def integrand(t):
-            cap = float(cap_fraction_radii(3, np.array([t]), d, r)[0])
+            cap = float(cap_fraction_radii(3, t - (r - d), (d + r) - t, d, r))
             return abs(f.evaluate(t)) * area * t**2 * cap
 
         core = float(centered_integrals(f, 1.0, 3, r - d))
@@ -463,6 +463,51 @@ class TestBallIntegralHigherDim:
         f = canonicalize([(0.0, 1.0, 1.0, 0.0)])
         res = integrate_abs_pow_ball(f, 1.0, 2, Ball(10.0, 2.0))
         assert res.value == 0.0
+
+    @staticmethod
+    def _mp_power_ball_n3(c, alpha, p, d, r):
+        """[DERIVED] n = 3 ball integral of |c| |x|^alpha to the p, in mpmath.
+
+        For n = 3 the cap fraction is (r^2 - (t - d)^2) / (4 t d), so the
+        shell |d - r| <= t <= d + r gives (pi |c|^p / d) times the integral
+        of t^e ((r^2 - d^2) + 2 d t - t^2), e = alpha p + 1: three power
+        integrals, which cancel like (d / r)^2 on a thin far ball, hence
+        60 digits.  A ball around the origin adds the centered core of
+        radius r - d.
+        """
+        with mpmath.workdps(60):
+            d, r, p = mpmath.mpf(d), mpmath.mpf(r), mpmath.mpf(p)
+            cp = abs(mpmath.mpf(c)) ** p
+            e = mpmath.mpf(alpha) * p + 1
+            lo, hi = abs(d - r), d + r
+
+            def power(k):
+                return (hi ** (e + k + 1) - lo ** (e + k + 1)) / (e + k + 1)
+
+            shell = mpmath.pi * cp / d * ((r * r - d * d) * power(0) + 2 * d * power(1) - power(2))
+            core = 4 * mpmath.pi * cp * (r - d) ** (e + 2) / (e + 2) if d < r else 0
+            return shell + core
+
+    @pytest.mark.parametrize(
+        "d, r",
+        [
+            (2200.0, 1e-3),   # thin and far: the shell is 2e-3 wide at t = 2200
+            (50.0, 1e-3),
+            (10.0, 1e-3),
+            (7.0, 0.01),
+            (1.0, 1.0),       # tangent to the origin
+            (0.3, 1.0),       # around the origin: core plus shell
+            (2.0, 0.7),
+        ],
+    )
+    def test_n3_power_matches_mpmath(self, d, r):
+        # 1.3 |x|^-0.8 with p = 1.5; the quadrature's own error is far
+        # below rel_tol, so rounding in the integrand must stay below 1e-13
+        f = canonicalize([(0.0, INF, 1.3, -0.8)])
+        values, tol_ok = ball_integrals(f, 1.5, 3, d, r)
+        assert bool(tol_ok)
+        expected = float(self._mp_power_ball_n3(1.3, -0.8, 1.5, d, r))
+        assert float(values) == pytest.approx(expected, rel=1e-13)
 
 
 class TestBatchedBallIntegrals:

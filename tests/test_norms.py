@@ -9,7 +9,7 @@ import pytest
 
 import morreyconst.integrate as integrate_mod
 import morreyconst.norms as norms_mod
-from morreyconst.constants import random_pair
+from morreyconst.constants import _sums, random_pair
 from morreyconst.geometry import unit_ball_volume
 from morreyconst.integrate import IntegrationSettings
 from morreyconst.model import (
@@ -49,6 +49,15 @@ class TestSearchSettings:
         s = SearchSettings()
         assert s.resolved_r_max(Mode.MORREY) == 1e6
         assert s.resolved_r_max(Mode.SMALL_MORREY) == 1.0 - 1e-6
+
+    def test_morrey_r_max_follows_breakpoints(self):
+        # ten times the largest finite breakpoint, never below 1e6
+        narrow = canonicalize([(0.0, 3.5, 1.0, 0.0)])
+        assert SearchSettings().resolved_r_max(Mode.MORREY, narrow) == 1e6
+        wide = canonicalize([(2.0, 4e5, 1.0, 0.0), (4e5, INF, 1.0, -1.0)])
+        assert SearchSettings().resolved_r_max(Mode.MORREY, wide) == 4e6
+        assert SearchSettings().resolved_r_max(Mode.SMALL_MORREY, wide) == 1.0 - 1e-6
+        assert SearchSettings(r_max=50.0).resolved_r_max(Mode.MORREY, wide) == 50.0
 
     def test_d_max_follows_breakpoints(self):
         f = canonicalize([(0.0, 3.5, 1.0, 0.0)])
@@ -174,19 +183,21 @@ class TestInfiniteDetection:
     def test_borderline_power_is_finite(self):
         assert not norm_is_infinite(POWER, M112)
 
-    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3])
     def test_wide_bounded_support_is_finite(self, n):
         # [DERIVED] f = 1 on |x| < 1e7, p = 1, q = 2: a ball inside the
-        # support gives |B|^(1/2 - 1) |B| = |B|^(1/2), and no ball beats
-        # that, so the window's supremum is the ball of radius r_max = 1e6
-        # inside the support, (v_n 1e6^n)^(1/2); it still climbs there
+        # support gives |B|^(1/2 - 1) |B| = |B|^(1/2), a larger ball holds
+        # no more of f, so the norm is the centered ball of radius 1e7,
+        # (v_n 1e7^n)^(1/2).  The window reaches 10 x 1e7, past it
         f = canonicalize([(0.0, 1e7, 1.0, 0.0)])
         sp = SpaceParams(n, 1.0, 2.0, Mode.MORREY)
         assert not norm_is_infinite(f, sp)
+        assert SearchSettings().resolved_r_max(Mode.MORREY, f) == 1e8
         res = norm(f, sp)
-        expected = math.sqrt(unit_ball_volume(n) * 1e6**n)
+        expected = math.sqrt(unit_ball_volume(n) * 1e7**n)
         assert res.value == pytest.approx(expected, rel=1e-9)
-        assert res.truncated
+        assert not res.truncated
+        assert res.tol_ok
 
     def test_logarithmic_tail_diverges_when_p_equals_q(self):
         # [DERIVED] p = q = 1, n = 1: the weight is 1, and |x|^{-1} on
@@ -296,6 +307,18 @@ class TestZoomSearch:
         assert all(res.argmax is not None for res in results)
         assert len(calls) <= len(fs) + 2 + norms_mod._ROUNDS
 
+    def test_critical_power_stops_early(self, monkeypatch):
+        # the best ball of |x|^(-n/q) slides along the flat centered
+        # profile with gains at rounding level, so the zoom stops well
+        # before its last round: grid, aligned balls, rounds and final
+        # re-evaluation take fewer than _ROUNDS calls in all
+        calls = self._count_kernel_calls(monkeypatch)
+        sp = SpaceParams(2, 1.5, 4.0, Mode.MORREY)
+        norms_mod._search_cached.cache_clear()
+        res = norm(canonicalize([(0.0, INF, 1.0, -0.5)]), sp)
+        assert res.value == pytest.approx(closed_form_power_norm(sp), rel=1e-12)
+        assert len(calls) < norms_mod._ROUNDS
+
     def test_cold_runs_identical(self):
         cases = [
             (
@@ -318,6 +341,59 @@ class TestZoomSearch:
             norms_mod._search_cached.cache_clear()
             integrate_mod._n1_table.cache_clear()
             assert norm(f, sp) == first
+
+
+class TestZoomStop:
+    """The zoom's per-function stop against the full _ROUNDS-round zoom."""
+
+    @staticmethod
+    def _full_zoom(monkeypatch, fs, sp):
+        """The norms of fs with the stop rule off, each searched alone."""
+        with monkeypatch.context() as patch:
+            patch.setattr(norms_mod, "_STOP_ROUNDS", norms_mod._ROUNDS + 1)
+            return [norms_mod._search_group([f], sp, SearchSettings(), IntegrationSettings())[0]
+                    for f in fs]
+
+    @staticmethod
+    def _random_set(sp, trials, key=11):
+        rng = np.random.Generator(np.random.Philox(key=key))
+        fs = []
+        for _ in range(trials):
+            x, y = random_pair(rng, sp)
+            fs += [x, y, *(_sums(x, y) or ())]
+        return list(dict.fromkeys(fs))
+
+    @pytest.mark.parametrize(
+        "sp, trials",
+        [(M112, 25), (S112, 25), (SpaceParams(2, 1.0, 2.0, Mode.MORREY), 2)],
+    )
+    def test_no_shortfall_against_full_zoom(self, monkeypatch, sp, trials):
+        fs = self._random_set(sp, trials)
+        full = self._full_zoom(monkeypatch, fs, sp)
+        norms_mod._search_cached.cache_clear()
+        stopped = norms_mod.norm_batch(fs, sp)
+        rel_tol = IntegrationSettings().rel_tol
+        for f, a, b in zip(fs, stopped, full):
+            assert a.value >= b.value * (1.0 - rel_tol), (f, a, b)
+            assert (a.truncated, a.tol_ok) == (b.truncated, b.tol_ok), (f, a, b)
+
+    # Its argmax sits on r = r_max, and its later gains come after two to
+    # five rounds in which the best ball stands still: a rule that counted
+    # those rounds would stop 1.4e-5 short
+    EDGE_CLIMBER = canonicalize([
+        (0.0, 0.001618142811732442, -0.34806021310857194, -0.5),
+        (0.001618142811732442, 0.2916292316364876, -0.028458411169667297, -0.5),
+        (0.2916292316364876, INF, 1.6688837780553598, -0.5),
+    ])
+
+    def test_motionless_rounds_do_not_count(self, monkeypatch):
+        full = self._full_zoom(monkeypatch, [self.EDGE_CLIMBER], S112)[0]
+        # the full zoom's value, frozen
+        assert full.value == 2.2982878820760986
+        norms_mod._search_cached.cache_clear()
+        res = norm(self.EDGE_CLIMBER, S112)
+        assert res.value == pytest.approx(full.value, rel=IntegrationSettings().rel_tol)
+        assert (res.truncated, res.tol_ok) == (full.truncated, full.tol_ok)
 
 
 def _same_result(a, b) -> bool:
