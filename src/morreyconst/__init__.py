@@ -38,7 +38,6 @@ from morreyconst.model import (
 )
 from morreyconst.norms import (
     NormResult,
-    SearchSettings,
     closed_form_power_norm,
     norm,
 )
@@ -58,7 +57,6 @@ __all__ = [
     "NotInSpace",
     "PiecewiseRadialFunction",
     "RadialPiece",
-    "SearchSettings",
     "SpaceParams",
     "ZeroFunction",
     "add",

@@ -51,7 +51,7 @@ from morreyconst.model import (
     subtract,
     truncate,
 )
-from morreyconst.norms import SearchSettings, closed_form_power_norm
+from morreyconst.norms import closed_form_power_norm, search_window
 from morreyconst.report import (
     Check,
     build_report,
@@ -80,7 +80,6 @@ class RunConfig:
     space: SpaceParams
     s_values: tuple[float, ...]
     eps_ladder: tuple[float, ...]
-    search: SearchSettings
     integ: IntegrationSettings
     random_trials: int
     seed: int
@@ -102,9 +101,6 @@ class RunConfig:
             "mode": self.space.mode.value,
             "s_values": list(self.s_values),
             "eps_ladder": list(self.eps_ladder),
-            "r_min": self.search.r_min,
-            "r_max": self.search.resolved_r_max(self.space.mode),
-            "d_max": self.search.d_max,
             "rel_tol": self.integ.rel_tol,
             "seed": self.seed,
             "trials": self.random_trials,
@@ -125,11 +121,13 @@ def _one_of(options: tuple[str, ...], value: Any) -> str:
 def _float_list(value: Any) -> list[float]:
     if not isinstance(value, list):
         raise ValueError("expected a list of numbers")
-    return [float(v) for v in value]
+    return [float(str(v)) for v in value]
 
 
 # Every config key: its default, and how a config-file value is checked
 # and converted, as the flag's parser type and choices check the flag.
+# A file value is converted from its text (a list item by item), as a
+# flag is, so that 2.5 and true are no int and true is no float.
 _KEYS: dict[str, tuple[Any, Any]] = {
     "n": (1, int),
     "p": (1.0, float),
@@ -138,8 +136,6 @@ _KEYS: dict[str, tuple[Any, Any]] = {
     "s": ([2.0], _float_list),
     "eps": (list(DEFAULT_EPS_LADDER), _float_list),
     "rel_tol": (1e-10, float),
-    "r_max": (None, float),
-    "d_max": (None, float),
     "seed": (0, int),
     "trials": (0, int),
     "threads": (1, int),
@@ -180,10 +176,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="small-mode split radius ladder, repeatable")
         sp.add_argument("--rel-tol", type=float, dest="rel_tol",
                         help="quadrature relative tolerance")
-        sp.add_argument("--r-max", type=float, dest="r_max",
-                        help="largest ball radius searched")
-        sp.add_argument("--d-max", type=float, dest="d_max",
-                        help="largest center distance searched")
         sp.add_argument("--seed", type=int, help="random-pair generator seed")
         sp.add_argument("--trials", type=int, help="number of random pairs")
         sp.add_argument("--threads", type=int,
@@ -218,20 +210,20 @@ def _resolve_config(command: str, args: argparse.Namespace) -> RunConfig:
         if value is None:
             return default
         try:
-            return convert(value)
+            return convert(value if isinstance(value, list) else str(value))
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"config key {key!r}: bad value {value!r} ({exc})")
 
     mode = Mode(_FORCED_MODE.get(command, pick("mode")))
     try:
         space = SpaceParams(pick("n"), pick("p"), pick("q"), mode)
-        search = SearchSettings(r_max=pick("r_max"), d_max=pick("d_max"))
-        search.resolved_r_max(mode)  # validate the mode/r_max combination now
         integ = IntegrationSettings(rel_tol=pick("rel_tol"))
     except ValueError as exc:
         raise ConfigError(str(exc))
 
     eps_ladder = tuple(sorted(pick("eps"), reverse=True))
+    if not eps_ladder:
+        raise ConfigError("the eps ladder must hold at least one split radius")
     if any(not (0.0 < e < 1.0) for e in eps_ladder):
         raise ConfigError(f"split radii must lie in (0, 1), got {list(eps_ladder)}")
     s_values = tuple(pick("s"))
@@ -254,7 +246,6 @@ def _resolve_config(command: str, args: argparse.Namespace) -> RunConfig:
         space=space,
         s_values=s_values,
         eps_ladder=eps_ladder,
-        search=search,
         integ=integ,
         random_trials=trials,
         seed=pick("seed"),
@@ -320,7 +311,7 @@ def _cmd_verify_thm1(cfg: RunConfig, table: NormTable):
     values = [row[0] for row in _witness_ratios(kinds, [(f, k)], table, functions)]
     results = {name: table[fn] for name, fn in zip(names, functions)}
     cf = closed_form_power_norm(space)
-    r_max = cfg.search.resolved_r_max(space.mode, h)
+    _, r_max, _ = search_window(h, space.mode)
     deficit = r_max ** (-space.n * (1.0 - space.p / space.q) / space.p)
 
     checks = [
@@ -581,7 +572,7 @@ def run(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     try:
         cfg = _resolve_config(args.command, args)
-        with NormTable(cfg.space, cfg.search, cfg.integ, cfg.threads) as table:
+        with NormTable(cfg.space, cfg.integ, cfg.threads) as table:
             tasks, checks = _COMMANDS[args.command](cfg, table)
     except (ConfigError, FunctionParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

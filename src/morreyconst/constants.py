@@ -47,7 +47,7 @@ from morreyconst.model import (
     subtract,
     truncate,
 )
-from morreyconst.norms import NormResult, SearchSettings, lockstep_chunks, norm, norm_batch
+from morreyconst.norms import NormResult, lockstep_chunks, norm, norm_batch
 
 __all__ = [
     "Family",
@@ -180,7 +180,6 @@ def ratio(
     x: PiecewiseRadialFunction,
     y: PiecewiseRadialFunction,
     params: SpaceParams,
-    search: SearchSettings = SearchSettings(),
     integ: IntegrationSettings = IntegrationSettings(),
 ) -> float:
     """Evaluate one ratio functional on the pair (x, y).
@@ -191,7 +190,7 @@ def ratio(
     """
 
     def n_of(g: PiecewiseRadialFunction) -> float:
-        v = norm(g, params, search, integ).value
+        v = norm(g, params, integ).value
         if v == INF:
             raise NotInSpace(f"infinite norm for {g.pieces!r}")
         return v
@@ -313,36 +312,31 @@ def random_pair(
 
 
 # ---------------------------------------------------------------------------
-# Estimation: maximize the ratio over witnesses, user pairs, random pairs.
+# Estimation: maximize the ratio over witnesses and random pairs.
 
 
 def candidate_pairs(
     params: SpaceParams,
-    candidates: list[tuple[PiecewiseRadialFunction, PiecewiseRadialFunction]] | None = None,
     random_trials: int = 0,
     seed: int = 0,
-    include_witnesses: bool = True,
     eps_ladder: tuple[float, ...] = DEFAULT_EPS_LADDER,
 ) -> list[tuple[PiecewiseRadialFunction, PiecewiseRadialFunction]]:
     """The estimator's candidate sequence, in its deterministic order.
 
     Witness pair(s) for the mode first (one per ladder value in small
-    mode), then the trivial pair (f, f), then user candidates, then the
-    seeded random pairs.
+    mode, which needs a nonempty ladder), then the trivial pair (f, f),
+    then the seeded random pairs.
     """
     if random_trials < 0:
         raise ValueError("random_trials must be >= 0")
-    pairs: list[tuple[PiecewiseRadialFunction, PiecewiseRadialFunction]] = []
-    if include_witnesses:
-        if params.mode is Mode.MORREY:
-            pairs.append(witness_pair_morrey(params))
-        else:
-            for eps in eps_ladder:
-                pairs.append(witness_pair_small_morrey(params, eps))
-        f_witness = pairs[0][0]
-        pairs.append((f_witness, f_witness))
-    if candidates:
-        pairs.extend(candidates)
+    if params.mode is Mode.MORREY:
+        pairs = [witness_pair_morrey(params)]
+    elif eps_ladder:
+        pairs = [witness_pair_small_morrey(params, eps) for eps in eps_ladder]
+    else:
+        raise ValueError("small mode needs a nonempty eps ladder")
+    f_witness = pairs[0][0]
+    pairs.append((f_witness, f_witness))
     if random_trials:
         rng = Generator(Philox(key=seed))
         for _ in range(random_trials):
@@ -371,11 +365,10 @@ class NormTable:
     def __init__(
         self,
         params: SpaceParams,
-        search: SearchSettings = SearchSettings(),
         integ: IntegrationSettings = IntegrationSettings(),
         workers: int = 1,
     ) -> None:
-        self._task = functools.partial(_norm_task, params, search, integ)
+        self._task = functools.partial(_norm_task, params, integ)
         self._workers = workers
         self._pool = None
         self._pool_size = 0
@@ -425,10 +418,8 @@ class NormTable:
         self.close()
 
 
-def _norm_task(
-    params, search, integ, fs: list[PiecewiseRadialFunction]
-) -> list[NormResult]:
-    return norm_batch(fs, params, search, integ)
+def _norm_task(params, integ, fs: list[PiecewiseRadialFunction]) -> list[NormResult]:
+    return norm_batch(fs, params, integ)
 
 
 def _sums(
@@ -523,12 +514,9 @@ def estimate_constants(
 def estimate_constant(
     kind: ConstantKind,
     params: SpaceParams,
-    candidates: list[tuple[PiecewiseRadialFunction, PiecewiseRadialFunction]] | None = None,
     random_trials: int = 0,
     seed: int = 0,
-    include_witnesses: bool = True,
     eps_ladder: tuple[float, ...] = DEFAULT_EPS_LADDER,
-    search: SearchSettings = SearchSettings(),
     integ: IntegrationSettings = IntegrationSettings(),
     keep_trace: bool = False,
 ) -> ConstantEstimate:
@@ -539,8 +527,6 @@ def estimate_constant(
     identical output: the reduction is a max with ties resolved to the
     earliest candidate.
     """
-    pairs = candidate_pairs(
-        params, candidates, random_trials, seed, include_witnesses, eps_ladder
-    )
-    with NormTable(params, search, integ) as table:
+    pairs = candidate_pairs(params, random_trials, seed, eps_ladder)
+    with NormTable(params, integ) as table:
         return estimate_constants([kind], pairs, table, keep_trace)[0]

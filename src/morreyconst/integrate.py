@@ -52,19 +52,20 @@ __all__ = [
 
 INF = math.inf
 
+# The panel budget of one shell integral: a shell that holds this many
+# panels stops subdividing and reports tol_ok False.
+_MAX_PANELS = 2000
+
 
 @dataclass(frozen=True)
 class IntegrationSettings:
-    """Quadrature tolerance and panel budget shared by the norm and constant engines."""
+    """Quadrature tolerance shared by the norm and constant engines."""
 
     rel_tol: float = 1e-10
-    max_subdivisions: int = 2000
 
     def __post_init__(self) -> None:
         if not (0.0 < self.rel_tol < 1.0):
             raise ValueError(f"rel_tol must be in (0, 1), got {self.rel_tol}")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -182,7 +183,7 @@ def _adaptive_quadrature(
     [cuts[i, j], cuts[i, j+1]], its cuts NaN-padded on the right.  Each
     round finishes every row whose summed error estimate is below
     rel_tol * |integral + offset| (tol_ok True) or that holds
-    ``max_subdivisions`` panels (False), and splits the worst panels of
+    ``_MAX_PANELS`` panels (False), and splits the worst panels of
     the others, all in one GK15 pass.  ``offset`` is a known part of the
     quantity a row belongs to (the closed-form core of a ball), so a
     small piece of a large total is judged against the total.
@@ -197,7 +198,7 @@ def _adaptive_quadrature(
         total, err, count = (np.bincount(owner, w, n_rows) for w in (vals, errs, None))
         tol = settings.rel_tol * np.maximum(np.abs(total + offset), 1e-300)
         met = err <= tol
-        done = pending & (met | (count >= settings.max_subdivisions))
+        done = pending & (met | (count >= _MAX_PANELS))
         values[done], tol_ok[done] = total[done], met[done]
         pending &= ~done
         if not pending.any():
@@ -209,7 +210,7 @@ def _adaptive_quadrature(
         rank = np.empty_like(order)
         rank[order] = np.arange(order.size) - (np.cumsum(count) - count)[owner[order]]
         over = np.bincount(owner, errs > tol[owner] / count[owner], n_rows)
-        quota = np.minimum(np.maximum(over, 1), settings.max_subdivisions - count)
+        quota = np.minimum(np.maximum(over, 1), _MAX_PANELS - count)
         split = pending[owner] & (rank < quota[owner])
         keep = pending[owner] & ~split
         mid = 0.5 * (lo[split] + hi[split])

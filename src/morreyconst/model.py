@@ -280,9 +280,9 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def format_function(f: PiecewiseRadialFunction, sep: str = "; ") -> str:
+def format_function(f: PiecewiseRadialFunction) -> str:
     """Serialize to the plain-text record used by the CLI and reports."""
-    return sep.join(
+    return "; ".join(
         f"{_fmt(pc.lo)} {_fmt(pc.hi)} {_fmt(pc.coef)} {_fmt(pc.alpha)}"
         for pc in f.pieces
     )

@@ -52,7 +52,7 @@ from morreyconst.integrate import (
 from morreyconst.model import Ball, Mode, PiecewiseRadialFunction, SpaceParams
 
 __all__ = [
-    "SearchSettings",
+    "search_window",
     "NormResult",
     "centered_norm_profile",
     "norm",
@@ -62,6 +62,11 @@ __all__ = [
 ]
 
 INF = math.inf
+
+# The grid: _N_RADII log-spaced radii by _N_CENTERS evenly spaced
+# center distances over the search window.
+_N_RADII = 64
+_N_CENTERS = 33
 
 # Search probes run at a floor tolerance for speed; the winning ball is
 # re-evaluated at the requested tolerance afterwards, so the floor only
@@ -90,85 +95,42 @@ _STOP_ROUNDS = 3
 _GROUP = 8
 
 
-@dataclass(frozen=True)
-class SearchSettings:
-    """Supremum-search window and grid.
+def search_window(f: PiecewiseRadialFunction, mode: Mode) -> tuple[float, float, float]:
+    """The (r_min, r_max, d_max) window of f's (d, r) search in mode.
 
-    ``r_max`` defaults by mode: 1 - 1e-6 for small, and for Morrey
-    1e6 or 10 times the function's largest finite breakpoint, whichever
-    is larger.  ``d_max`` defaults to 10 + that breakpoint.
+    With b the largest finite breakpoint of f (0 without one): r_min is
+    1e-3, or a tenth of f's smallest breakpoint when that is smaller,
+    since a function supported inside (0, eps) has its best balls at
+    radii comparable to eps; d_max is 10 + b; r_max is 1 - 1e-6 in small
+    mode and R = max(1e6, 10 b) in Morrey mode.  No ball beyond the
+    Morrey window beats it when the profile of f has stopped rising at R:
+
+    * Every ball of the window's centers with r > R contains B(0, b),
+      since R >= 10 + 2 b.
+    * Past b, f is one power |c| |x|^alpha or 0, and a finite norm
+      has alpha <= -n/q there (:func:`norm_is_infinite`), so |f|^p
+      does not grow with |x| outside B(0, b).  A ball holding B(0, b)
+      adds a set of measure |B_r| - |B_b| outside it, and no such set
+      carries more of |f|^p than the annulus b <= |x| <= r (the
+      bathtub principle): the centered ball of the same radius is at
+      least as good.
+    * For r >= b the centered integral is I(r) = C + K r^gamma,
+      gamma = alpha p + n (C + K log r when gamma = 0), and the
+      profile's derivative in log r is
+      n/q - n/p + |c|^p |S^(n-1)| r^gamma / (p I(r)), monotone in r,
+      with limit alpha + n/q <= 0 (n/q - n/p <= 0 when gamma <= 0).
+      So a profile that does not rise at R rises nowhere beyond it,
+      and the centered ball of radius R beats every larger ball; one
+      that still rises at R has its supremum beyond the window,
+      which ``truncated`` reports.  When f vanishes past b, the
+      centered ball of radius b <= R holds all of |f|^p in the least
+      volume and beats every larger ball.
     """
-
-    r_min: float = 1e-3
-    r_max: float | None = None
-    d_max: float | None = None
-    n_radii: int = 64
-    n_centers: int = 33
-
-    def __post_init__(self) -> None:
-        if not self.r_min > 0.0:
-            raise ValueError(f"r_min must be > 0, got {self.r_min}")
-        if self.r_max is not None and not (self.r_min < self.r_max < INF):
-            raise ValueError(f"r_max must be finite and > r_min = {self.r_min}, got {self.r_max}")
-        if self.d_max is not None and not (0.0 <= self.d_max < INF):
-            raise ValueError(f"d_max must be finite and >= 0, got {self.d_max}")
-        if self.n_radii < 2 or self.n_centers < 2:
-            raise ValueError("grid sizes must be >= 2")
-
-    def resolved_r_max(self, mode: Mode, f: PiecewiseRadialFunction | None = None) -> float:
-        """The window's largest radius: ``r_max`` if set, else by mode.
-
-        Small mode: 1 - 1e-6.  Morrey mode: R = max(1e6, 10 b), b the
-        largest finite breakpoint of f (1e6 without f or breakpoints),
-        which no ball beyond the window beats when the profile of f has
-        stopped rising at R:
-
-        * With the default d_max = 10 + b every ball of the window's
-          centers with r > R contains B(0, b), since R >= 10 + 2 b.
-        * Past b, f is one power |c| |x|^alpha or 0, and a finite norm
-          has alpha <= -n/q there (:func:`norm_is_infinite`), so |f|^p
-          does not grow with |x| outside B(0, b).  A ball holding B(0, b)
-          adds a set of measure |B_r| - |B_b| outside it, and no such set
-          carries more of |f|^p than the annulus b <= |x| <= r (the
-          bathtub principle): the centered ball of the same radius is at
-          least as good.
-        * For r >= b the centered integral is I(r) = C + K r^gamma,
-          gamma = alpha p + n (C + K log r when gamma = 0), and the
-          profile's derivative in log r is
-          n/q - n/p + |c|^p |S^(n-1)| r^gamma / (p I(r)), monotone in r,
-          with limit alpha + n/q <= 0 (n/q - n/p <= 0 when gamma <= 0).
-          So a profile that does not rise at R rises nowhere beyond it,
-          and the centered ball of radius R beats every larger ball; one
-          that still rises at R has its supremum beyond the window,
-          which ``truncated`` reports.  When f vanishes past b, the
-          centered ball of radius b <= R holds all of |f|^p in the least
-          volume and beats every larger ball.
-        """
-        if self.r_max is not None:
-            if mode is Mode.SMALL_MORREY and self.r_max >= 1.0:
-                raise ValueError(f"small mode needs r_max < 1, got {self.r_max}")
-            return self.r_max
-        if mode is Mode.SMALL_MORREY:
-            return 1.0 - 1e-6
-        finite = [b for b in f.breakpoints() if b > 0.0] if f is not None else []
-        return max(1e6, 10.0 * max(finite, default=0.0))
-
-    def resolved_d_max(self, f: PiecewiseRadialFunction) -> float:
-        if self.d_max is not None:
-            return self.d_max
-        finite = [b for b in f.breakpoints() if b > 0.0]
-        return 10.0 + (max(finite) if finite else 0.0)
-
-    def resolved_r_min(self, f: PiecewiseRadialFunction) -> float:
-        """Shrink r_min when f lives on a much smaller scale.
-
-        A function supported inside (0, eps) has its best balls at radii
-        comparable to eps; a fixed r_min would overlook them entirely.
-        """
-        finite = [b for b in f.breakpoints() if b > 0.0]
-        if not finite:
-            return self.r_min
-        return min(self.r_min, 0.1 * min(finite))
+    finite = [b for b in f.breakpoints() if b > 0.0]
+    b = max(finite, default=0.0)
+    r_min = min(1e-3, 0.1 * min(finite, default=INF))
+    r_max = 1.0 - 1e-6 if mode is Mode.SMALL_MORREY else max(1e6, 10.0 * b)
+    return r_min, r_max, 10.0 + b
 
 
 @dataclass(frozen=True)
@@ -285,7 +247,6 @@ def _best_in_rows(values: np.ndarray, d: np.ndarray, r: np.ndarray) -> np.ndarra
 def _search_group(
     fs: list[PiecewiseRadialFunction],
     params: SpaceParams,
-    search: SearchSettings,
     integ: IntegrationSettings,
 ) -> list[NormResult]:
     """Norms of the functions fs, searched in lockstep.
@@ -325,14 +286,9 @@ def _search_group(
             results[i] = NormResult(INF, None)
             continue
 
-        r_min = search.resolved_r_min(f)
-        r_max = search.resolved_r_max(params.mode, f)
-        if not r_min < r_max:
-            r_min = r_max / 2.0
-        d_max = search.resolved_d_max(f)
-
-        rs = np.geomspace(r_min, r_max, search.n_radii)
-        ds = np.linspace(0.0, d_max, search.n_centers)
+        r_min, r_max, d_max = search_window(f, params.mode)
+        rs = np.geomspace(r_min, r_max, _N_RADII)
+        ds = np.linspace(0.0, d_max, _N_CENTERS)
 
         # The whole grid, the exact d = 0 row included, is one kernel call.
         grid = evaluate([i], 0, ds[:, None], rs[None, :])
@@ -473,7 +429,7 @@ def lockstep_chunks(fs: list, parts: int = 1) -> list[list]:
 
 
 class _SearchMemo:
-    """Finished searches keyed by (f, params, search, integ), oldest use first.
+    """Finished searches keyed by (f, params, integ), oldest use first.
 
     Holds at most ``maxsize`` results and drops the least recently used;
     ``cache_clear`` empties it.
@@ -509,21 +465,20 @@ _search_cached = _SearchMemo(maxsize=4096)
 def norm_batch(
     fs: Iterable[PiecewiseRadialFunction],
     params: SpaceParams,
-    search: SearchSettings = SearchSettings(),
     integ: IntegrationSettings = IntegrationSettings(),
 ) -> list[NormResult]:
     """The norm of every function of fs, in order.
 
-    Results are memoized on (f, params, search, integ).  The functions
+    Results are memoized on (f, params, integ).  The functions
     not in the memo are searched in lockstep groups of ``_GROUP``, in
     first-seen order; each result equals :func:`norm`'s bit for bit.
     """
     fs = list(fs)
-    found = {f: _search_cached.get((f, params, search, integ)) for f in fs}
+    found = {f: _search_cached.get((f, params, integ)) for f in fs}
     todo = [f for f, result in found.items() if result is None]
     for group in lockstep_chunks(todo):
-        for f, result in zip(group, _search_group(group, params, search, integ)):
-            _search_cached.put((f, params, search, integ), result)
+        for f, result in zip(group, _search_group(group, params, integ)):
+            _search_cached.put((f, params, integ), result)
             found[f] = result
     return [found[f] for f in fs]
 
@@ -531,7 +486,6 @@ def norm_batch(
 def norm(
     f: PiecewiseRadialFunction,
     params: SpaceParams,
-    search: SearchSettings = SearchSettings(),
     integ: IntegrationSettings = IntegrationSettings(),
 ) -> NormResult:
     """Norm in the mode carried by params (dispatches on params.mode).
@@ -539,4 +493,4 @@ def norm(
     The memoized batch of one: callers that ask one ratio or one kind at
     a time share their norms with each other and with :func:`norm_batch`.
     """
-    return norm_batch([f], params, search, integ)[0]
+    return norm_batch([f], params, integ)[0]

@@ -50,9 +50,12 @@ class TestNormCommand:
         assert code == 2
         assert "piece 1" in capsys.readouterr().err
 
-    def test_small_mode_rejects_big_r_max(self, capsys):
-        code = run(["norm", "--function", "", "--mode", "small", "--r-max", "2.0"])
-        assert code == 2
+    @pytest.mark.parametrize("flag", ["--r-max", "--d-max"])
+    def test_window_flags_removed(self, capsys, flag):
+        # the search window follows from the function and the mode alone
+        with pytest.raises(SystemExit) as exc:
+            run(["norm", "--function", "", flag, "2"])
+        assert exc.value.code == 2
 
     def test_infinite_never_in_json_floats(self, capsys):
         # the JSON renderer forbids NaN/inf tokens outright
@@ -170,18 +173,28 @@ class TestConfigFile:
 
     def test_unknown_keys_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
-        for values in ({"radius": 2}, {"mc_samples": 1_000_000}):
+        for values in ({"radius": 2}, {"mc_samples": 1_000_000}, {"r_max": 2}, {"d_max": 5}):
             cfg.write_text(json.dumps(values))
             assert run(["norm", "--config", str(cfg)]) == 2
 
     @pytest.mark.parametrize(
         "values",
-        [{"mode": "morey"}, {"format": "xml"}, {"s": 3}, {"eps": 0.1}, {"n": [1]}],
+        [
+            {"mode": "morey"}, {"format": "xml"}, {"s": 3}, {"eps": 0.1}, {"n": [1]},
+            {"n": 2.5}, {"n": True}, {"trials": 1.9}, {"p": True},
+        ],
     )
     def test_bad_values_rejected(self, capsys, tmp_path, values):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(values))
         assert run(["norm", "--function", "", "--config", str(cfg)]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["verify-thm2"], ["constants", "--mode", "small"]])
+    def test_empty_eps_ladder_rejected(self, capsys, tmp_path, command):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"eps": []}))
+        assert run([*command, "--config", str(cfg)]) == 2
         assert "error:" in capsys.readouterr().err
 
     def test_missing_file_rejected(self, capsys):

@@ -13,7 +13,9 @@ from morreyconst.constants import (
     NormTable,
     NotInSpace,
     ZeroFunction,
+    candidate_pairs,
     estimate_constant,
+    estimate_constants,
     pair_ratios,
     random_pair,
     ratio,
@@ -270,16 +272,16 @@ class TestRatioProperties:
         assert a == pytest.approx(b, rel=2e-9)
 
 
+def _estimate_over(kind, pairs):
+    """The Morrey-mode estimate of kind over exactly these pairs."""
+    with NormTable(M112) as table:
+        return estimate_constants([kind], pairs, table)[0]
+
+
 class TestEstimator:
     def test_trivial_candidate_only(self):
         x = canonicalize([(0.0, 1.0, 1.0, -0.5)])
-        est = estimate_constant(
-            ConstantKind.gen_vnj(2.0),
-            M112,
-            candidates=[(x, x)],
-            random_trials=0,
-            include_witnesses=False,
-        )
+        est = _estimate_over(ConstantKind.gen_vnj(2.0), [(x, x)])
         assert est.best_ratio == pytest.approx(1.0, rel=1e-9)
         assert est.n_pairs_tried == 1 and est.n_skipped == 0
 
@@ -307,30 +309,24 @@ class TestEstimator:
         x = canonicalize([(0.0, 1.0, 1.0, -0.5)])
         # x + w mixes exponents on [0.5, 1): the sum is not representable
         w = canonicalize([(0.5, 2.0, 1.0, -0.25)])
-        est = estimate_constant(
-            ConstantKind.gen_vnj(2.0),
-            M112,
-            candidates=[(x, zero), (x, w), (x, x)],
-            include_witnesses=False,
-        )
+        est = _estimate_over(ConstantKind.gen_vnj(2.0), [(x, zero), (x, w), (x, x)])
         assert est.n_skipped == 2
         assert est.best_ratio == pytest.approx(1.0, rel=1e-9)
 
     def test_no_valid_pairs_raises(self):
         zero = canonicalize([])
         with pytest.raises(ZeroFunction):
-            estimate_constant(
-                ConstantKind.gen_vnj(2.0),
-                M112,
-                candidates=[(zero, zero)],
-                include_witnesses=False,
-            )
+            _estimate_over(ConstantKind.gen_vnj(2.0), [(zero, zero)])
 
     def test_small_mode_ladder_included(self):
         est = estimate_constant(ConstantKind.gen_vnj(1.0), S112, random_trials=0)
         # ladder has 4 witnesses plus the trivial pair
         assert est.n_pairs_tried == 5
         assert est.best_ratio >= theorem2_lower_bound(S112, 1e-4, ConstantKind.gen_vnj(1.0)) - 1e-3
+
+    def test_small_mode_needs_a_ladder(self):
+        with pytest.raises(ValueError, match="eps ladder"):
+            candidate_pairs(S112, eps_ladder=())
 
     def test_upper_bound_over_random_trials(self):
         for kind in (ConstantKind.gen_vnj(2.0), ConstantKind.zbaganu()):

@@ -31,9 +31,8 @@ POWER_ONE = canonicalize([(0.0, INF, 1.0, -1.0)])  # |x|^{-1}
 
 class TestSettings:
     def test_defaults(self):
-        s = IntegrationSettings()
-        assert s.rel_tol == 1e-10
-        assert s.max_subdivisions == 2000
+        assert IntegrationSettings().rel_tol == 1e-10
+        assert integrate_mod._MAX_PANELS == 2000
 
     def test_rejects_bad_tol(self):
         with pytest.raises(ValueError):
@@ -134,21 +133,22 @@ class TestAdaptiveQuadrature:
         value, ok = _quad(lambda t: 1.0 / np.sqrt(t), [1e-12, 1.0], IntegrationSettings())
         assert value == pytest.approx(2.0, rel=1e-5)
 
-    def test_offset_sets_the_target(self):
+    def test_offset_sets_the_target(self, monkeypatch):
         # one panel, no subdivision: sqrt(t) on [0, 1] misses the target
         # on its own but meets it as a small part of a large total
-        one_panel = IntegrationSettings(max_subdivisions=1)
-        _, alone = _quad(np.sqrt, [0.0, 1.0], one_panel)
-        value, part = _quad(np.sqrt, [0.0, 1.0], one_panel, offset=1e9)
+        monkeypatch.setattr(integrate_mod, "_MAX_PANELS", 1)
+        _, alone = _quad(np.sqrt, [0.0, 1.0], IntegrationSettings())
+        value, part = _quad(np.sqrt, [0.0, 1.0], IntegrationSettings(), offset=1e9)
         assert not alone and part
         assert value == pytest.approx(2.0 / 3.0, rel=1e-3)
 
-    def test_budget_exhaustion_flags(self):
-        tight = IntegrationSettings(rel_tol=1e-14, max_subdivisions=2)
+    def test_budget_exhaustion_flags(self, monkeypatch):
+        monkeypatch.setattr(integrate_mod, "_MAX_PANELS", 2)
+        tight = IntegrationSettings(rel_tol=1e-14)
         _, ok = _quad(lambda t: 1.0 / np.sqrt(np.abs(t - 0.3) + 1e-9), [0.0, 1.0], tight)
         assert not ok
 
-    def test_rows_are_independent(self):
+    def test_rows_are_independent(self, monkeypatch):
         # different integrands, cuts, offsets and panel counts in one call;
         # with a 40-panel budget the kink at 0.3 runs out of budget while
         # the smooth rows converge
@@ -167,7 +167,8 @@ class TestAdaptiveQuadrature:
             [0.0, 1.0, np.nan, np.nan],
         ])
         offset = np.array([0.0, 0.0, 1e3, 0.0, -0.5])
-        settings = IntegrationSettings(rel_tol=1e-12, max_subdivisions=40)
+        monkeypatch.setattr(integrate_mod, "_MAX_PANELS", 40)
+        settings = IntegrationSettings(rel_tol=1e-12)
 
         def func(t, rows):
             out = np.empty_like(t)
@@ -525,10 +526,12 @@ class TestBatchedBallIntegrals:
 
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize(
-        "settings",
-        [IntegrationSettings(), IntegrationSettings(rel_tol=1e-13, max_subdivisions=3)],
+        "settings, budget",
+        [(IntegrationSettings(), 2000), (IntegrationSettings(rel_tol=1e-13), 3)],
+        ids=["settings0", "settings1"],
     )
-    def test_matches_single_ball(self, n, settings):
+    def test_matches_single_ball(self, monkeypatch, n, settings, budget):
+        monkeypatch.setattr(integrate_mod, "_MAX_PANELS", budget)
         d = np.array([b[0] for b in self.BALLS])
         r = np.array([b[1] for b in self.BALLS])
         values, tol_ok = ball_integrals(self.F, 1.0, n, d, r, settings)

@@ -22,11 +22,11 @@ from morreyconst.model import (
     truncate,
 )
 from morreyconst.norms import (
-    SearchSettings,
     centered_norm_profile,
     closed_form_power_norm,
     norm,
     norm_is_infinite,
+    search_window,
 )
 
 INF = math.inf
@@ -41,52 +41,30 @@ POWER_OUT = subtract(POWER, POWER_IN)                     # restricted to [1,inf
 
 
 class TestSearchSettings:
+    """The search window that search_window works out from f and the mode."""
+
     def test_defaults(self):
-        s = SearchSettings()
-        assert s.r_min == 1e-3 and s.n_radii == 64 and s.n_centers == 33
+        assert search_window(POWER, Mode.MORREY) == (1e-3, 1e6, 10.0)
+        assert (norms_mod._N_RADII, norms_mod._N_CENTERS) == (64, 33)
 
     def test_mode_defaults(self):
-        s = SearchSettings()
-        assert s.resolved_r_max(Mode.MORREY) == 1e6
-        assert s.resolved_r_max(Mode.SMALL_MORREY) == 1.0 - 1e-6
+        assert search_window(POWER, Mode.SMALL_MORREY) == (1e-3, 1.0 - 1e-6, 10.0)
 
     def test_morrey_r_max_follows_breakpoints(self):
         # ten times the largest finite breakpoint, never below 1e6
         narrow = canonicalize([(0.0, 3.5, 1.0, 0.0)])
-        assert SearchSettings().resolved_r_max(Mode.MORREY, narrow) == 1e6
+        assert search_window(narrow, Mode.MORREY)[1] == 1e6
         wide = canonicalize([(2.0, 4e5, 1.0, 0.0), (4e5, INF, 1.0, -1.0)])
-        assert SearchSettings().resolved_r_max(Mode.MORREY, wide) == 4e6
-        assert SearchSettings().resolved_r_max(Mode.SMALL_MORREY, wide) == 1.0 - 1e-6
-        assert SearchSettings(r_max=50.0).resolved_r_max(Mode.MORREY, wide) == 50.0
+        assert search_window(wide, Mode.MORREY)[1] == 4e6
+        assert search_window(wide, Mode.SMALL_MORREY)[1] == 1.0 - 1e-6
 
     def test_d_max_follows_breakpoints(self):
         f = canonicalize([(0.0, 3.5, 1.0, 0.0)])
-        assert SearchSettings().resolved_d_max(f) == 13.5
+        assert search_window(f, Mode.MORREY)[2] == 13.5
 
     def test_r_min_shrinks_to_function_scale(self):
         f = canonicalize([(0.0, 1e-4, 1.0, -0.5)])
-        assert SearchSettings().resolved_r_min(f) == pytest.approx(1e-5)
-
-    def test_rejects_inverted_window(self):
-        bad = [
-            ("r_max", {"r_min": 2.0, "r_max": 1.0}),
-            ("r_max", {"r_max": INF}),
-            ("r_max", {"r_max": math.nan}),
-            ("d_max", {"d_max": math.nan}),
-            ("d_max", {"d_max": INF}),
-            ("d_max", {"d_max": -1.0}),
-        ]
-        for field, kwargs in bad:
-            with pytest.raises(ValueError, match=field):
-                SearchSettings(**kwargs)
-
-    def test_rejects_small_grid(self):
-        with pytest.raises(ValueError):
-            SearchSettings(n_radii=1)
-
-    def test_small_mode_rejects_r_max_of_one(self):
-        with pytest.raises(ValueError):
-            SearchSettings(r_max=1.0).resolved_r_max(Mode.SMALL_MORREY)
+        assert search_window(f, Mode.SMALL_MORREY)[0] == pytest.approx(1e-5)
 
 
 class TestCenteredProfile:
@@ -192,7 +170,7 @@ class TestInfiniteDetection:
         f = canonicalize([(0.0, 1e7, 1.0, 0.0)])
         sp = SpaceParams(n, 1.0, 2.0, Mode.MORREY)
         assert not norm_is_infinite(f, sp)
-        assert SearchSettings().resolved_r_max(Mode.MORREY, f) == 1e8
+        assert search_window(f, Mode.MORREY)[1] == 1e8
         res = norm(f, sp)
         expected = math.sqrt(unit_ball_volume(n) * 1e7**n)
         assert res.value == pytest.approx(expected, rel=1e-9)
@@ -351,7 +329,7 @@ class TestZoomStop:
         """The norms of fs with the stop rule off, each searched alone."""
         with monkeypatch.context() as patch:
             patch.setattr(norms_mod, "_STOP_ROUNDS", norms_mod._ROUNDS + 1)
-            return [norms_mod._search_group([f], sp, SearchSettings(), IntegrationSettings())[0]
+            return [norms_mod._search_group([f], sp, IntegrationSettings())[0]
                     for f in fs]
 
     @staticmethod
@@ -411,7 +389,7 @@ class TestLockstepBatch:
     MIXED = canonicalize([(0.0, 0.5, 1.0, 0.4), (0.5, 2.0, -1.5, -0.3), (2.0, 4.0, 0.8, -2.0)])
 
     def _alone(self, fs, sp):
-        return [norms_mod._search_group([f], sp, SearchSettings(), IntegrationSettings())[0]
+        return [norms_mod._search_group([f], sp, IntegrationSettings())[0]
                 for f in fs]
 
     @pytest.mark.parametrize("group", [1, 3, norms_mod._GROUP])
@@ -589,9 +567,13 @@ class TestNormAxioms:
 
 
 class TestDegradedAccuracyFlag:
-    def test_budget_exhaustion_reported(self):
+    def test_budget_exhaustion_reported(self, monkeypatch):
         sp = SpaceParams(2, 1.0, 2.0, Mode.MORREY)
         f = canonicalize([(0.0, INF, 1.0, -1.0)])
-        tight = IntegrationSettings(rel_tol=1e-13, max_subdivisions=2)
-        res = norm(f, sp, SearchSettings(n_radii=8, n_centers=3), tight)
+        monkeypatch.setattr(integrate_mod, "_MAX_PANELS", 2)
+        monkeypatch.setattr(norms_mod, "_N_RADII", 8)
+        monkeypatch.setattr(norms_mod, "_N_CENTERS", 3)
+        # a fresh memo, so that no result of the small budget outlives the test
+        monkeypatch.setattr(norms_mod, "_search_cached", norms_mod._SearchMemo(maxsize=16))
+        res = norm(f, sp, IntegrationSettings(rel_tol=1e-13))
         assert not res.tol_ok
