@@ -15,10 +15,11 @@ a fixed configuration and seed; wall time goes to stderr only.  Exit
 status is 0 exactly when every check in the report passed.
 
 Each command owns one NormTable: the ratio commands hand it all their
-candidate pairs at once, so every distinct norm is computed once, in
-lockstep groups, and --threads N > 1 lets it hand those groups to a pool
-of at most N (and at most the CPU count) worker processes, shut down
-before the command returns.  The thread count never changes the report.
+candidate pairs at once, so every distinct norm shape (|f| up to a
+positive factor) is searched once, in lockstep groups, and --threads
+N > 1 lets it hand those groups to a pool of at most N (and at most the
+CPU count) worker processes, shut down before the command returns.
+The thread count never changes the report.
 """
 
 from __future__ import annotations

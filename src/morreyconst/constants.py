@@ -47,7 +47,7 @@ from morreyconst.model import (
     subtract,
     truncate,
 )
-from morreyconst.norms import NormResult, lockstep_chunks, norm, norm_batch
+from morreyconst.norms import NormResult, _shape, lockstep_chunks, norm, norm_batch
 
 __all__ = [
     "Family",
@@ -347,9 +347,11 @@ def candidate_pairs(
 class NormTable:
     """Norms of distinct functions, each computed once.
 
-    ``evaluate`` computes the norms of the functions it has not seen yet,
-    in first-seen order, through :func:`norm_batch`, which searches them
-    in lockstep groups; ``table[f]`` then returns f's NormResult.  With
+    ``evaluate`` computes the norms of the functions it has not seen yet:
+    it searches each distinct norm shape among them once
+    (:func:`~morreyconst.norms.norm_batch`), in first-seen order and in
+    lockstep groups, and scales the shape's result to each function;
+    ``table[f]`` then returns f's NormResult.  With
     ``workers`` > 1 a batch of two or more goes to a process pool, created
     at the first such batch with at most min(workers, CPU count, batch
     size) processes and reused until ``close``.  The pool forks where the
@@ -376,13 +378,16 @@ class NormTable:
 
     def evaluate(self, functions: Iterable[PiecewiseRadialFunction]) -> None:
         todo = list(dict.fromkeys(f for f in functions if f not in self._results))
-        pool = self._pool_for(len(todo))
+        shapes = [_shape(f) for f in todo]
+        distinct = list(dict.fromkeys(s for s, _ in shapes))
+        pool = self._pool_for(len(distinct))
         if pool is not None:
-            chunks = lockstep_chunks(todo, self._pool_size)
+            chunks = lockstep_chunks(distinct, self._pool_size)
             results = [res for chunk in pool.map(self._task, chunks) for res in chunk]
         else:
-            results = self._task(todo)
-        self._results.update(zip(todo, results))
+            results = self._task(distinct)
+        by_shape = dict(zip(distinct, results))
+        self._results.update((f, by_shape[s].scaled(c)) for f, (s, c) in zip(todo, shapes))
 
     def _pool_for(self, batch: int):
         """The pool for a batch of this size, or None to evaluate it here."""
@@ -516,17 +521,15 @@ def estimate_constant(
     params: SpaceParams,
     random_trials: int = 0,
     seed: int = 0,
-    eps_ladder: tuple[float, ...] = DEFAULT_EPS_LADDER,
-    integ: IntegrationSettings = IntegrationSettings(),
     keep_trace: bool = False,
 ) -> ConstantEstimate:
-    """Best ratio over the :func:`candidate_pairs` sequence.
+    """Best ratio over the :func:`candidate_pairs` sequence, default ladder.
 
     Pairs whose ratio is undefined (zero norm, infinite norm,
     unrepresentable sum) are skipped and counted.  Identical inputs give
     identical output: the reduction is a max with ties resolved to the
     earliest candidate.
     """
-    pairs = candidate_pairs(params, random_trials, seed, eps_ladder)
-    with NormTable(params, integ) as table:
+    pairs = candidate_pairs(params, random_trials, seed)
+    with NormTable(params) as table:
         return estimate_constants([kind], pairs, table, keep_trace)[0]

@@ -26,7 +26,12 @@ per-call cost of numpy is paid once per round for the group.  A row of
 those calls is one (function, start) pair with its function's own window
 and steps, and every ball's value is independent of the group, so a
 norm comes out bit for bit the same in any group; :func:`norm` is the
-batch of one.  Results are memoized.
+batch of one.
+
+The norm depends only on |f| and ||c f|| = |c| ||f||, so a search runs
+once per norm shape, |f| over the magnitude of its first coefficient
+(:func:`_shape`): a function's norm is its shape's norm times that
+magnitude.  Results are memoized per shape.
 
 Whether the norm is infinite is decided analytically from the piece
 exponents before any search runs (:func:`norm_is_infinite`, exact on
@@ -36,6 +41,7 @@ this function class).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 import threading
 from collections import OrderedDict
@@ -49,7 +55,14 @@ from morreyconst.integrate import (
     centered_integrals,
     group_ball_integrals,
 )
-from morreyconst.model import Ball, Mode, PiecewiseRadialFunction, SpaceParams
+from morreyconst.model import (
+    Ball,
+    Mode,
+    PiecewiseRadialFunction,
+    RadialPiece,
+    SpaceParams,
+    canonicalize,
+)
 
 __all__ = [
     "search_window",
@@ -151,6 +164,10 @@ class NormResult:
     @property
     def infinite(self) -> bool:
         return self.value == INF
+
+    def scaled(self, c: float) -> "NormResult":
+        """The result of c times the function, for c > 0: only the value moves."""
+        return self if c == 1.0 else replace(self, value=self.value * c)
 
 
 def _weight(params: SpaceParams, r) -> float | np.ndarray:
@@ -417,6 +434,26 @@ def _search_group(
     return results
 
 
+def _shape(f: PiecewiseRadialFunction) -> tuple[PiecewiseRadialFunction, float]:
+    """f's norm shape (s, c): |f| = c s with c > 0 and s's first coefficient 1.
+
+    s is canonical, so pieces of |f| that f's signs kept apart merge.
+    When some quotient |coef| / c is not a normal float (it overflowed,
+    or underflowed and lost digits), s is |f| and c is 1: such a
+    function only misses the dedupe.  The zero function is (f, 1.0).
+    """
+    if f.is_zero:
+        return f, 1.0
+    c = abs(f.pieces[0].coef)
+    coefs = [abs(pc.coef) / c for pc in f.pieces]
+    if not all(sys.float_info.min <= x < INF for x in coefs):
+        coefs, c = [abs(pc.coef) for pc in f.pieces], 1.0
+    if coefs == [pc.coef for pc in f.pieces]:  # f is a shape already
+        return f, 1.0
+    s = canonicalize(RadialPiece(pc.lo, pc.hi, x, pc.alpha) for pc, x in zip(f.pieces, coefs))
+    return s, c
+
+
 def lockstep_chunks(fs: list, parts: int = 1) -> list[list]:
     """fs cut, in order, into chunks of at most one lockstep group.
 
@@ -429,7 +466,7 @@ def lockstep_chunks(fs: list, parts: int = 1) -> list[list]:
 
 
 class _SearchMemo:
-    """Finished searches keyed by (f, params, integ), oldest use first.
+    """Finished searches keyed by (shape, params, integ), oldest use first.
 
     Holds at most ``maxsize`` results and drops the least recently used;
     ``cache_clear`` empties it.
@@ -469,18 +506,31 @@ def norm_batch(
 ) -> list[NormResult]:
     """The norm of every function of fs, in order.
 
-    Results are memoized on (f, params, integ).  The functions
-    not in the memo are searched in lockstep groups of ``_GROUP``, in
-    first-seen order; each result equals :func:`norm`'s bit for bit.
+    Each function f is searched as its shape s, with |f| = c s
+    (:func:`_shape`), and its result is the shape's with ``value``
+    multiplied by c; ``argmax``, ``truncated`` and ``tol_ok`` are the
+    shape's.  This is sound because the norm depends only on |f| and
+    ||c s|| = c ||s||, and no decision of the search depends on the scale
+    of f: the scout tolerance, the zoom's stop gain and the truncation
+    margin are all relative, and the window and the aligned balls come
+    from the breakpoints alone.  The breakpoints of s are those of |f|:
+    a merge drops only a point where |f| is the same power on both
+    sides, which f's signs alone made a breakpoint.  So searching s is
+    searching |f| up to the rounding of its coefficients (an ulp each).
+
+    Results are memoized on (s, params, integ).  The shapes not in the
+    memo are searched in lockstep groups of ``_GROUP``, in first-seen
+    order; each result equals :func:`norm`'s bit for bit.
     """
     fs = list(fs)
-    found = {f: _search_cached.get((f, params, integ)) for f in fs}
-    todo = [f for f, result in found.items() if result is None]
+    shapes = [_shape(f) for f in fs]
+    found = {s: _search_cached.get((s, params, integ)) for s, _ in shapes}
+    todo = [s for s, result in found.items() if result is None]
     for group in lockstep_chunks(todo):
-        for f, result in zip(group, _search_group(group, params, integ)):
-            _search_cached.put((f, params, integ), result)
-            found[f] = result
-    return [found[f] for f in fs]
+        for s, result in zip(group, _search_group(group, params, integ)):
+            _search_cached.put((s, params, integ), result)
+            found[s] = result
+    return [found[s].scaled(c) for s, c in shapes]
 
 
 def norm(

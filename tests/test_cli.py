@@ -83,6 +83,24 @@ class TestVerifyTheorem1:
         for check in rep["checks"]:
             assert set(check) == {"name", "passed", "expected", "computed", "tolerance"}
 
+    def test_one_search_per_norm_shape(self, capsys, monkeypatch):
+        # [DERIVED] the witness pair's 8 functions are multiples of |f|,
+        # its inner part g and its outer part h: 3 searches
+        import morreyconst.norms as norms_mod
+
+        searched = []
+        original = norms_mod._search_group
+
+        def counting(fs, *args):
+            searched.extend(fs)
+            return original(fs, *args)
+
+        monkeypatch.setattr(norms_mod, "_search_group", counting)
+        norms_mod._search_cached.cache_clear()
+        run(["verify-thm1", "--n", "3", "--p", "2", "--q", "4", "--s", "2"])
+        capsys.readouterr()
+        assert len(searched) == len(set(searched)) == 3
+
     def test_rejects_p_equal_q(self, capsys):
         code = run(["verify-thm1", "--p", "2", "--q", "2"])
         assert code == 2
@@ -260,6 +278,8 @@ class TestDeterminism:
             (("constants", "--trials", "4", "--seed", "3", "--mode", "small"), 0),
             # the two-step ladder stops far from 2, so the final-split checks fail
             (("verify-thm2", "--n", "1", "--eps", "0.5", "--eps", "0.1"), 1),
+            # 8 functions of 3 norm shapes, deduped before the pool's chunks
+            (("verify-thm1", "--n", "1"), 0),
         ],
     )
     def test_other_commands_byte_identical_across_thread_counts(
@@ -301,16 +321,18 @@ class TestNormPool:
         capsys.readouterr()
         monkeypatch.undo()
 
-        # x, y, x + y, x - y of every pair, then x/N(x) +- y/N(y)
+        # the norm shapes of x, y, x + y, x - y of every pair, then of
+        # x/N(x) +- y/N(y)
         space = SpaceParams(1, 1.0, 2.0, Mode.MORREY)
-        distinct = set()
+        functions = set()
         for x, y in candidate_pairs(space, random_trials=4, seed=8):
-            distinct.update((x, y, add(x, y), subtract(x, y)))
+            functions.update((x, y, add(x, y), subtract(x, y)))
             nx, ny = norms_mod.norm(x, space).value, norms_mod.norm(y, space).value
             if nx not in (0.0, math.inf) and ny not in (0.0, math.inf):
                 u, v = scale(x, 1.0 / nx), scale(y, 1.0 / ny)
-                distinct.update((add(u, v), subtract(u, v)))
-        assert len(calls) == len(distinct)
+                functions.update((add(u, v), subtract(u, v)))
+        distinct = {norms_mod._shape(g)[0] for g in functions}
+        assert len(calls) == len(distinct) == 28
         assert set(calls) == distinct
 
     def test_pool_capped_at_cpu_count(self, capsys, monkeypatch):

@@ -9,7 +9,7 @@ import pytest
 
 import morreyconst.integrate as integrate_mod
 import morreyconst.norms as norms_mod
-from morreyconst.constants import _sums, random_pair
+from morreyconst.constants import _sums, random_pair, witness_pair_morrey
 from morreyconst.geometry import unit_ball_volume
 from morreyconst.integrate import IntegrationSettings
 from morreyconst.model import (
@@ -392,6 +392,15 @@ class TestLockstepBatch:
         return [norms_mod._search_group([f], sp, IntegrationSettings())[0]
                 for f in fs]
 
+    @staticmethod
+    def _batches_of_one(fs, sp):
+        """norm of each function on a cleared memo: each shape searched alone."""
+        results = []
+        for f in fs:
+            norms_mod._search_cached.cache_clear()
+            results.append(norm(f, sp))
+        return results
+
     @pytest.mark.parametrize("group", [1, 3, norms_mod._GROUP])
     @pytest.mark.parametrize("sp", [M112, S112])
     def test_mixed_batch_equals_batches_of_one(self, monkeypatch, sp, group):
@@ -407,7 +416,7 @@ class TestLockstepBatch:
             self.MIXED,                               # gathered exponents
             POWER_OUT,                                # truncated at r_max
         ]
-        alone = self._alone(fs, sp)
+        alone = self._batches_of_one(fs, sp)
         monkeypatch.setattr(norms_mod, "_GROUP", group)
         norms_mod._search_cached.cache_clear()
         batch = norms_mod.norm_batch(fs, sp)
@@ -462,6 +471,70 @@ class TestLockstepBatch:
         chunks = norms_mod.lockstep_chunks(items, parts)
         assert [len(c) for c in chunks] == lengths
         assert [x for c in chunks for x in c] == items
+
+
+class TestNormShape:
+    """One search per shape |f| / |first coefficient|, scaled back to f."""
+
+    @staticmethod
+    def _searched(monkeypatch):
+        searched = []
+        original = norms_mod._search_group
+
+        def counting(fs, *args):
+            searched.extend(fs)
+            return original(fs, *args)
+
+        monkeypatch.setattr(norms_mod, "_search_group", counting)
+        norms_mod._search_cached.cache_clear()
+        return searched
+
+    def test_witness_pair_norms_equal_bit_for_bit(self):
+        # [DERIVED] |k| = f pointwise, so k has f's shape and f's norm
+        sp = SpaceParams(3, 2.0, 4.0, Mode.MORREY)
+        f, k = witness_pair_morrey(sp)
+        norms_mod._search_cached.cache_clear()
+        assert norms_mod._shape(k) == (f, 1.0)
+        assert _same_result(norm(k, sp), norm(f, sp))
+
+    @pytest.mark.parametrize("c", [2.0, -3.0, None])
+    def test_scaled_norm_is_exactly_scaled(self, c):
+        # [DERIVED] ||c g|| = |c| ||g||; the coefficients of g are powers of
+        # two apart, so c g has g's shape exactly and only the value scales
+        g = canonicalize([(0.0, 1.0, 1.0, -0.5), (1.0, 3.0, -0.5, -0.5)])
+        if c is None:
+            c = 1.0 / norm(POWER, M112).value
+        base = norm(g, M112)
+        res = norm(scale(g, c), M112)
+        assert res.value == abs(c) * base.value
+        assert (res.argmax, res.truncated, res.tol_ok) == (
+            base.argmax, base.truncated, base.tol_ok)
+
+    def test_sign_flip_searches_merged_abs(self, monkeypatch):
+        # [DERIVED] |f| of a sign flip at 1 is one piece: the breakpoint goes
+        searched = self._searched(monkeypatch)
+        f = canonicalize([(0.0, 1.0, 2.0, -0.5), (1.0, 3.0, -2.0, -0.5)])
+        merged = canonicalize([(0.0, 3.0, 1.0, -0.5)])
+        assert norms_mod._shape(f) == (merged, 2.0)
+        assert norm(f, M112).value == 2.0 * norm(merged, M112).value
+        assert searched == [merged]
+
+    @pytest.mark.parametrize("coefs", [(1e-300, -1e300), (-1e300, 1e-300)])
+    def test_unrepresentable_quotient_keeps_abs(self, monkeypatch, coefs):
+        # 1e300 / 1e-300 overflows and 1e-300 / 1e300 underflows to 0, so
+        # the shape is |f| itself, searched as it is
+        f = canonicalize([(0.0, 1.0, coefs[0], -0.5), (1.0, 2.0, coefs[1], -0.5)])
+        abs_f = canonicalize([(0.0, 1.0, abs(coefs[0]), -0.5), (1.0, 2.0, abs(coefs[1]), -0.5)])
+        assert norms_mod._shape(f) == (abs_f, 1.0)
+        searched = self._searched(monkeypatch)
+        res = norm(f, M112)
+        assert searched == [abs_f]
+        assert _same_result(res, norms_mod._search_group([abs_f], M112, IntegrationSettings())[0])
+        assert 0.0 < res.value < INF
+
+    def test_zero_function_is_its_own_shape(self):
+        zero = canonicalize([])
+        assert norms_mod._shape(zero) == (zero, 1.0)
 
 
 class TestBestInRows:
