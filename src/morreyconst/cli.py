@@ -19,6 +19,7 @@ candidate pairs at once, so every distinct norm shape (|f| up to a
 positive factor) is searched once, in lockstep groups, and --threads
 N > 1 lets it hand those groups to a pool of at most N (and at most the
 CPU count) worker processes, shut down before the command returns.
+The workers only search; the memo stays in the command's process.
 The thread count never changes the report.
 """
 
@@ -263,9 +264,9 @@ def _all_kinds(s_values: tuple[float, ...]) -> list[ConstantKind]:
     return list(dict.fromkeys(kinds))
 
 
-def _witness_ratios(kinds, pairs, table: NormTable, extra) -> list[list[float]]:
+def _witness_ratios(kinds, pairs, table: NormTable) -> list[list[float]]:
     """pair_ratios for witness pairs, whose ratios are all defined."""
-    rows = pair_ratios(kinds, pairs, table, extra)
+    rows = pair_ratios(kinds, pairs, table)
     if any(math.isnan(value) for row in rows for value in row):
         raise ValueError("a witness pair has an undefined ratio")
     return rows
@@ -278,8 +279,7 @@ def _witness_ratios(kinds, pairs, table: NormTable, extra) -> list[list[float]]:
 
 def _cmd_norm(cfg: RunConfig, table: NormTable):
     f = parse_function(cfg.function_text or "")
-    table.evaluate([f])
-    res = table[f]
+    [res] = table.evaluate([f])
     task = {
         "task": "norm",
         "function": serialize_function(f),
@@ -309,8 +309,8 @@ def _cmd_verify_thm1(cfg: RunConfig, table: NormTable):
     kinds = _all_kinds(cfg.s_values)
     names = ("f", "g", "h", "k")
     functions = (f, g, h, k)
-    values = [row[0] for row in _witness_ratios(kinds, [(f, k)], table, functions)]
-    results = {name: table[fn] for name, fn in zip(names, functions)}
+    results = dict(zip(names, table.evaluate(functions)))
+    values = [row[0] for row in _witness_ratios(kinds, [(f, k)], table)]
     cf = closed_form_power_norm(space)
     _, r_max, _ = search_window(h, space.mode)
     deficit = r_max ** (-space.n * (1.0 - space.p / space.q) / space.p)
@@ -387,9 +387,8 @@ def _cmd_verify_thm2(cfg: RunConfig, table: NormTable):
     kinds = _all_kinds(cfg.s_values)
     pairs = [witness_pair_small_morrey(space, eps) for eps in ladder]
     outer = [subtract(f, truncate(f, 0.0, eps)) for (f, _), eps in zip(pairs, ladder)]
-    f = pairs[0][0]
-    rows = _witness_ratios(kinds, pairs, table, [f, *outer])
-    nf = table[f]
+    nf, *outer_norms = table.evaluate([pairs[0][0], *outer])
+    rows = _witness_ratios(kinds, pairs, table)
     checks = [
         Check(
             "closed_form_norm",
@@ -401,8 +400,7 @@ def _cmd_verify_thm2(cfg: RunConfig, table: NormTable):
     ]
 
     tasks: list[dict[str, Any]] = []
-    for i, (eps, h_eps) in enumerate(zip(ladder, outer)):
-        nh = table[h_eps]
+    for i, (eps, nh) in enumerate(zip(ladder, outer_norms)):
         h_bound = nf.value * (
             1.0 - eps ** (space.n * (1.0 - space.p / space.q))
         ) ** (1.0 / space.p)

@@ -15,20 +15,20 @@ bound as a function of the split point in small mode.
 All four ratios are arithmetic on a few norms of the pair: N(x), N(y),
 N(x +- y) and, for the unit-pair ratios, N(x/N(x) +- y/N(y)).
 :func:`pair_ratios` lists the distinct functions among those of every
-candidate pair, has a :class:`NormTable` evaluate each one once (on a
-process pool when asked), and then computes every kind's ratio on every
-pair from the stored values; :func:`estimate_constants` reduces those
-rows to one estimate per kind.  :func:`ratio` is the same arithmetic on
-one pair, with the norms computed as it goes.
+candidate pair, has a :class:`NormTable` evaluate them (the memo stays
+in the calling process; a process pool, when asked, only searches), and
+then computes every kind's ratio on every pair from the returned values;
+:func:`estimate_constants` reduces those rows to one estimate per kind.
+:func:`ratio` is the same arithmetic on one pair, with the norms
+computed as it goes.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 import math
 import os
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,7 +47,7 @@ from morreyconst.model import (
     subtract,
     truncate,
 )
-from morreyconst.norms import NormResult, _shape, lockstep_chunks, norm, norm_batch
+from morreyconst.norms import NormResult, norm, norm_batch
 
 __all__ = [
     "Family",
@@ -345,23 +345,22 @@ def candidate_pairs(
 
 
 class NormTable:
-    """Norms of distinct functions, each computed once.
+    """A command's norms: :func:`~morreyconst.norms.norm_batch` on its pool.
 
-    ``evaluate`` computes the norms of the functions it has not seen yet:
-    it searches each distinct norm shape among them once
-    (:func:`~morreyconst.norms.norm_batch`), in first-seen order and in
-    lockstep groups, and scales the shape's result to each function;
-    ``table[f]`` then returns f's NormResult.  With
-    ``workers`` > 1 a batch of two or more goes to a process pool, created
-    at the first such batch with at most min(workers, CPU count, batch
-    size) processes and reused until ``close``.  The pool forks where the
-    platform can, since a spawned worker would first import numpy and
-    the package again; fork copies only the calling thread, so the
-    caller must not be running threads of its own then.  Each item of
-    the pool's ``map`` is one chunk of :func:`lockstep_chunks`, at most
-    one lockstep group, which a worker searches in lockstep.  ``map``
-    keeps input order and every norm is a pure function of its inputs,
-    so the results do not depend on ``workers``.
+    ``evaluate`` returns the norms of its functions, in order.  Every
+    norm comes from norm_batch, whose per-shape memo lives in the calling
+    process: each distinct norm shape is searched once per command,
+    whether here or on the pool, and pool workers only search.  With
+    ``workers`` > 1 the pool is created at the first batch with two or
+    more shapes left to search, with min(workers, CPU count, that count)
+    processes, and then searches every batch with two or more such
+    shapes until ``close``; a batch with one runs here.  The pool forks
+    where the platform can, since a spawned worker would first import
+    numpy and the package again; fork copies only the calling thread, so
+    the caller must not be running threads of its own then.  Each item
+    of the pool's ``map`` is one lockstep group of shapes.  ``map`` keeps
+    input order and every norm is a pure function of its inputs, so the
+    results do not depend on ``workers``.
     """
 
     def __init__(
@@ -370,33 +369,23 @@ class NormTable:
         integ: IntegrationSettings = IntegrationSettings(),
         workers: int = 1,
     ) -> None:
-        self._task = functools.partial(_norm_task, params, integ)
+        self._params = params
+        self._integ = integ
         self._workers = workers
         self._pool = None
         self._pool_size = 0
-        self._results: dict[PiecewiseRadialFunction, NormResult] = {}
 
-    def evaluate(self, functions: Iterable[PiecewiseRadialFunction]) -> None:
-        todo = list(dict.fromkeys(f for f in functions if f not in self._results))
-        shapes = [_shape(f) for f in todo]
-        distinct = list(dict.fromkeys(s for s, _ in shapes))
-        pool = self._pool_for(len(distinct))
-        if pool is not None:
-            chunks = lockstep_chunks(distinct, self._pool_size)
-            results = [res for chunk in pool.map(self._task, chunks) for res in chunk]
-        else:
-            results = self._task(distinct)
-        by_shape = dict(zip(distinct, results))
-        self._results.update((f, by_shape[s].scaled(c)) for f, (s, c) in zip(todo, shapes))
+    def evaluate(self, functions: Iterable[PiecewiseRadialFunction]) -> list[NormResult]:
+        return norm_batch(functions, self._params, self._integ, self._pool_for)
 
-    def _pool_for(self, batch: int):
-        """The pool for a batch of this size, or None to evaluate it here."""
+    def _pool_for(self, batch: int) -> tuple[Callable, int]:
+        """(map, parts) for a batch of this many shapes: the pool's, or map here."""
         if batch < 2:
-            return None
+            return map, 1
         if self._pool is None:
             workers = min(self._workers, os.cpu_count() or 1, batch)
             if workers < 2:
-                return None
+                return map, 1
             # imported here, so that commands without a pool do not load them
             import multiprocessing
             from concurrent.futures import ProcessPoolExecutor
@@ -405,10 +394,7 @@ class NormTable:
             context = multiprocessing.get_context("fork" if fork else None)
             self._pool = ProcessPoolExecutor(max_workers=workers, mp_context=context)
             self._pool_size = workers
-        return self._pool
-
-    def __getitem__(self, f: PiecewiseRadialFunction) -> NormResult:
-        return self._results[f]
+        return self._pool.map, self._pool_size
 
     def close(self) -> None:
         """Shut the pool down and wait for its processes to exit."""
@@ -421,10 +407,6 @@ class NormTable:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-
-def _norm_task(params, integ, fs: list[PiecewiseRadialFunction]) -> list[NormResult]:
-    return norm_batch(fs, params, integ)
 
 
 def _sums(
@@ -441,43 +423,43 @@ def pair_ratios(
     kinds: list[ConstantKind],
     pairs: list[tuple[PiecewiseRadialFunction, PiecewiseRadialFunction]],
     table: NormTable,
-    extra: Iterable[PiecewiseRadialFunction] = (),
 ) -> list[list[float]]:
     """Every kind's ratio on every pair, NaN where :func:`ratio` would raise.
 
-    The norms come from ``table`` in two batches.  The first holds x and
-    y of every pair, x + y and x - y where a kind needs them and they
-    are representable, and the caller's ``extra`` functions (read back
-    from ``table`` afterwards).  The second, only when a unit-pair kind
-    is asked for, holds x/N(x) + y/N(y) and x/N(x) - y/N(y) for pairs
-    whose N(x) and N(y) are finite and nonzero.  The ratios are then
-    arithmetic on the stored values: ``rows[k][i]`` is kinds[k] on
-    pairs[i], equal to ``ratio(kinds[k], *pairs[i], ...)`` bit for bit.
+    The norms come from ``table`` in two batches of distinct functions,
+    and their values are kept here for the arithmetic, so that no norm is
+    searched twice however far a batch outgrows the memo.  The first batch
+    holds x and y of every pair, and x + y and x - y where a kind needs
+    them and they are representable.  The second, only when a unit-pair
+    kind is asked for, holds x/N(x) + y/N(y) and x/N(x) - y/N(y) for
+    pairs whose N(x) and N(y) are finite and nonzero.  ``rows[k][i]`` is
+    kinds[k] on pairs[i], equal to ``ratio(kinds[k], *pairs[i], ...)``
+    bit for bit.
     """
     plain = any(kind.family not in _UNIT_PAIR for kind in kinds)
     unit = any(kind.family in _UNIT_PAIR for kind in kinds)
+    values: dict[PiecewiseRadialFunction, float] = {}
+
+    def evaluate(functions: Iterable[PiecewiseRadialFunction]) -> None:
+        todo = list(dict.fromkeys(g for g in functions if g not in values))
+        values.update(zip(todo, (res.value for res in table.evaluate(todo))))
+
     sums = [_sums(x, y) if plain else None for x, y in pairs]
-    table.evaluate(
-        [g for (x, y), s in zip(pairs, sums) for g in (x, y, *(s or ()))] + list(extra)
-    )
-
-    def value(g: PiecewiseRadialFunction) -> float:
-        return table[g].value
-
-    bases = [(value(x), value(y)) for x, y in pairs]
+    evaluate(g for (x, y), s in zip(pairs, sums) for g in (x, y, *(s or ())))
+    bases = [(values[x], values[y]) for x, y in pairs]
     usable = [INF not in base and 0.0 not in base for base in bases]
     unit_sums = [
         _sums(*_units(x, y, *base)) if unit and ok else None
         for (x, y), base, ok in zip(pairs, bases, usable)
     ]
-    table.evaluate(g for s in unit_sums for g in (s or ()))
+    evaluate(g for s in unit_sums for g in (s or ()))
 
     rows = []
     for kind in kinds:
         row = []
         kind_sums = unit_sums if kind.family in _UNIT_PAIR else sums
         for (nx, ny), ok, s in zip(bases, usable, kind_sums):
-            n_sum, n_diff = (value(s[0]), value(s[1])) if ok and s else (INF, INF)
+            n_sum, n_diff = (values[s[0]], values[s[1]]) if ok and s else (INF, INF)
             defined = INF not in (n_sum, n_diff)
             row.append(_combine(kind, nx, ny, n_sum, n_diff) if defined else math.nan)
         rows.append(row)

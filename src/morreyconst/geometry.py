@@ -95,7 +95,8 @@ def cap_fraction_radii(n: int, inner, outer, d, r) -> np.ndarray:
         diff, total = d - r, d + r
         gap = np.abs(diff)
         t = gap + inner
-        with np.errstate(divide="ignore", invalid="ignore"):  # t d = 0 only off the shell
+        # t d is 0 or tiny (s2 overflows) only off the shell, which the rule below overrides
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             two_td = 2.0 * t * d
             s2 = (inner * outer / two_td) * ((t + gap) * (t + total) / two_td)
         s2 = np.minimum(np.maximum(s2, 0.0), 1.0)

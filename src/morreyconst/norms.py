@@ -31,7 +31,8 @@ batch of one.
 The norm depends only on |f| and ||c f|| = |c| ||f||, so a search runs
 once per norm shape, |f| over the magnitude of its first coefficient
 (:func:`_shape`): a function's norm is its shape's norm times that
-magnitude.  Results are memoized per shape.
+magnitude.  :func:`norm_batch` memoizes results per shape in the
+calling process; the workers of a caller's pool only search.
 
 Whether the norm is infinite is decided analytically from the piece
 exponents before any search runs (:func:`norm_is_infinite`, exact on
@@ -45,7 +46,8 @@ import sys
 from dataclasses import dataclass, replace
 import threading
 from collections import OrderedDict
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
+from itertools import repeat
 
 import numpy as np
 
@@ -503,6 +505,7 @@ def norm_batch(
     fs: Iterable[PiecewiseRadialFunction],
     params: SpaceParams,
     integ: IntegrationSettings = IntegrationSettings(),
+    pool_for: Callable[[int], tuple[Callable, int]] | None = None,
 ) -> list[NormResult]:
     """The norm of every function of fs, in order.
 
@@ -518,18 +521,25 @@ def norm_batch(
     sides, which f's signs alone made a breakpoint.  So searching s is
     searching |f| up to the rounding of its coefficients (an ulp each).
 
-    Results are memoized on (s, params, integ).  The shapes not in the
-    memo are searched in lockstep groups of ``_GROUP``, in first-seen
-    order; each result equals :func:`norm`'s bit for bit.
+    Results are memoized on (s, params, integ) in this process.  The
+    shapes not in the memo, k >= 1 of them, are searched in first-seen
+    order in chunks of :func:`lockstep_chunks`.  ``pool_for(k)``, when
+    given, returns (map, parts): the chunks are cut for parts consumers
+    and searched with that map, which keeps their order as
+    ``Executor.map`` does.  Each result equals :func:`norm`'s bit for bit.
     """
     fs = list(fs)
     shapes = [_shape(f) for f in fs]
     found = {s: _search_cached.get((s, params, integ)) for s, _ in shapes}
     todo = [s for s, result in found.items() if result is None]
-    for group in lockstep_chunks(todo):
-        for s, result in zip(group, _search_group(group, params, integ)):
-            _search_cached.put((s, params, integ), result)
-            found[s] = result
+    if todo:
+        run, parts = pool_for(len(todo)) if pool_for else (map, 1)
+        chunks = lockstep_chunks(todo, parts)
+        searched = run(_search_group, chunks, repeat(params), repeat(integ))
+        for group, results in zip(chunks, searched):
+            for s, result in zip(group, results):
+                _search_cached.put((s, params, integ), result)
+                found[s] = result
     return [found[s].scaled(c) for s, c in shapes]
 
 
@@ -538,7 +548,7 @@ def norm(
     params: SpaceParams,
     integ: IntegrationSettings = IntegrationSettings(),
 ) -> NormResult:
-    """Norm in the mode carried by params (dispatches on params.mode).
+    """The norm of f in the space of params, Morrey or small by its mode.
 
     The memoized batch of one: callers that ask one ratio or one kind at
     a time share their norms with each other and with :func:`norm_batch`.

@@ -4,13 +4,40 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import pickle
 import subprocess
 import sys
 
 import pytest
 
 from morreyconst.cli import _build_parser, _resolve_config, run
+from morreyconst.norms import _search_group
 from morreyconst.report import flatten
+
+
+# where _logged_search_group appends; a module global, so that forked
+# pool workers inherit it
+_SEARCH_LOG = ""
+
+
+def _logged_search_group(fs, params, integ):
+    """The search, logging (pid, fs, params, integ) from any process.
+
+    Defined at module level, so that a pool can pickle it by name.
+    """
+    with open(_SEARCH_LOG, "ab", buffering=0) as fh:
+        fh.write(pickle.dumps((os.getpid(), fs, params, integ)))
+    return _search_group(fs, params, integ)
+
+
+def _read_search_log(path) -> list:
+    records = []
+    if path.exists():
+        with open(path, "rb") as fh:
+            while fh.peek(1):
+                records.append(pickle.load(fh))
+    return records
 
 
 def run_json(capsys, argv):
@@ -339,20 +366,23 @@ class TestNormPool:
         import concurrent.futures
         import os
 
+        import morreyconst.norms as norms_mod
+
         sizes = []
 
         class NoProcessPool:
             def __init__(self, max_workers, mp_context=None):
                 sizes.append(max_workers)
 
-            def map(self, fn, items, chunksize=1):
-                return map(fn, items)
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
 
             def shutdown(self):
                 pass
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoProcessPool)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        norms_mod._search_cached.cache_clear()  # a pool is made only for shapes to search
         argv = ["search", "--n", "1", "--p", "1", "--q", "2",
                 "--trials", "3", "--seed", "5", "--threads", "64"]
         assert run(argv) == 0
@@ -362,8 +392,42 @@ class TestNormPool:
     def test_no_worker_outlives_the_command(self, capsys):
         import multiprocessing
 
+        import morreyconst.norms as norms_mod
+
+        norms_mod._search_cached.cache_clear()  # a pool is made only for shapes to search
         argv = ["search", "--n", "1", "--p", "1", "--q", "2",
                 "--trials", "3", "--seed", "5", "--threads", "2"]
         assert run(argv) == 0
         capsys.readouterr()
         assert multiprocessing.active_children() == []
+
+    def test_pool_results_land_in_the_callers_memo(self, capsys, monkeypatch, tmp_path):
+        # [DERIVED] the ladder's 4 witness pairs have norm shapes f, and
+        # per split g_eps and h_eps (the unit sums are multiples of them):
+        # 9 searches, each once, though the pool searches the batches
+        import multiprocessing
+
+        import morreyconst.norms as norms_mod
+        from morreyconst.constants import NormTable
+
+        log = tmp_path / "searched"
+        monkeypatch.setattr(sys.modules[__name__], "_SEARCH_LOG", str(log))
+        monkeypatch.setattr(norms_mod, "_search_group", _logged_search_group)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a real pool on any host
+        norms_mod._search_cached.cache_clear()
+        assert run(["verify-thm2", "--n", "1", "--threads", "2"]) == 1  # the borderline check
+        capsys.readouterr()
+        assert multiprocessing.active_children() == []
+
+        searched = _read_search_log(log)
+        assert {pid for pid, *_ in searched} - {os.getpid()}  # workers searched
+        shapes = [s for _, fs, _, _ in searched for s in fs]
+        assert len(shapes) == len(set(shapes)) == 9
+        _, _, params, integ = searched[0]
+        for s in shapes:
+            assert norms_mod._search_cached.get((s, params, integ)) is not None
+
+        with NormTable(params, integ, workers=2) as table:
+            table.evaluate(shapes)
+            assert table._pool is None
+        assert len(_read_search_log(log)) == len(searched)
