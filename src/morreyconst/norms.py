@@ -2,21 +2,35 @@
 
 The norm is  sup over balls B(a, r)  of  |B|^(1/q - 1/p) (int_B |f|^p)^(1/p),
 with radii unrestricted (Morrey mode) or confined to (0, 1) (small mode).
-By radial symmetry the supremum over centers a reduces to a supremum over
-the center distance d = |a|, leaving a 2-parameter search in (d, r):
-a coarse log-r x linear-d grid, filled by one batched kernel call, then
-a zoom.  The zoom starts from the best grid cells and from the best
-balls whose faces d - r and d + r both sit on breakpoints of f (or at
-the origin); each round evaluates a small patch in (d, log r) and one in
-(d - r, d + r) around every start, moves each start to its best ball
-and shrinks the patches.  Centered balls (d = 0) are exact.  A
-function leaves the zoom once its best ball has moved in three rounds
-with a gain of at most 1e-13 relative each, counted since its last
-larger gain; rounds in which the best ball stands still do not count,
-because a ball that rests says nothing about the gains still to come
-(near the window's edge the best ball can rest for a few rounds before
-it climbs again).  The winner is then re-evaluated at the requested
-tolerance, as after a full zoom.
+
+When |f| is radially nonincreasing (:func:`_nonincreasing`), no ball
+B(a, r) beats the centered ball B(0, r) of the same radius.  The part of
+B(0, r) outside B(a, r) and the part of B(a, r) outside B(0, r) have the
+same measure; the points of the first have |x| < r and those of the
+second |x| >= r, so |f| is at least |f|(r) on the first and at most
+|f|(r) on the second, and moving the ball to the origin trades its mass
+for at least as much.  This is the elementary case of the
+Hardy-Littlewood rearrangement inequality (Lieb & Loss, *Analysis*,
+Thm 3.4).  The move keeps the radius, so it holds in small mode too.
+The norm of such an f is the supremum over r of its closed-form centered
+profile, found exactly from a few candidate radii
+(:func:`_centered_supremum`): no grid, zoom or quadrature runs.
+
+Every other function is searched.  By radial symmetry the supremum over
+centers a reduces to a supremum over the center distance d = |a|,
+leaving a 2-parameter search in (d, r): a coarse log-r x linear-d grid,
+filled by one batched kernel call, then a zoom.  The zoom starts from
+the best grid cells and from the best balls whose faces d - r and d + r
+both sit on breakpoints of f (or at the origin); each round evaluates a
+small patch in (d, log r) and one in (d - r, d + r) around every start,
+moves each start to its best ball and shrinks the patches.  Centered
+balls (d = 0) are exact.  A function leaves the zoom once its best ball
+has moved in three rounds with a gain of at most 1e-13 relative each,
+counted since its last larger gain; rounds in which the best ball stands
+still do not count, because a ball that rests says nothing about the
+gains still to come (near the window's edge the best ball can rest for
+a few rounds before it climbs again).  The winner is then re-evaluated
+at the requested tolerance, as after a full zoom.
 
 Norms are searched in lockstep groups (:func:`norm_batch`): each
 function has its own grid call, and then the aligned balls, every zoom
@@ -51,7 +65,7 @@ from itertools import repeat
 
 import numpy as np
 
-from morreyconst.geometry import unit_ball_volume
+from morreyconst.geometry import unit_ball_volume, unit_sphere_area
 from morreyconst.integrate import (
     IntegrationSettings,
     centered_integrals,
@@ -63,7 +77,6 @@ from morreyconst.model import (
     PiecewiseRadialFunction,
     RadialPiece,
     SpaceParams,
-    canonicalize,
 )
 
 __all__ = [
@@ -154,8 +167,14 @@ class NormResult:
 
     ``truncated`` marks suprema still climbing at the search boundary
     (r -> infinity, or r -> 1 in small mode): the value is then a lower
-    estimate with an analytically known deficit.  ``tol_ok`` is False
-    when some probe integral missed its tolerance budget.
+    estimate with an analytically known deficit.  For a radially
+    nonincreasing |f| (:func:`_centered_supremum`) it is exact: True
+    when the centered profile's supremum over every radius of the mode,
+    its limit as r -> infinity or its value at r = 1 included, beats the
+    window's by more than the requested ``rel_tol``; the value is the
+    window's either way, and ``argmax`` is the centered ball (0, r*).
+    ``tol_ok`` is False when some probe integral missed its tolerance
+    budget.
     """
 
     value: float
@@ -194,8 +213,10 @@ def centered_norm_profile(f: PiecewiseRadialFunction, params: SpaceParams, r):
 def closed_form_power_norm(params: SpaceParams) -> float:
     """Reference norm of the pure power |x|^(-n/q): v_n^(1/q) (1 - p/q)^(-1/p).
 
-    The centered profile of that power is this constant for every radius,
-    and the 2-D search confirms no off-center ball beats it.
+    The centered profile of that power is this constant for every radius.
+    The power is radially decreasing, so no ball beats the centered ball
+    of its radius (the rearrangement argument of the module docstring),
+    and the norm is this constant in both modes.
     """
     params.require_strict()
     vn = unit_ball_volume(params.n)
@@ -231,6 +252,128 @@ def norm_is_infinite(f: PiecewiseRadialFunction, params: SpaceParams) -> bool:
             elif pc.alpha > -n / q or (p == q and pc.alpha * p + n >= 0.0):
                 return True
     return False
+
+
+def _nonincreasing(f: PiecewiseRadialFunction) -> bool:
+    """Whether |f| is radially nonincreasing on (0, infinity).
+
+    True when f's first piece starts at 0, its pieces leave no gap, every
+    exponent is <= 0 and |f| never jumps up at a breakpoint (as computed
+    in floats, where a value past the float range is infinite); a drop
+    to 0 past the last piece is allowed.
+    """
+    if f.is_zero:
+        return False
+    lo, hi, coef, alpha = np.array([(pc.lo, pc.hi, pc.coef, pc.alpha) for pc in f.pieces]).T
+    with np.errstate(over="ignore"):
+        ends = np.abs(coef[:-1]) * hi[:-1] ** alpha[:-1]
+        starts = np.abs(coef[1:]) * lo[1:] ** alpha[1:]
+    return bool(
+        lo[0] == 0.0
+        and (alpha <= 0.0).all()
+        and (hi[:-1] == lo[1:]).all()
+        and (starts <= ends).all()
+    )
+
+
+def _limit_at_infinity(f: PiecewiseRadialFunction, params: SpaceParams) -> float:
+    """Limit of f's centered Morrey profile as r -> infinity, for a finite norm.
+
+    With p = q the weight is 1, and the profile rises to (int |f|^p)^(1/p).
+    With p < q, let the last piece be c |x|^alpha, gamma = alpha p + n and
+    m = n (1 - p/q).  When it reaches infinity with alpha = -n/q, that is
+    gamma = m, its centered integral is C + |c|^p |S^(n-1)| r^m / m, and
+    the profile tends to |c| times :func:`closed_form_power_norm`.
+    Otherwise the integral grows slower than r^m (a finite norm has
+    alpha <= -n/q), the weight falls as r^(-m/p), and the limit is 0.
+    """
+    p, n, q = params.p, params.n, params.q
+    if p == q:
+        return float(centered_integrals(f, p, n, INF)) ** (1.0 / p)
+    tail = f.pieces[-1]
+    if tail.hi == INF and tail.alpha == -n / q:
+        return abs(tail.coef) * closed_form_power_norm(params)
+    return 0.0
+
+
+def _stationary_roots(f: PiecewiseRadialFunction, params: SpaceParams) -> np.ndarray:
+    """Radii inside f's pieces past the first where the centered profile is stationary.
+
+    On a piece c |x|^alpha from a > 0, with A = |c|^p |S^(n-1)|, the
+    root of A r^gamma = m I(r) (see :func:`_centered_supremum`) is
+    r^gamma = m (gamma I(a) - A a^gamma) / (A (gamma - m)), or
+    r = a exp(1/m - I(a) / A) when gamma = 0, when that is a radius
+    inside the piece.  With p = q (m = 0) the profile I(r)^(1/p) only
+    rises and has none.
+    """
+    p, n = params.p, params.n
+    m = n * (1.0 - p / params.q)
+    if m == 0.0:
+        return np.empty(0)
+    lo, hi, coef, alpha = np.array(
+        [(pc.lo, pc.hi, pc.coef, pc.alpha) for pc in f.pieces[1:]]
+    ).reshape(-1, 4).T
+    gamma = alpha * p + n
+    rate = unit_sphere_area(n) * np.abs(coef) ** p
+    at_lo = centered_integrals(f, p, n, lo)
+    with np.errstate(all="ignore"):  # gamma in {0, m}: one branch has no root
+        power = m * (gamma * at_lo - rate * lo**gamma) / (rate * (gamma - m))
+        roots = np.where(
+            gamma == 0.0, lo * np.exp(1.0 / m - at_lo / rate), power ** (1.0 / gamma)
+        )
+    return roots[(lo < roots) & (roots < hi)]
+
+
+def _centered_supremum(
+    f: PiecewiseRadialFunction, params: SpaceParams, rel_tol: float
+) -> NormResult:
+    """The norm of a radially nonincreasing f of finite norm, exactly.
+
+    By the rearrangement argument of the module docstring the norm is
+    the supremum over r of the centered profile P(r).  Its value is the
+    supremum over the search window [r_min, r_max] of
+    :func:`search_window`, which is what a search of f would
+    approximate.  On a piece c |x|^alpha with lower end a > 0 the
+    centered integral is I(r) = I(a) + K (r^gamma - a^gamma),
+    gamma = alpha p + n and K = |c|^p |S^(n-1)| / gamma (or
+    I(a) + |c|^p |S^(n-1)| log(r / a) when gamma = 0), and
+    d log P / d log r = |c|^p |S^(n-1)| r^gamma / (p I(r)) - m / p with
+    m = n (1 - p/q).  Its first term is monotone in r, so P has at most
+    one stationary point inside a piece, where
+    |c|^p |S^(n-1)| r^gamma = m I(r), which is closed form in r.  So the
+    supremum over any interval of radii is attained at its ends, at a
+    breakpoint or at such a root, and those are the candidates.
+
+    Nothing is lost below r_min: on the first piece, which starts at 0,
+    P(r) is a constant times r^(alpha + n/q), monotone in r, and r_min
+    is at most a tenth of f's first breakpoint, so it lies on that
+    piece, and the supremum over (0, r_min] is P(r_min).
+
+    ``truncated`` compares the window's supremum with the supremum over
+    every radius of the mode: the same candidates unclipped, and the
+    limit as r -> infinity in Morrey mode (:func:`_limit_at_infinity`)
+    or P(1) in small mode, which is the supremum over r < 1 of the
+    continuous P.  It is True when that beats the window by more than
+    rel_tol.  The argmax is (0, r*) with r* the smallest candidate that
+    attains the window's supremum.
+    """
+    r_min, r_max, _ = search_window(f, params.mode)
+    small = params.mode is Mode.SMALL_MORREY
+
+    roots = _stationary_roots(f, params)
+    radii = np.sort(np.concatenate([[r_min, r_max, *f.breakpoints()], roots]))
+    if small:
+        radii = np.append(radii[radii < 1.0], 1.0)
+    radii = radii[radii > 0.0]
+    # Morrey params, so that small mode may evaluate P(1) too
+    values = centered_norm_profile(f, params.with_mode(Mode.MORREY), radii)
+    inside = np.flatnonzero((r_min <= radii) & (radii <= r_max))
+    best = inside[np.argmax(values[inside])]
+    value = float(values[best])
+    top = float(values.max()) if small else max(float(values.max()), _limit_at_infinity(f, params))
+    return NormResult(
+        value, Ball(0.0, float(radii[best])), truncated=top > value * (1.0 + rel_tol)
+    )
 
 
 def _aligned_balls(f: PiecewiseRadialFunction, r_min: float, r_max: float, d_max: float):
@@ -303,6 +446,9 @@ def _search_group(
             continue
         if norm_is_infinite(f, params):
             results[i] = NormResult(INF, None)
+            continue
+        if _nonincreasing(f):
+            results[i] = _centered_supremum(f, params, integ.rel_tol)
             continue
 
         r_min, r_max, d_max = search_window(f, params.mode)
@@ -440,9 +586,13 @@ def _shape(f: PiecewiseRadialFunction) -> tuple[PiecewiseRadialFunction, float]:
     """f's norm shape (s, c): |f| = c s with c > 0 and s's first coefficient 1.
 
     s is canonical, so pieces of |f| that f's signs kept apart merge.
-    When some quotient |coef| / c is not a normal float (it overflowed,
-    or underflowed and lost digits), s is |f| and c is 1: such a
-    function only misses the dedupe.  The zero function is (f, 1.0).
+    f's pieces are canonical already (sorted and disjoint), so s is built
+    from them directly: a piece merges into its left neighbour exactly
+    when they touch and their (coefficient, exponent) are equal, as in
+    :func:`~morreyconst.model.canonicalize`.  When some quotient
+    |coef| / c is not a normal float (it overflowed, or underflowed and
+    lost digits), s is |f| and c is 1: such a function only misses the
+    dedupe.  The zero function is (f, 1.0).
     """
     if f.is_zero:
         return f, 1.0
@@ -452,8 +602,14 @@ def _shape(f: PiecewiseRadialFunction) -> tuple[PiecewiseRadialFunction, float]:
         coefs, c = [abs(pc.coef) for pc in f.pieces], 1.0
     if coefs == [pc.coef for pc in f.pieces]:  # f is a shape already
         return f, 1.0
-    s = canonicalize(RadialPiece(pc.lo, pc.hi, x, pc.alpha) for pc, x in zip(f.pieces, coefs))
-    return s, c
+    pieces: list[RadialPiece] = []
+    for pc, x in zip(f.pieces, coefs):
+        last = pieces[-1] if pieces else None
+        if last is not None and (last.hi, last.coef, last.alpha) == (pc.lo, x, pc.alpha):
+            pieces[-1] = RadialPiece(last.lo, pc.hi, x, pc.alpha)
+        else:
+            pieces.append(RadialPiece(pc.lo, pc.hi, x, pc.alpha))
+    return PiecewiseRadialFunction(tuple(pieces)), c
 
 
 def lockstep_chunks(fs: list, parts: int = 1) -> list[list]:

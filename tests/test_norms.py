@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from morreyconst.geometry import unit_ball_volume
 from morreyconst.integrate import IntegrationSettings
 from morreyconst.model import (
     Mode,
+    RadialPiece,
     SpaceParams,
     add,
     canonicalize,
@@ -137,6 +139,7 @@ class TestInfiniteDetection:
     def test_constant_finite_in_small_mode(self):
         f = canonicalize([(0.0, INF, 1.0, 0.0)])
         assert not norm_is_infinite(f, S112)
+        assert norms_mod._nonincreasing(f)
         # sup over r < 1 of (2r)^{1/2 - 1} * (2r)^{1} = (2r)^{1/2} -> sqrt(2)
         res = norm(f, S112)
         assert res.value == pytest.approx(math.sqrt(2.0), rel=1e-4)
@@ -171,7 +174,9 @@ class TestInfiniteDetection:
         sp = SpaceParams(n, 1.0, 2.0, Mode.MORREY)
         assert not norm_is_infinite(f, sp)
         assert search_window(f, Mode.MORREY)[1] == 1e8
+        assert norms_mod._nonincreasing(f)
         res = norm(f, sp)
+        assert res.argmax == norms_mod.Ball(0.0, 1e7)
         expected = math.sqrt(unit_ball_volume(n) * 1e7**n)
         assert res.value == pytest.approx(expected, rel=1e-9)
         assert not res.truncated
@@ -192,8 +197,8 @@ class TestInfiniteDetection:
 class TestMorreyNormSearch:
     def test_pure_power(self):
         res = norm(POWER, M112)
-        assert res.value == pytest.approx(TWO_SQRT2, rel=1e-3)
-        assert res.argmax.d == pytest.approx(0.0, abs=1e-6)
+        assert abs(res.value - closed_form_power_norm(M112)) <= 2 * math.ulp(TWO_SQRT2)
+        assert res.argmax.d == 0.0
         assert not res.truncated
 
     def test_inner_truncation_same_norm(self):
@@ -224,8 +229,9 @@ class TestMorreyNormSearch:
         sp = SpaceParams(n, p, q, Mode.MORREY)
         f = canonicalize([(0.0, INF, 1.0, alpha)])
         res = norm(f, sp)
-        assert res.value == pytest.approx(closed_form_power_norm(sp), rel=1e-3)
-        assert res.argmax.d <= 1e-3 * (1.0 + res.argmax.r)
+        expected = closed_form_power_norm(sp)
+        assert abs(res.value - expected) <= 2 * math.ulp(expected)
+        assert res.argmax.d == 0.0
         # every probe met its tolerance, including the n = 3 balls whose
         # shell is a sliver of a large core
         assert res.tol_ok
@@ -268,7 +274,8 @@ class TestZoomSearch:
     def test_kernel_calls_per_cold_norm(self, monkeypatch):
         calls = self._count_kernel_calls(monkeypatch)
         sp = SpaceParams(2, 1.0, 2.0, Mode.MORREY)
-        f = canonicalize([(0.0, 1.0, 1.0, -1.0), (1.0, 3.0, 0.5, -1.0)])
+        # |f| jumps up at 1, so f is searched, not taken on the exact path
+        f = canonicalize([(0.0, 1.0, 1.0, -1.0), (1.0, 3.0, 2.0, -1.0)])
         norms_mod._search_cached.cache_clear()
         norm(f, sp)
         assert 0 < len(calls) <= 24
@@ -289,7 +296,9 @@ class TestZoomSearch:
         # the best ball of |x|^(-n/q) slides along the flat centered
         # profile with gains at rounding level, so the zoom stops well
         # before its last round: grid, aligned balls, rounds and final
-        # re-evaluation take fewer than _ROUNDS calls in all
+        # re-evaluation take fewer than _ROUNDS calls in all.  The power
+        # is radially decreasing, so the search is forced here
+        monkeypatch.setattr(norms_mod, "_nonincreasing", lambda f: False)
         calls = self._count_kernel_calls(monkeypatch)
         sp = SpaceParams(2, 1.5, 4.0, Mode.MORREY)
         norms_mod._search_cached.cache_clear()
@@ -536,6 +545,213 @@ class TestNormShape:
         zero = canonicalize([])
         assert norms_mod._shape(zero) == (zero, 1.0)
 
+    @staticmethod
+    def _canonical_shape(f):
+        """The shape built through canonicalize: the reference for _shape."""
+        if f.is_zero:
+            return f, 1.0
+        c = abs(f.pieces[0].coef)
+        coefs = [abs(pc.coef) / c for pc in f.pieces]
+        if not all(sys.float_info.min <= x < INF for x in coefs):
+            coefs, c = [abs(pc.coef) for pc in f.pieces], 1.0
+        return canonicalize(
+            RadialPiece(pc.lo, pc.hi, x, pc.alpha) for pc, x in zip(f.pieces, coefs)
+        ), c
+
+    @staticmethod
+    def _shape_cases(rng):
+        """Random pairs with their sums, and functions built to merge and to
+        overflow or underflow their coefficient quotients."""
+        fs = []
+        for sp in (M112, S112):
+            for _ in range(40):
+                x, y = random_pair(rng, sp)
+                fs += [x, y, *(_sums(x, y) or ())]
+        for _ in range(200):
+            k = int(rng.integers(1, 6))
+            cuts = np.sort(rng.uniform(0.0, 5.0, k + 1))
+            if rng.random() < 0.5:
+                cuts[0] = 0.0
+            his = [*cuts[1:-1], INF if rng.random() < 0.5 else cuts[-1]]
+            mags = rng.choice([1.0, 2.0], k) * 10.0 ** rng.choice([0, 0, 0, 300, -300, -310], k)
+            signs = rng.choice([-1.0, 1.0], k)
+            alphas = rng.choice([-0.5, -0.5, -1.0], k)
+            fs.append(canonicalize(
+                (lo, hi, float(c), float(a))
+                for lo, hi, c, a, keep in zip(cuts, his, signs * mags, alphas, rng.random(k))
+                if keep > 0.2
+            ))
+        return fs
+
+    def test_direct_build_equals_canonicalize(self):
+        def bits(shape):
+            s, c = shape
+            return [tuple(float.hex(float(v)) for v in (pc.lo, pc.hi, pc.coef, pc.alpha))
+                    for pc in s.pieces], c.hex()
+
+        fs = self._shape_cases(np.random.Generator(np.random.Philox(key=9)))
+        fallbacks = merges = 0
+        for f in fs:
+            got, want = norms_mod._shape(f), self._canonical_shape(f)
+            assert bits(got) == bits(want), f
+            fallbacks += not f.is_zero and got[1] == 1.0 and abs(f.pieces[0].coef) != 1.0
+            merges += len(got[0].pieces) < len(f.pieces)
+        # the cases reach both the fallback and the merge
+        assert fallbacks >= 5 and merges >= 5, (fallbacks, merges)
+
+
+def _random_nonincreasing(rng, sp):
+    """A random f with |f| radially nonincreasing and a finite norm in sp.
+
+    One to three pieces from the origin with no gaps, exponents <= 0,
+    each piece starting at most as high as its left neighbour ends, and
+    either a tail to infinity (exponent <= -n/q in Morrey mode, the
+    critical -n/q half the time) or a drop to 0.
+    """
+    n, q = sp.n, sp.q
+    k = int(rng.integers(1, 4))
+    lo, hi = (1e-3, 1.0) if sp.mode is Mode.SMALL_MORREY else (1e-2, 10.0)
+    cuts = [0.0, *np.sort(np.exp(rng.uniform(math.log(lo), math.log(hi), k - 1))).tolist()]
+    tail = rng.random() < 0.7
+    if tail:
+        cuts.append(INF)
+    else:
+        cuts.append(float(cuts[-1] * 10.0 ** rng.uniform(0.1, 1.0)) if k > 1
+                    else float(np.exp(rng.uniform(math.log(lo), math.log(hi)))))
+    alphas = [float(rng.uniform(-n / q, 0.0))] + [float(rng.uniform(-n, 0.0)) for _ in range(k - 1)]
+    if tail and sp.mode is Mode.MORREY:
+        alphas[-1] = -n / q if rng.random() < 0.5 else float(rng.uniform(-1.5 * n, -n / q))
+        if k == 1:
+            alphas[0] = -n / q
+    coefs = [float(rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0))]
+    for j in range(1, k):
+        left = abs(coefs[-1]) * cuts[j] ** alphas[j - 1]
+        drop = 1.0 if rng.random() < 0.2 else float(rng.uniform(0.1, 1.0))
+        coefs.append(float(rng.choice([-1.0, 1.0]) * left * drop / cuts[j] ** alphas[j]))
+    return canonicalize(
+        (cuts[j], cuts[j + 1], coefs[j], alphas[j]) for j in range(k)
+    )
+
+
+class TestExactCentered:
+    """A radially nonincreasing |f| takes the centered supremum, not the search."""
+
+    @staticmethod
+    def _no_kernel(monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("kernel called on the exact path")
+
+        monkeypatch.setattr(integrate_mod, "group_ball_integrals", refuse)
+        monkeypatch.setattr(norms_mod, "group_ball_integrals", refuse)
+        norms_mod._search_cached.cache_clear()
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    @pytest.mark.parametrize("n, p, q", [(1, 1.0, 2.0), (2, 1.0, 2.0), (3, 2.0, 4.0)])
+    def test_pure_power_is_closed_form(self, monkeypatch, n, p, q, mode):
+        # [DERIVED] |x|^(-n/q) is radially decreasing and its centered
+        # profile is v_n^(1/q) (1 - p/q)^(-1/p) at every radius
+        self._no_kernel(monkeypatch)
+        sp = SpaceParams(n, p, q, mode)
+        res = norm(canonicalize([(0.0, INF, 1.0, -n / q)]), sp)
+        expected = closed_form_power_norm(sp)
+        assert abs(res.value - expected) <= 2 * math.ulp(expected)
+        assert res.argmax.d == 0.0 and res.tol_ok and not res.truncated
+
+    @pytest.mark.parametrize("sp", [M112, S112])
+    def test_witness_parts_skip_the_kernel(self, monkeypatch, sp):
+        # [DERIVED] the inner truncation keeps the power's profile below
+        # r = 1; in small mode that is every radius, so no limit is missed
+        self._no_kernel(monkeypatch)
+        res = norm(POWER_IN, sp)
+        assert res.value == pytest.approx(TWO_SQRT2, rel=1e-15)
+        assert res.argmax.d == 0.0 and not res.truncated
+
+    @pytest.mark.parametrize(
+        "alpha, r_star, expected",
+        [
+            # [DERIVED] n = 1, p = 1, q = 2, f = 1 on [0, 1) and |x|^alpha
+            # past it.  alpha = -1 (gamma = 0): P(r) = (2 / r)^(1/2)
+            # (1 + log r), stationary where 1 + log r = 2, at r = e, with
+            # P(e) = 2 (2 / e)^(1/2)
+            (-1.0, math.e, 2.0 * math.sqrt(2.0 / math.e)),
+            # alpha = -3/4 (gamma = 1/4): P(r) = (2 r)^(-1/2) (8 r^(1/4) - 6),
+            # stationary where r^(1/4) = 3/2, at r = 81/16, with P = 4 sqrt(2) / 3
+            (-0.75, 81.0 / 16.0, 4.0 * math.sqrt(2.0) / 3.0),
+        ],
+    )
+    def test_interior_root(self, monkeypatch, alpha, r_star, expected):
+        self._no_kernel(monkeypatch)
+        res = norm(canonicalize([(0.0, 1.0, 1.0, 0.0), (1.0, INF, 1.0, alpha)]), M112)
+        assert res.value == pytest.approx(expected, rel=1e-15)
+        assert res.argmax.d == 0.0 and res.argmax.r == pytest.approx(r_star, rel=1e-14)
+        assert not res.truncated
+
+    def test_tail_still_rising_is_truncated(self):
+        # [DERIVED] n = 1, p = q = 1 (weight 1), f = 1 on [0, 1) and
+        # |x|^(-2) past it: the centered integral 2 (2 - 1/r) climbs to 4
+        # as r -> infinity, so the window's best is r_max = 1e6
+        f = canonicalize([(0.0, 1.0, 1.0, 0.0), (1.0, INF, 1.0, -2.0)])
+        sp = SpaceParams(1, 1.0, 1.0, Mode.MORREY)
+        assert norms_mod._nonincreasing(f)
+        res = norm(f, sp)
+        assert res.value == pytest.approx(4.0 - 2.0 / 1e6, rel=1e-15)
+        assert res.argmax == norms_mod.Ball(0.0, 1e6) and res.truncated
+
+    @pytest.mark.parametrize(
+        "pieces, expected",
+        [
+            ([(0.0, 1.0, 1.0, -0.5), (2.0, 3.0, 0.5, -0.5)], False),    # a gap
+            ([(0.0, 1.0, 1.0, -0.5), (1.0, 3.0, 1.5, -0.5)], False),    # an upward jump
+            ([(0.0, 1e-200, 1.0, 0.0), (1e-200, INF, 1.0, -2.0)], False),  # up, past floats
+            ([(0.0, 1.0, 1.0, 0.5)], False),                            # alpha > 0
+            ([(0.5, INF, 1.0, -0.5)], False),                           # starts past 0
+            ([(0.0, 1.0, 1.0, -0.5), (1.0, 3.0, 0.5, -1.0)], True),     # drops, then 0
+            ([(0.0, 1.0, 1.0, -0.5), (1.0, INF, -1.0, -0.5)], True),    # a sign flip
+            ([(0.0, 2.0, -3.0, 0.0)], True),                            # a constant
+            ([], False),                                                # zero
+        ],
+    )
+    def test_nonincreasing_edge_cases(self, pieces, expected):
+        assert norms_mod._nonincreasing(canonicalize(pieces)) is expected
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    @pytest.mark.parametrize(
+        "n, p, q", [(1, 1.0, 2.0), (1, 2.0, 3.0), (2, 1.0, 2.0), (2, 1.5, 4.0),
+                    (3, 2.0, 4.0), (3, 1.5, 3.0)],
+    )
+    def test_agrees_with_forced_search(self, monkeypatch, n, p, q, mode):
+        # 9 functions per case, 108 in all.  The search flags `truncated`
+        # when its profile rose by more than 1e-7 over its last grid step,
+        # so it misses a limit that beats r_max by less: one critical tail
+        # of the n = 3 Morrey set climbs 3.7e-10 past r_max, 2.4e-10 of it
+        # over the last grid step.  Where the flags differ the exact flag
+        # must be that miss, backed by the tail's closed-form limit.
+        sp = SpaceParams(n, p, q, mode)
+        rng = np.random.Generator(np.random.Philox(key=5, counter=[n, int(2 * p), int(q), 0]))
+        fs = []
+        while len(fs) < 9:
+            f = _random_nonincreasing(rng, sp)
+            # the exact path sees the shape, whose rounding can lift a
+            # continuous breakpoint by an ulp
+            if norms_mod._nonincreasing(norms_mod._shape(f)[0]) and not norm_is_infinite(f, sp):
+                fs.append(f)
+        norms_mod._search_cached.cache_clear()
+        exact = norms_mod.norm_batch(fs, sp)
+        with monkeypatch.context() as patch:
+            patch.setattr(norms_mod, "_nonincreasing", lambda f: False)
+            norms_mod._search_cached.cache_clear()
+            searched = norms_mod.norm_batch(fs, sp)
+        norms_mod._search_cached.cache_clear()
+        rel_tol = IntegrationSettings().rel_tol
+        for f, a, b in zip(fs, exact, searched):
+            assert a.value == pytest.approx(b.value, rel=1e-13), (f, a, b)
+            assert a.argmax.d == 0.0 and a.tol_ok
+            if a.truncated != b.truncated:
+                tail = f.pieces[-1]
+                limit = abs(tail.coef) * closed_form_power_norm(sp)
+                assert a.truncated and (sp.mode, tail.hi, tail.alpha) == (Mode.MORREY, INF, -n / q)
+                assert limit > a.value * (1.0 + rel_tol), (f, a, b)
+
 
 class TestBestInRows:
     """The zoom's per-row argmax against the sort it replaced."""
@@ -642,7 +858,8 @@ class TestNormAxioms:
 class TestDegradedAccuracyFlag:
     def test_budget_exhaustion_reported(self, monkeypatch):
         sp = SpaceParams(2, 1.0, 2.0, Mode.MORREY)
-        f = canonicalize([(0.0, INF, 1.0, -1.0)])
+        # |f| jumps up at 1, so f is searched, not taken on the exact path
+        f = canonicalize([(0.0, 1.0, 1.0, -1.0), (1.0, INF, 2.0, -1.0)])
         monkeypatch.setattr(integrate_mod, "_MAX_PANELS", 2)
         monkeypatch.setattr(norms_mod, "_N_RADII", 8)
         monkeypatch.setattr(norms_mod, "_N_CENTERS", 3)
