@@ -14,9 +14,9 @@ flags win.  Reports are JSON or CSV with byte-deterministic content for
 a fixed configuration and seed; wall time goes to stderr only.  Exit
 status is 0 exactly when every check in the report passed.
 
-Each command owns one NormTable: the ratio commands hand it all their
-candidate pairs at once, so every distinct norm shape (|f| up to a
-positive factor) is searched once, in lockstep groups, and --threads
+Each command owns one norms.NormTable: the ratio commands hand it all
+their candidate pairs at once, so every distinct norm shape (|f| up to
+a positive factor) is searched once, in lockstep groups, and --threads
 N > 1 lets it hand those groups to a pool of at most N (and at most the
 CPU count) worker processes, shut down before the command returns.
 The workers only search; the memo stays in the command's process.
@@ -36,7 +36,6 @@ from typing import Any
 from morreyconst.constants import (
     DEFAULT_EPS_LADDER,
     ConstantKind,
-    NormTable,
     candidate_pairs,
     estimate_constants,
     pair_ratios,
@@ -53,7 +52,7 @@ from morreyconst.model import (
     subtract,
     truncate,
 )
-from morreyconst.norms import closed_form_power_norm, search_window
+from morreyconst.norms import NormTable, closed_form_power_norm, search_window
 from morreyconst.report import (
     Check,
     build_report,

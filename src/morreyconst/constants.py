@@ -15,10 +15,10 @@ bound as a function of the split point in small mode.
 All four ratios are arithmetic on a few norms of the pair: N(x), N(y),
 N(x +- y) and, for the unit-pair ratios, N(x/N(x) +- y/N(y)).
 :func:`pair_ratios` lists the distinct functions among those of every
-candidate pair, has a :class:`NormTable` evaluate them (the memo stays
-in the calling process; a process pool, when asked, only searches), and
-then computes every kind's ratio on every pair from the returned values;
-:func:`estimate_constants` reduces those rows to one estimate per kind.
+candidate pair, has a :class:`~morreyconst.norms.NormTable` evaluate
+them, and then computes every kind's ratio on every pair from the
+returned values; :func:`estimate_constants` reduces those rows to one
+estimate per kind.
 :func:`ratio` is the same arithmetic on one pair, with the norms
 computed as it goes.
 """
@@ -27,8 +27,7 @@ from __future__ import annotations
 
 import enum
 import math
-import os
-from collections.abc import Callable, Iterable
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,7 +46,7 @@ from morreyconst.model import (
     subtract,
     truncate,
 )
-from morreyconst.norms import NormResult, norm, norm_batch
+from morreyconst.norms import NormTable, norm
 
 __all__ = [
     "Family",
@@ -61,7 +60,6 @@ __all__ = [
     "theorem2_lower_bound",
     "random_pair",
     "candidate_pairs",
-    "NormTable",
     "pair_ratios",
     "estimate_constants",
     "estimate_constant",
@@ -342,71 +340,6 @@ def candidate_pairs(
         for _ in range(random_trials):
             pairs.append(random_pair(rng, params))
     return pairs
-
-
-class NormTable:
-    """A command's norms: :func:`~morreyconst.norms.norm_batch` on its pool.
-
-    ``evaluate`` returns the norms of its functions, in order.  Every
-    norm comes from norm_batch, whose per-shape memo lives in the calling
-    process: each distinct norm shape is searched once per command,
-    whether here or on the pool, and pool workers only search.  With
-    ``workers`` > 1 the pool is created at the first batch with two or
-    more shapes left to search, with min(workers, CPU count, that count)
-    processes, and then searches every batch with two or more such
-    shapes until ``close``; a batch with one runs here.  The pool forks
-    where the platform can, since a spawned worker would first import
-    numpy and the package again; fork copies only the calling thread, so
-    the caller must not be running threads of its own then.  Each item
-    of the pool's ``map`` is one lockstep group of shapes.  ``map`` keeps
-    input order and every norm is a pure function of its inputs, so the
-    results do not depend on ``workers``.
-    """
-
-    def __init__(
-        self,
-        params: SpaceParams,
-        integ: IntegrationSettings = IntegrationSettings(),
-        workers: int = 1,
-    ) -> None:
-        self._params = params
-        self._integ = integ
-        self._workers = workers
-        self._pool = None
-        self._pool_size = 0
-
-    def evaluate(self, functions: Iterable[PiecewiseRadialFunction]) -> list[NormResult]:
-        return norm_batch(functions, self._params, self._integ, self._pool_for)
-
-    def _pool_for(self, batch: int) -> tuple[Callable, int]:
-        """(map, parts) for a batch of this many shapes: the pool's, or map here."""
-        if batch < 2:
-            return map, 1
-        if self._pool is None:
-            workers = min(self._workers, os.cpu_count() or 1, batch)
-            if workers < 2:
-                return map, 1
-            # imported here, so that commands without a pool do not load them
-            import multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
-
-            fork = "fork" in multiprocessing.get_all_start_methods()
-            context = multiprocessing.get_context("fork" if fork else None)
-            self._pool = ProcessPoolExecutor(max_workers=workers, mp_context=context)
-            self._pool_size = workers
-        return self._pool.map, self._pool_size
-
-    def close(self) -> None:
-        """Shut the pool down and wait for its processes to exit."""
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
-
-    def __enter__(self) -> "NormTable":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
 
 def _sums(

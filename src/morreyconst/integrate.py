@@ -269,10 +269,6 @@ def _shell_cuts(f: PiecewiseRadialFunction, d: np.ndarray, r: np.ndarray) -> np.
     return np.sort(np.concatenate(cols, axis=-1), axis=-1)
 
 
-# Balls per adaptive quadrature call: bounds the call's panel state.
-_BALLS_PER_PASS = 256
-
-
 def _powers(t: np.ndarray, gamma) -> np.ndarray:
     """P(t) = t^gamma, or log t where gamma = 0, for 1-d t.
 
@@ -542,8 +538,8 @@ def ball_integrals(
     :class:`BallIntegral`: the group-of-one form of
     :func:`group_ball_integrals`.  For n = 1 every value is closed form.
     For n >= 2 the closed-form cores are vectorized, and the off-center
-    shells go through :func:`_adaptive_quadrature` in blocks of
-    ``_BALLS_PER_PASS``.
+    shells of each function go through one :func:`_adaptive_quadrature`
+    call, whose GK15 passes see at most ``_POINTS_PER_CALL`` points each.
     """
     return group_ball_integrals((f,), p, n, 0, d, r, settings)
 
@@ -559,9 +555,8 @@ def _ball_integrals_nd(f, p, n, d, r, settings):
     if core.any():
         values[core] = centered_integrals(f, p, n, (r - d)[core])
 
-    idx = np.flatnonzero((d > 0.0) & ~diverges)
-    for start in range(0, idx.size, _BALLS_PER_PASS):
-        k = idx[start:start + _BALLS_PER_PASS]
+    k = np.flatnonzero((d > 0.0) & ~diverges)
+    if k.size:
         dk, rk = d[k], r[k]
         shell, tol_ok[k] = _adaptive_quadrature(
             lambda theta, rows: _shell_integrand(f, p, n, theta, dk[rows], rk[rows]),

@@ -32,21 +32,22 @@ gains still to come (near the window's edge the best ball can rest for
 a few rounds before it climbs again).  The winner is then re-evaluated
 at the requested tolerance, as after a full zoom.
 
-Norms are searched in lockstep groups (:func:`norm_batch`): each
+Norms are searched in lockstep groups (:func:`_search_group`): each
 function has its own grid call, and then the aligned balls, every zoom
 round and the final re-evaluation of the whole group are one kernel call
 each (:func:`~morreyconst.integrate.group_ball_integrals`), so the
 per-call cost of numpy is paid once per round for the group.  A row of
 those calls is one (function, start) pair with its function's own window
 and steps, and every ball's value is independent of the group, so a
-norm comes out bit for bit the same in any group; :func:`norm` is the
-batch of one.
+norm comes out bit for bit the same in any group.
 
 The norm depends only on |f| and ||c f|| = |c| ||f||, so a search runs
 once per norm shape, |f| over the magnitude of its first coefficient
 (:func:`_shape`): a function's norm is its shape's norm times that
-magnitude.  :func:`norm_batch` memoizes results per shape in the
-calling process; the workers of a caller's pool only search.
+magnitude.  :class:`NormTable` is the one evaluator: it takes shapes,
+memoizes results per shape in the calling process, and searches the
+missing ones in lockstep groups, here or on its process pool, whose
+workers only search; :func:`norm` is a pool-less table of one.
 
 Whether the norm is infinite is decided analytically from the piece
 exponents before any search runs (:func:`norm_is_infinite`, exact on
@@ -56,11 +57,12 @@ this function class).
 from __future__ import annotations
 
 import math
+import os
 import sys
 from dataclasses import dataclass, replace
 import threading
 from collections import OrderedDict
-from collections.abc import Callable, Iterable
+from collections.abc import Iterable
 from itertools import repeat
 
 import numpy as np
@@ -84,7 +86,7 @@ __all__ = [
     "NormResult",
     "centered_norm_profile",
     "norm",
-    "norm_batch",
+    "NormTable",
     "closed_form_power_norm",
     "norm_is_infinite",
 ]
@@ -121,6 +123,9 @@ _STOP_ROUNDS = 3
 # round and the final re-evaluation are one kernel call each.  Larger
 # groups amortize the per-call overhead further but hold larger arrays.
 _GROUP = 8
+
+# The upward step at a breakpoint that _nonincreasing takes for rounding.
+_STEP_SLACK = 4 * 2.0**-52
 
 
 def search_window(f: PiecewiseRadialFunction, mode: Mode) -> tuple[float, float, float]:
@@ -255,12 +260,22 @@ def norm_is_infinite(f: PiecewiseRadialFunction, params: SpaceParams) -> bool:
 
 
 def _nonincreasing(f: PiecewiseRadialFunction) -> bool:
-    """Whether |f| is radially nonincreasing on (0, infinity).
+    """Whether |f| is radially nonincreasing on (0, infinity), up to rounding.
 
     True when f's first piece starts at 0, its pieces leave no gap, every
-    exponent is <= 0 and |f| never jumps up at a breakpoint (as computed
-    in floats, where a value past the float range is infinite); a drop
-    to 0 past the last piece is allowed.
+    exponent is <= 0 and |f| never jumps up at a breakpoint by more than
+    delta = ``_STEP_SLACK`` relative (as computed in floats, where a value
+    past the float range is infinite); a drop to 0 past the last piece is
+    allowed.  The slack admits the rounding that dividing by a shape's
+    first coefficient (:func:`_shape`) leaves on a breakpoint where f is
+    continuous, and a step that small moves the norm by rounding only.
+    Let K be the number of upward steps, and g be |f| divided by
+    (1 + delta)^k, k the number of upward steps at or below |x|.  Then g is nonincreasing and
+    g <= |f| <= (1 + delta)^K g.  With L the supremum of the centered
+    profile, which is the norm for a nonincreasing function and grows
+    with |f|, L(f) <= ||f|| <= (1 + delta)^K ||g|| = (1 + delta)^K L(g)
+    <= (1 + delta)^K L(f): the centered supremum is the norm within a
+    relative (1 + delta)^K - 1, about 9e-16 K.
     """
     if f.is_zero:
         return False
@@ -272,7 +287,7 @@ def _nonincreasing(f: PiecewiseRadialFunction) -> bool:
         lo[0] == 0.0
         and (alpha <= 0.0).all()
         and (hi[:-1] == lo[1:]).all()
-        and (starts <= ends).all()
+        and (starts <= ends * (1.0 + _STEP_SLACK)).all()
     )
 
 
@@ -657,15 +672,11 @@ class _SearchMemo:
 _search_cached = _SearchMemo(maxsize=4096)
 
 
-def norm_batch(
-    fs: Iterable[PiecewiseRadialFunction],
-    params: SpaceParams,
-    integ: IntegrationSettings = IntegrationSettings(),
-    pool_for: Callable[[int], tuple[Callable, int]] | None = None,
-) -> list[NormResult]:
-    """The norm of every function of fs, in order.
+class NormTable:
+    """A command's norms, searched once per shape, here or on a process pool.
 
-    Each function f is searched as its shape s, with |f| = c s
+    ``evaluate`` returns the norms of its functions, in order.  Each
+    function f is searched as its shape s, with |f| = c s
     (:func:`_shape`), and its result is the shape's with ``value``
     multiplied by c; ``argmax``, ``truncated`` and ``tol_ok`` are the
     shape's.  This is sound because the norm depends only on |f| and
@@ -677,26 +688,77 @@ def norm_batch(
     sides, which f's signs alone made a breakpoint.  So searching s is
     searching |f| up to the rounding of its coefficients (an ulp each).
 
-    Results are memoized on (s, params, integ) in this process.  The
-    shapes not in the memo, k >= 1 of them, are searched in first-seen
-    order in chunks of :func:`lockstep_chunks`.  ``pool_for(k)``, when
-    given, returns (map, parts): the chunks are cut for parts consumers
-    and searched with that map, which keeps their order as
-    ``Executor.map`` does.  Each result equals :func:`norm`'s bit for bit.
+    Results are memoized on (s, params, integ) in the calling process,
+    shared by every table, so each distinct norm shape is searched once
+    per command.  The shapes not in the memo are searched in first-seen
+    order in chunks of :func:`lockstep_chunks`.  With ``workers`` > 1 a
+    process pool is created at the first batch with two or more shapes
+    left to search, with min(workers, CPU count, that count) processes,
+    and then searches every batch with two or more such shapes until
+    ``close``, one chunk per task, the chunks cut for its processes; a
+    batch with one runs here.  The pool only searches.  It forks where
+    the platform can, since a spawned worker would first import numpy
+    and the package again; fork copies only the calling thread, so the
+    caller must not be running threads of its own then.  The pool's
+    ``map`` keeps input order and every norm is a pure function of its
+    inputs, so each result equals the search alone bit for bit, whatever
+    ``workers`` is.
     """
-    fs = list(fs)
-    shapes = [_shape(f) for f in fs]
-    found = {s: _search_cached.get((s, params, integ)) for s, _ in shapes}
-    todo = [s for s, result in found.items() if result is None]
-    if todo:
-        run, parts = pool_for(len(todo)) if pool_for else (map, 1)
-        chunks = lockstep_chunks(todo, parts)
+
+    def __init__(
+        self,
+        params: SpaceParams,
+        integ: IntegrationSettings = IntegrationSettings(),
+        workers: int = 1,
+    ) -> None:
+        self._params = params
+        self._integ = integ
+        self._workers = workers
+        self._pool = None
+        self._pool_size = 0
+
+    def evaluate(self, functions: Iterable[PiecewiseRadialFunction]) -> list[NormResult]:
+        params, integ = self._params, self._integ
+        shapes = [_shape(f) for f in functions]
+        found = {s: _search_cached.get((s, params, integ)) for s, _ in shapes}
+        todo = [s for s, result in found.items() if result is None]
+        if len(todo) >= 2 and self._pool is None:
+            self._start_pool(len(todo))
+        pooled = len(todo) >= 2 and self._pool is not None
+        chunks = lockstep_chunks(todo, self._pool_size if pooled else 1)
+        run = self._pool.map if pooled else map
         searched = run(_search_group, chunks, repeat(params), repeat(integ))
         for group, results in zip(chunks, searched):
             for s, result in zip(group, results):
                 _search_cached.put((s, params, integ), result)
                 found[s] = result
-    return [found[s].scaled(c) for s, c in shapes]
+        return [found[s].scaled(c) for s, c in shapes]
+
+    def _start_pool(self, batch: int) -> None:
+        """Create the pool for a batch of this many shapes, unless it would have one process."""
+        workers = min(self._workers, os.cpu_count() or 1, batch)
+        if workers < 2:
+            return
+        # imported here, so that commands without a pool do not load them
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        fork = "fork" in multiprocessing.get_all_start_methods()
+        context = multiprocessing.get_context("fork" if fork else None)
+        self._pool = ProcessPoolExecutor(max_workers=workers, mp_context=context)
+        self._pool_size = workers
+
+    def close(self) -> None:
+        """Shut the pool down and wait for its processes to exit."""
+        if self._pool is not None:
+            self._pool.shutdown()
+            self._pool = None
+
+    def __enter__(self) -> "NormTable":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
 
 def norm(
@@ -706,7 +768,7 @@ def norm(
 ) -> NormResult:
     """The norm of f in the space of params, Morrey or small by its mode.
 
-    The memoized batch of one: callers that ask one ratio or one kind at
-    a time share their norms with each other and with :func:`norm_batch`.
+    A pool-less :class:`NormTable` of one: callers that ask one ratio or
+    one kind at a time share their norms through the memo.
     """
-    return norm_batch([f], params, integ)[0]
+    return NormTable(params, integ).evaluate([f])[0]

@@ -408,7 +408,7 @@ class TestNormPool:
         import multiprocessing
 
         import morreyconst.norms as norms_mod
-        from morreyconst.constants import NormTable
+        from morreyconst.norms import NormTable
 
         log = tmp_path / "searched"
         monkeypatch.setattr(sys.modules[__name__], "_SEARCH_LOG", str(log))

@@ -10,7 +10,6 @@ import pytest
 from morreyconst.constants import (
     ConstantKind,
     Family,
-    NormTable,
     NotInSpace,
     ZeroFunction,
     candidate_pairs,
@@ -34,7 +33,7 @@ from morreyconst.model import (
     subtract,
     truncate,
 )
-from morreyconst.norms import norm
+from morreyconst.norms import NormTable, norm
 
 INF = math.inf
 

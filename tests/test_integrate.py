@@ -567,7 +567,6 @@ class TestBatchedBallIntegrals:
     def test_blocks_do_not_change_values(self, monkeypatch):
         d, r = np.meshgrid(np.linspace(0.1, 4.0, 9), np.geomspace(0.01, 10.0, 7))
         whole = ball_integrals(self.F, 1.0, 3, d, r)
-        monkeypatch.setattr(integrate_mod, "_BALLS_PER_PASS", 4)
         monkeypatch.setattr(integrate_mod, "_POINTS_PER_CALL", 3 * 15)
         blocks = ball_integrals(self.F, 1.0, 3, d, r)
         np.testing.assert_allclose(blocks[0], whole[0], rtol=1e-15)

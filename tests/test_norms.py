@@ -24,6 +24,7 @@ from morreyconst.model import (
     truncate,
 )
 from morreyconst.norms import (
+    NormTable,
     centered_norm_profile,
     closed_form_power_norm,
     norm,
@@ -288,7 +289,7 @@ class TestZoomSearch:
         fs = list(dict.fromkeys(random_pair(rng, M112)[0] for _ in range(5)))
         monkeypatch.setattr(norms_mod, "_GROUP", len(fs))
         norms_mod._search_cached.cache_clear()
-        results = norms_mod.norm_batch(fs, M112)
+        results = NormTable(M112).evaluate(fs)
         assert all(res.argmax is not None for res in results)
         assert len(calls) <= len(fs) + 2 + norms_mod._ROUNDS
 
@@ -358,7 +359,7 @@ class TestZoomStop:
         fs = self._random_set(sp, trials)
         full = self._full_zoom(monkeypatch, fs, sp)
         norms_mod._search_cached.cache_clear()
-        stopped = norms_mod.norm_batch(fs, sp)
+        stopped = NormTable(sp).evaluate(fs)
         rel_tol = IntegrationSettings().rel_tol
         for f, a, b in zip(fs, stopped, full):
             assert a.value >= b.value * (1.0 - rel_tol), (f, a, b)
@@ -393,7 +394,7 @@ def _same_result(a, b) -> bool:
 
 
 class TestLockstepBatch:
-    """norm_batch searches groups in lockstep; every result equals the search alone."""
+    """NormTable searches groups in lockstep; every result equals the search alone."""
 
     MIXED = canonicalize([(0.0, 0.5, 1.0, 0.4), (0.5, 2.0, -1.5, -0.3), (2.0, 4.0, 0.8, -2.0)])
 
@@ -428,7 +429,7 @@ class TestLockstepBatch:
         alone = self._batches_of_one(fs, sp)
         monkeypatch.setattr(norms_mod, "_GROUP", group)
         norms_mod._search_cached.cache_clear()
-        batch = norms_mod.norm_batch(fs, sp)
+        batch = NormTable(sp).evaluate(fs)
         assert [res.value for res in alone[12:14]] == [0.0, INF]
         assert alone[16].truncated or sp.mode is Mode.SMALL_MORREY
         for k, (a, b) in enumerate(zip(alone, batch)):
@@ -444,7 +445,7 @@ class TestLockstepBatch:
         alone = self._alone(fs, sp)
         monkeypatch.setattr(norms_mod, "_GROUP", group)
         norms_mod._search_cached.cache_clear()
-        for a, b in zip(alone, norms_mod.norm_batch(fs, sp)):
+        for a, b in zip(alone, NormTable(sp).evaluate(fs)):
             assert _same_result(a, b), (a, b)
 
     def test_batch_shares_the_memo_with_norm(self, monkeypatch):
@@ -458,7 +459,7 @@ class TestLockstepBatch:
         monkeypatch.setattr(norms_mod, "_search_group", counting)
         norms_mod._search_cached.cache_clear()
         first = norm(POWER_IN, M112)
-        batch = norms_mod.norm_batch([POWER_OUT, POWER_IN, POWER_OUT], M112)
+        batch = NormTable(M112).evaluate([POWER_OUT, POWER_IN, POWER_OUT])
         assert batch[1] is first and batch[0] is batch[2]
         assert norm(POWER_OUT, M112) is batch[0]
         assert searched == [POWER_IN, POWER_OUT]
@@ -714,6 +715,27 @@ class TestExactCentered:
     def test_nonincreasing_edge_cases(self, pieces, expected):
         assert norms_mod._nonincreasing(canonicalize(pieces)) is expected
 
+    @pytest.mark.parametrize("sp", [M112, S112, SpaceParams(2, 1.5, 4.0, Mode.MORREY),
+                                    SpaceParams(3, 2.0, 4.0, Mode.SMALL_MORREY)])
+    def test_shape_keeps_nonincreasing(self, sp):
+        # dividing by the first coefficient lifts a continuous breakpoint
+        # by about an ulp, which must not push the shape off the exact path
+        rng = np.random.Generator(np.random.Philox(key=7))
+        for _ in range(300):
+            f = _random_nonincreasing(rng, sp)
+            assert norms_mod._nonincreasing(norms_mod._shape(f)[0]) is norms_mod._nonincreasing(f)
+            assert norms_mod._nonincreasing(f), f
+
+    @pytest.mark.parametrize("sp", [M112, S112])
+    def test_continuous_breakpoint_skips_the_kernel(self, monkeypatch, sp):
+        # its shape's second piece starts 1.1e-16 relative above where the
+        # first ends
+        f = canonicalize([(0.0, 9.405744996024191, 2.4520874576305247, -0.002632652282787362),
+                          (9.405744996024191, INF, 18.765451986047335, -0.9106142091913831)])
+        self._no_kernel(monkeypatch)
+        res = norm(f, sp)
+        assert res.argmax.d == 0.0 and res.tol_ok
+
     @pytest.mark.parametrize("mode", list(Mode))
     @pytest.mark.parametrize(
         "n, p, q", [(1, 1.0, 2.0), (1, 2.0, 3.0), (2, 1.0, 2.0), (2, 1.5, 4.0),
@@ -731,16 +753,15 @@ class TestExactCentered:
         fs = []
         while len(fs) < 9:
             f = _random_nonincreasing(rng, sp)
-            # the exact path sees the shape, whose rounding can lift a
-            # continuous breakpoint by an ulp
+            # the exact path sees the shape
             if norms_mod._nonincreasing(norms_mod._shape(f)[0]) and not norm_is_infinite(f, sp):
                 fs.append(f)
         norms_mod._search_cached.cache_clear()
-        exact = norms_mod.norm_batch(fs, sp)
+        exact = NormTable(sp).evaluate(fs)
         with monkeypatch.context() as patch:
             patch.setattr(norms_mod, "_nonincreasing", lambda f: False)
             norms_mod._search_cached.cache_clear()
-            searched = norms_mod.norm_batch(fs, sp)
+            searched = NormTable(sp).evaluate(fs)
         norms_mod._search_cached.cache_clear()
         rel_tol = IntegrationSettings().rel_tol
         for f, a, b in zip(fs, exact, searched):
