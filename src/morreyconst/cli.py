@@ -16,9 +16,10 @@ status is 0 exactly when every check in the report passed.
 
 Each command owns one norms.NormTable: the ratio commands hand it all
 their candidate pairs at once, so every distinct norm shape (|f| up to
-a positive factor) is searched once, in lockstep groups, and --threads
-N > 1 lets it hand those groups to a pool of at most N (and at most the
-CPU count) worker processes, shut down before the command returns.
+a positive factor) is certified or searched once, in lockstep groups,
+and --threads N > 1 lets it hand that work to a pool of at most N (and
+at most the CPU count) worker processes, shut down before the command
+returns.
 The workers only search; the memo stays in the command's process.
 The thread count never changes the report.
 """

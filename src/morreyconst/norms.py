@@ -3,36 +3,61 @@
 The norm is  sup over balls B(a, r)  of  |B|^(1/q - 1/p) (int_B |f|^p)^(1/p),
 with radii unrestricted (Morrey mode) or confined to (0, 1) (small mode).
 
-When |f| is radially nonincreasing (:func:`_nonincreasing`), no ball
-B(a, r) beats the centered ball B(0, r) of the same radius.  The part of
-B(0, r) outside B(a, r) and the part of B(a, r) outside B(0, r) have the
-same measure; the points of the first have |x| < r and those of the
-second |x| >= r, so |f| is at least |f|(r) on the first and at most
-|f|(r) on the second, and moving the ball to the origin trades its mass
-for at least as much.  This is the elementary case of the
-Hardy-Littlewood rearrangement inequality (Lieb & Loss, *Analysis*,
-Thm 3.4).  The move keeps the radius, so it holds in small mode too.
-The norm of such an f is the supremum over r of its closed-form centered
-profile, found exactly from a few candidate radii
-(:func:`_centered_supremum`): no grid, zoom or quadrature runs.
+Two exact bounds bracket the norm.  From below, the centered balls:
+the centered profile P(r) is closed form, and its supremum L over the
+window's radii comes exactly from a few candidate radii
+(:func:`_centered_supremum`).  From above, the bathtub principle
+(Lieb & Loss, *Analysis*, Thm 1.14): let g* be the decreasing
+rearrangement of |f|^p in the measure variable m = v_n t^n and
+Phi(m) = int_0^m g*.  A ball of measure m holds at most Phi(m) of |f|^p,
+and its weight |B|^(1/q - 1/p) depends on m alone, so no ball beats
+U = sup over m of m^(1/q - 1/p) Phi(m)^(1/p) (:func:`_bathtub_bounds`),
+and L <= ||f|| <= U.  Where U meets L within the requested rel_tol, the
+norm is L, certified, and no grid, zoom or quadrature runs
+(:func:`_certified`).  When |f| is radially nonincreasing, |f|^p is its
+own rearrangement: the centered ball of measure m is the set of the m
+largest values, so U = L up to rounding and every such f is certified.
+That is the elementary case of the Hardy-Littlewood rearrangement
+inequality (Lieb & Loss, Thm 3.4).
 
-Every other function is searched.  By radial symmetry the supremum over
-centers a reduces to a supremum over the center distance d = |a|,
-leaving a 2-parameter search in (d, r): a coarse log-r x linear-d grid,
-filled by one batched kernel call, then a zoom.  The zoom starts from
-the best grid cells and from the best balls whose faces d - r and d + r
-both sit on breakpoints of f (or at the origin); each round evaluates a
-small patch in (d, log r) and one in (d - r, d + r) around every start,
-moves each start to its best ball and shrinks the patches.  Centered
-balls (d = 0) are exact.  A function leaves the zoom once its best ball
-has moved in three rounds with a gain of at most 1e-13 relative each,
-counted since its last larger gain; rounds in which the best ball stands
-still do not count, because a ball that rests says nothing about the
-gains still to come (near the window's edge the best ball can rest for
-a few rounds before it climbs again).  The winner is then re-evaluated
-at the requested tolerance, as after a full zoom.
+U is exact.  In m, a piece c |x|^alpha is |c|^p (m / v_n)^(alpha p / n)
+on an m-interval, so the level set {|f|^p > lam} is a union of
+intervals with closed-form ends, and its measure mu(lam) and the
+integral G(lam) of |f|^p over it are closed form, with
+Phi(mu(lam)) = G(lam).  The m-derivative of log(m^(-kappa) Phi(m)),
+kappa = 1 - p/q, has the sign of m g*(m) - kappa Phi(m), which at
+m = mu(lam) is H(lam) = lam mu(lam) - kappa G(lam).  Between
+consecutive levels at which some piece starts or stops being cut, the
+pieces whose level-set ends move stay the same, and in z = log lam both
+mu and H are sums of exponentials (plus a linear term for a piece with
+alpha p + n = 0), whose roots come exactly from :func:`_exp_sum_roots`.
+A constant piece makes mu jump at its level; Phi is linear there, with
+slope lam, and the bound has no maximum inside that stretch, since its
+one stationary point there is a minimum.  So the candidates are the
+ends of every stretch, the roots of H, the window's ends (inverting
+mu(lam) = m on the segment that brackets m) and the limits as m -> 0 and
+m -> infinity, or m = v_n in small mode.  No quadrature, grid or scipy
+is used.
 
-Norms are searched in lockstep groups (:func:`_search_group`): each
+Every function that the bound does not certify is searched.  By radial
+symmetry the supremum over centers a reduces to a supremum over the
+center distance d = |a|, leaving a 2-parameter search in (d, r): a
+coarse log-r x linear-d grid, filled by one batched kernel call, then a
+zoom.  The zoom starts from the best grid cells and from the best balls
+whose faces d - r and d + r both sit on breakpoints of f (or at the
+origin); each round evaluates a small patch in (d, log r) and one in
+(d - r, d + r) around every start, moves each start to its best ball
+and shrinks the patches.  Centered balls (d = 0) are exact.  A function
+leaves the zoom once its best ball has moved in three rounds with a gain
+of at most 1e-13 relative each, counted since its last larger gain;
+rounds in which the best ball stands still do not count, because a ball
+that rests says nothing about the gains still to come (near the window's
+edge the best ball can rest for a few rounds before it climbs again).
+The winner is then re-evaluated at the requested tolerance, as after a
+full zoom.
+
+Norms are searched in lockstep groups (:func:`_lockstep`), formed
+after the exits and the certificate (:func:`_search_group`): each
 function has its own grid call, and then the aligned balls, every zoom
 round and the final re-evaluation of the whole group are one kernel call
 each (:func:`~morreyconst.integrate.group_ball_integrals`), so the
@@ -124,9 +149,6 @@ _STOP_ROUNDS = 3
 # groups amortize the per-call overhead further but hold larger arrays.
 _GROUP = 8
 
-# The upward step at a breakpoint that _nonincreasing takes for rounding.
-_STEP_SLACK = 4 * 2.0**-52
-
 
 def search_window(f: PiecewiseRadialFunction, mode: Mode) -> tuple[float, float, float]:
     """The (r_min, r_max, d_max) window of f's (d, r) search in mode.
@@ -172,13 +194,14 @@ class NormResult:
 
     ``truncated`` marks suprema still climbing at the search boundary
     (r -> infinity, or r -> 1 in small mode): the value is then a lower
-    estimate with an analytically known deficit.  For a radially
-    nonincreasing |f| (:func:`_centered_supremum`) it is exact: True
-    when the centered profile's supremum over every radius of the mode,
-    its limit as r -> infinity or its value at r = 1 included, beats the
-    window's by more than the requested ``rel_tol``; the value is the
-    window's either way, and ``argmax`` is the centered ball (0, r*).
-    ``tol_ok`` is False when some probe integral missed its tolerance
+    estimate with an analytically known deficit.  For any f that the
+    bathtub bound certifies (:func:`_certified`) it is exact: True when
+    the centered profile's supremum over every radius of the mode, its
+    limit as r -> infinity or its value at r = 1 included, beats the
+    window's by more than the requested ``rel_tol``, and False when the
+    bound over every radius of the mode does not; the value is the
+    window's centered supremum either way, and ``argmax`` is the
+    centered ball (0, r*).  ``tol_ok`` is False when some probe integral missed its tolerance
     budget.
     """
 
@@ -210,7 +233,9 @@ def centered_norm_profile(f: PiecewiseRadialFunction, params: SpaceParams, r):
     r = np.asarray(r, dtype=float)
     if params.mode is Mode.SMALL_MORREY and not (r < 1.0).all():
         raise ValueError(f"small mode requires radius < 1, got {r}")
-    integrals = centered_integrals(f, params.p, params.n, r)
+    # at the first breakpoint of an f that starts past 0 the integral is
+    # 0 up to rounding, which can leave it an ulp below
+    integrals = np.maximum(centered_integrals(f, params.p, params.n, r), 0.0)
     with np.errstate(over="ignore"):
         return _weight(params, r) * integrals ** (1.0 / params.p)
 
@@ -259,38 +284,6 @@ def norm_is_infinite(f: PiecewiseRadialFunction, params: SpaceParams) -> bool:
     return False
 
 
-def _nonincreasing(f: PiecewiseRadialFunction) -> bool:
-    """Whether |f| is radially nonincreasing on (0, infinity), up to rounding.
-
-    True when f's first piece starts at 0, its pieces leave no gap, every
-    exponent is <= 0 and |f| never jumps up at a breakpoint by more than
-    delta = ``_STEP_SLACK`` relative (as computed in floats, where a value
-    past the float range is infinite); a drop to 0 past the last piece is
-    allowed.  The slack admits the rounding that dividing by a shape's
-    first coefficient (:func:`_shape`) leaves on a breakpoint where f is
-    continuous, and a step that small moves the norm by rounding only.
-    Let K be the number of upward steps, and g be |f| divided by
-    (1 + delta)^k, k the number of upward steps at or below |x|.  Then g is nonincreasing and
-    g <= |f| <= (1 + delta)^K g.  With L the supremum of the centered
-    profile, which is the norm for a nonincreasing function and grows
-    with |f|, L(f) <= ||f|| <= (1 + delta)^K ||g|| = (1 + delta)^K L(g)
-    <= (1 + delta)^K L(f): the centered supremum is the norm within a
-    relative (1 + delta)^K - 1, about 9e-16 K.
-    """
-    if f.is_zero:
-        return False
-    lo, hi, coef, alpha = np.array([(pc.lo, pc.hi, pc.coef, pc.alpha) for pc in f.pieces]).T
-    with np.errstate(over="ignore"):
-        ends = np.abs(coef[:-1]) * hi[:-1] ** alpha[:-1]
-        starts = np.abs(coef[1:]) * lo[1:] ** alpha[1:]
-    return bool(
-        lo[0] == 0.0
-        and (alpha <= 0.0).all()
-        and (hi[:-1] == lo[1:]).all()
-        and (starts <= ends * (1.0 + _STEP_SLACK)).all()
-    )
-
-
 def _limit_at_infinity(f: PiecewiseRadialFunction, params: SpaceParams) -> float:
     """Limit of f's centered Morrey profile as r -> infinity, for a finite norm.
 
@@ -312,21 +305,22 @@ def _limit_at_infinity(f: PiecewiseRadialFunction, params: SpaceParams) -> float
 
 
 def _stationary_roots(f: PiecewiseRadialFunction, params: SpaceParams) -> np.ndarray:
-    """Radii inside f's pieces past the first where the centered profile is stationary.
+    """Radii inside f's pieces where the centered profile is stationary.
 
     On a piece c |x|^alpha from a > 0, with A = |c|^p |S^(n-1)|, the
     root of A r^gamma = m I(r) (see :func:`_centered_supremum`) is
     r^gamma = m (gamma I(a) - A a^gamma) / (A (gamma - m)), or
     r = a exp(1/m - I(a) / A) when gamma = 0, when that is a radius
     inside the piece.  With p = q (m = 0) the profile I(r)^(1/p) only
-    rises and has none.
+    rises and has none.  A piece from 0 has none either: there P(r) is a
+    constant times r^(alpha + n/q).
     """
     p, n = params.p, params.n
     m = n * (1.0 - p / params.q)
     if m == 0.0:
         return np.empty(0)
     lo, hi, coef, alpha = np.array(
-        [(pc.lo, pc.hi, pc.coef, pc.alpha) for pc in f.pieces[1:]]
+        [(pc.lo, pc.hi, pc.coef, pc.alpha) for pc in f.pieces if pc.lo > 0.0]
     ).reshape(-1, 4).T
     gamma = alpha * p + n
     rate = unit_sphere_area(n) * np.abs(coef) ** p
@@ -342,11 +336,11 @@ def _stationary_roots(f: PiecewiseRadialFunction, params: SpaceParams) -> np.nda
 def _centered_supremum(
     f: PiecewiseRadialFunction, params: SpaceParams, rel_tol: float
 ) -> NormResult:
-    """The norm of a radially nonincreasing f of finite norm, exactly.
+    """The supremum of f's centered profile P(r), for any f of finite norm, exactly.
 
-    By the rearrangement argument of the module docstring the norm is
-    the supremum over r of the centered profile P(r).  Its value is the
-    supremum over the search window [r_min, r_max] of
+    That is L, the lower end of the bracket of the module docstring, and
+    f's norm wherever the bathtub bound meets it (:func:`_certified`).
+    Its value is the supremum over the search window [r_min, r_max] of
     :func:`search_window`, which is what a search of f would
     approximate.  On a piece c |x|^alpha with lower end a > 0 the
     centered integral is I(r) = I(a) + K (r^gamma - a^gamma),
@@ -359,10 +353,10 @@ def _centered_supremum(
     supremum over any interval of radii is attained at its ends, at a
     breakpoint or at such a root, and those are the candidates.
 
-    Nothing is lost below r_min: on the first piece, which starts at 0,
-    P(r) is a constant times r^(alpha + n/q), monotone in r, and r_min
-    is at most a tenth of f's first breakpoint, so it lies on that
-    piece, and the supremum over (0, r_min] is P(r_min).
+    Nothing is lost below r_min, which is at most a tenth of f's first
+    breakpoint: when f's first piece starts at 0, P(r) is a constant
+    times r^(alpha + n/q) on it, monotone in r, so the supremum over
+    (0, r_min] is P(r_min); otherwise P vanishes there.
 
     ``truncated`` compares the window's supremum with the supremum over
     every radius of the mode: the same candidates unclipped, and the
@@ -389,6 +383,315 @@ def _centered_supremum(
     return NormResult(
         value, Ball(0.0, float(radii[best])), truncated=top > value * (1.0 + rel_tol)
     )
+
+
+def _pow(t: float, e: float) -> float:
+    """t^e for t in [0, infinity] and e != 0, with its limits at 0 and infinity."""
+    if t == 0.0 or t == INF:
+        return INF if (t == INF) == (e > 0.0) else 0.0
+    try:
+        return t**e
+    except OverflowError:
+        return INF
+
+
+def _exp_sum(terms, lin: float, z: float) -> tuple[float, float]:
+    """P(z) and P'(z) for P = sum of a e^(e z) over terms (a, e), plus lin z.
+
+    Both come times one positive factor, e^(-t) with t the largest
+    log-magnitude of a term at z, so that no term overflows however far
+    out z lies; signs and P / P' are P's own.
+    """
+    logs = [math.log(abs(a)) + e * z for a, e in terms]
+    if lin and z:
+        logs.append(math.log(abs(lin)) + math.log(abs(z)))
+    top = max(logs, default=0.0)
+    value = slope = 0.0
+    for (a, e), log_abs in zip(terms, logs):
+        x = math.copysign(math.exp(log_abs - top), a)
+        value += x
+        slope += e * x
+    if lin:
+        value += math.copysign(math.exp(logs[-1] - top), lin * z) if z else 0.0
+        slope += math.copysign(math.exp(min(math.log(abs(lin)) - top, 700.0)), lin)
+    return value, slope
+
+
+def _sign_at(terms, lin: float, z: float) -> float:
+    """The sign of P (see :func:`_exp_sum`) at z, or in the limit when z is infinite."""
+    if abs(z) < INF:
+        value = _exp_sum(terms, lin, z)[0]
+        return math.copysign(1.0, value) if value else 0.0
+    # the dominant term: the fastest growing exponential, else the
+    # linear term, else the slowest decaying exponential or the constant
+    growing = [(abs(e), a) for a, e in terms if e * z > 0.0]
+    if growing:
+        return math.copysign(1.0, max(growing)[1])
+    if lin:
+        return math.copysign(1.0, lin * z)
+    return math.copysign(1.0, max(terms, key=lambda t: t[1] * z)[0]) if terms else 0.0
+
+
+def _outward(terms, lin: float, start: float, toward: float, sign: float) -> float | None:
+    """The first z = start + toward 2^k, k >= 0, where P (see :func:`_exp_sum`) has sign."""
+    step = 1.0
+    while step < 1e300:
+        z = start + toward * step
+        if _sign_at(terms, lin, z) == sign:
+            return z
+        step *= 2.0
+    return None
+
+
+def _monotone_root(terms, lin: float, lo: float, hi: float) -> float | None:
+    """The root of P (see :func:`_exp_sum`) in (lo, hi), where P is monotone, if any."""
+    s_lo, s_hi = _sign_at(terms, lin, lo), _sign_at(terms, lin, hi)
+    if s_lo * s_hi >= 0.0:
+        return None
+    # an infinite end moves in to where P already has its limit's sign
+    if lo == -INF:
+        lo = _outward(terms, lin, hi if hi < INF else 0.0, -1.0, s_lo)
+    if hi == INF and lo is not None:
+        hi = _outward(terms, lin, lo, 1.0, s_hi)
+    if lo is None or hi is None:
+        return None
+    # Newton's method, kept inside the bracket by bisection
+    z = 0.5 * (lo + hi)
+    for _ in range(200):
+        value, slope = _exp_sum(terms, lin, z)
+        if value == 0.0:
+            return z
+        if (value > 0.0) == (s_lo > 0.0):
+            lo = z
+        else:
+            hi = z
+        newton = z - value / slope if slope else lo
+        nxt = newton if lo < newton < hi else 0.5 * (lo + hi)
+        if abs(nxt - z) <= 1e-15 * max(1.0, abs(z)) or nxt in (lo, hi):
+            return nxt
+        z = nxt
+    return z
+
+
+def _exp_sum_roots(terms, lin: float, lo: float, hi: float) -> list[float]:
+    """The roots in (lo, hi) of P(z) = sum of a e^(e z) over terms (a, e), plus lin z.
+
+    lo and hi may be infinite.  Terms of equal exponent merge first.  The
+    roots are found by Rolle's theorem: with lin = 0, P divided by its
+    slowest exponential has a derivative with one term fewer, and with
+    lin != 0 P' itself is an exponential sum.  Between consecutive roots
+    of that derivative, found the same way, P is monotone, so each such
+    stretch holds at most one root, bracketed by a sign change.  Two
+    terms have their one root in closed form.
+    """
+    merged: dict[float, float] = {}
+    for a, e in terms:
+        merged[e] = merged.get(e, 0.0) + a
+    terms = [(a, e) for e, a in sorted(merged.items()) if a != 0.0]
+    if lin:
+        turns = _exp_sum_roots([(a * e, e) for a, e in terms] + [(lin, 0.0)], 0.0, lo, hi)
+    elif len(terms) < 2:
+        return []
+    elif len(terms) == 2:
+        (a0, e0), (a1, e1) = terms
+        if (a0 > 0.0) == (a1 > 0.0):
+            return []
+        z = (math.log(abs(a0)) - math.log(abs(a1))) / (e1 - e0)
+        return [z] if lo < z < hi else []
+    else:
+        terms = [(a, e - terms[0][1]) for a, e in terms]
+        turns = _exp_sum_roots([(a * e, e) for a, e in terms[1:]], 0.0, lo, hi)
+    ends = [lo, *turns, hi]
+    roots = (_monotone_root(terms, lin, a, b) for a, b in zip(ends, ends[1:]))
+    return [z for z in roots if z is not None]
+
+
+def _bathtub_bounds(f: PiecewiseRadialFunction, params: SpaceParams) -> tuple[float, float]:
+    """The bathtub bound of f's norm: (U_win, U_all).
+
+    See the module docstring.  U_win takes the measure m over the search
+    window, [v_n r_min^n, v_n r_max^n], and U_all over every radius of
+    the mode, limits included.  Raises OverflowError when a level of
+    |f|^p, or the measure of a level set of finite measure, leaves the
+    float range.
+    """
+    n, p, q = params.n, params.p, params.q
+    kappa = 1.0 - p / q
+    vn, area = unit_ball_volume(n), unit_sphere_area(n)
+
+    def mass(c: float, gamma: float, a: float, b: float) -> float:
+        """Integral of c |x|^(gamma - n) over a <= |x| < b."""
+        if gamma == 0.0:
+            return area * c * math.log(b / a)
+        return area * c * (_pow(b, gamma) - _pow(a, gamma)) / gamma
+
+    # per piece: lo, hi, |c|^p, alpha, alpha p, gamma, the lowest and the
+    # highest level of |f|^p on it, and its measure and integral of |f|^p
+    pieces = []
+    for pc in f.pieces:
+        c, ap = _pow(abs(pc.coef), p), pc.alpha * p
+        ends = (c, c) if ap == 0.0 else (c * _pow(pc.lo, ap), c * _pow(pc.hi, ap))
+        bot, top = min(ends), max(ends)
+        if not (
+            0.0 < c < INF
+            and (0.0 < bot or (pc.hi == INF and ap < 0.0) or (pc.lo == 0.0 and ap > 0.0))
+            and (top < INF or (pc.lo == 0.0 and ap < 0.0))
+        ):
+            raise OverflowError("a level of |f|^p leaves the float range")
+        full_m = vn * (_pow(pc.hi, n) - _pow(pc.lo, n))
+        if pc.hi < INF and not full_m < INF:
+            raise OverflowError("a piece's measure leaves the float range")
+        pieces.append((pc.lo, pc.hi, c, pc.alpha, ap, ap + n, bot, top, full_m,
+                       mass(c, ap + n, pc.lo, pc.hi)))
+
+    def level(lam: float) -> tuple[float, float]:
+        """mu(lam) and G(lam): the measure of {|f|^p > lam} and the integral over it."""
+        m = g = 0.0
+        for lo, hi, c, _, ap, gamma, bot, top, full_m, full_g in pieces:
+            if lam >= top:
+                continue
+            if lam <= bot:
+                m += full_m
+                g += full_g
+                continue
+            t = min(max(_pow(lam / c, 1.0 / ap), lo), hi)
+            a, b = (lo, t) if ap < 0.0 else (t, hi)
+            m += vn * (_pow(b, n) - _pow(a, n))
+            g += mass(c, gamma, a, b)
+        return m, g
+
+    def segment(lam_lo: float, lam_hi: float):
+        """mu and H / lam_ref in z = log(lam / lam_ref) for levels in (lam_lo, lam_hi).
+
+        Returns (lam_ref, z range, mu's terms, H's terms and linear
+        coefficient), or None when no piece's level set moves there.
+        """
+        moving = [pc for pc in pieces if pc[6] <= lam_lo and pc[7] >= lam_hi and pc[6] < pc[7]]
+        if not moving:
+            return None
+        ref = lam_hi if lam_hi < INF else lam_lo if lam_lo > 0.0 else moving[0][2]
+        fixed_m = fixed_g = h_lin = 0.0
+        mu_terms, h_terms = [], []
+        for lo, hi, c, alpha, ap, gamma, bot, top, full_m, full_g in pieces:
+            if top <= lam_lo:
+                continue
+            if bot >= lam_hi:
+                fixed_m += full_m
+                fixed_g += full_g
+                continue
+            # the moving end t = (lam / c)^(1 / ap): a level set [lo, t)
+            # when alpha < 0 and (t, hi) when alpha > 0
+            t = min(max(_pow(ref / c, 1.0 / ap), lo), hi)
+            w, rho, s = vn * _pow(t, n), n / ap, (1.0 if ap < 0.0 else -1.0)
+            if not w < INF:
+                raise OverflowError("a level set's measure leaves the float range")
+            end = lo if ap < 0.0 else hi
+            mu_terms.append((s * w, rho))
+            fixed_m -= s * vn * _pow(end, n)
+            if gamma == 0.0:
+                # G moves as -w ref z, and H / ref gains w + kappa w z
+                fixed_g += area * c * math.log(t / end)
+                h_terms.append((w, 0.0))
+                h_lin += kappa * w
+            else:
+                fixed_g -= s * area * c * _pow(end, gamma) / gamma
+                h_terms.append((s * w * p * (alpha + n / q) / gamma, 1.0 + rho))
+        if not (fixed_m < INF and abs(fixed_g) < INF):
+            return None  # every level set here has infinite measure
+        h_terms += [(fixed_m, 1.0), (-kappa * fixed_g / ref, 0.0)]
+        z_lo = math.log(lam_lo) - math.log(ref) if lam_lo > 0.0 else -INF
+        z_hi = math.log(lam_hi) - math.log(ref) if lam_hi < INF else INF
+        return ref, z_lo, z_hi, mu_terms + [(fixed_m, 0.0)], h_terms, h_lin
+
+    levels = sorted({v for pc in pieces for v in pc[6:8] if 0.0 < v < INF}, reverse=True)
+    bounds = [INF, *levels, 0.0]
+    # (m, Phi(m)) at both ends of every level's stretch: Phi is linear
+    # on [mu(e), mu(e-)] with slope e, so the bound has no maximum inside
+    stretches = []
+    for e in levels:
+        m, g = level(e)
+        flat = [pc for pc in pieces if pc[6] == pc[7] == e]
+        stretches.append((e, m, g, m + sum(pc[8] for pc in flat), g + sum(pc[9] for pc in flat)))
+    points = [(m, g) for _, m, g, _, _ in stretches] + [(m, g) for *_, m, g in stretches]
+    segments = [segment(lam_lo, lam_hi) for lam_hi, lam_lo in zip(bounds, bounds[1:])]
+    for seg in segments:
+        if seg is not None:
+            ref, z_lo, z_hi, _, h_terms, h_lin = seg
+            # any level gives a true point (mu, Phi(mu)), so clipping z
+            # where ref e^z would overflow costs no soundness
+            points += [level(ref * math.exp(min(z, 700.0)))
+                       for z in _exp_sum_roots(h_terms, h_lin, z_lo, z_hi)]
+
+    def phi(m: float) -> float:
+        """Phi(m), the integral of |f|^p's decreasing rearrangement up to m."""
+        for seg, (e, m_e, g_e, m_top, g_top) in zip(segments, stretches):
+            if m <= m_e:
+                break
+            if m <= m_top:
+                return g_e + e * (m - m_e)
+        else:
+            seg = segments[-1]
+            m_all, g_all = level(0.0)
+            if m >= m_all:
+                return g_all
+        if seg is None:  # mu is flat there: m sits on a stretch's end
+            lam = e
+        else:
+            ref, z_lo, z_hi, mu_terms, _, _ = seg
+            roots = _exp_sum_roots(mu_terms + [(-m, 0.0)], 0.0, z_lo, z_hi)
+            lam = ref * math.exp(min(roots[0], 700.0)) if roots else ref
+        m_l, g_l = level(lam)
+        # G(lam) + lam (m - mu(lam)) >= Phi(m) for every lam, with
+        # equality at the root, so a rounded root errs upward only
+        return g_l + lam * (m - m_l)
+
+    r_min, r_max, _ = search_window(f, params.mode)
+    m_lo, m_hi = vn * _pow(r_min, n), vn * _pow(r_max, n)
+    # the window's ends, and m = v_n, the end of small mode's radii
+    ends = [(m, phi(m)) for m in (m_lo, m_hi, vn)[:3 if params.mode is Mode.SMALL_MORREY else 2]]
+    if any(math.isnan(x) for pair in points + ends for x in pair):
+        raise OverflowError("a level set's integral leaves the float range")
+
+    def bound(m: float, g: float) -> float:
+        if not 0.0 < m < INF:
+            return 0.0
+        return _pow(m, 1.0 / q - 1.0 / p) * max(g, 0.0) ** (1.0 / p)
+
+    u_win = max(bound(m, g) for m, g in points + ends[:2] if m_lo <= m <= m_hi)
+    if params.mode is Mode.SMALL_MORREY:
+        u_all = max(bound(m, g) for m, g in points + ends if m <= vn)
+    else:
+        u_all = max([bound(m, g) for m, g in points] + [_limit_at_infinity(f, params)])
+    first = f.pieces[0]
+    if p < q and first.lo == 0.0 and first.alpha == -n / q:
+        u_all = max(u_all, abs(first.coef) * closed_form_power_norm(params))
+    return u_win, max(u_all, u_win)
+
+
+def _certified(
+    f: PiecewiseRadialFunction, params: SpaceParams, rel_tol: float
+) -> NormResult | None:
+    """f's norm without a search where the bathtub bound certifies it, else None.
+
+    With L the :func:`_centered_supremum` result and
+    bar = L.value (1 + rel_tol), f is certified when U_win <= bar
+    (:func:`_bathtub_bounds`): no ball of the window beats L by more than
+    rel_tol, so L is what the search would approximate.  Its
+    ``truncated`` is exact: True when a centered ball outside the window
+    or a limit beats bar (L's own flag), False when U_all <= bar.  In
+    between, no ball outside the window is known to beat bar, none is
+    ruled out, and f is searched (None).  So is an f whose values or
+    radii take either bound out of the float range.
+    """
+    try:
+        u_win, u_all = _bathtub_bounds(f, params)
+        result = _centered_supremum(f, params, rel_tol)
+    except OverflowError:
+        return None
+    bar = result.value * (1.0 + rel_tol)
+    if not u_win <= bar < INF or not (result.truncated or u_all <= bar):
+        return None
+    return result
 
 
 def _aligned_balls(f: PiecewiseRadialFunction, r_min: float, r_max: float, d_max: float):
@@ -426,7 +729,38 @@ def _search_group(
     params: SpaceParams,
     integ: IntegrationSettings,
 ) -> list[NormResult]:
-    """Norms of the functions fs, searched in lockstep.
+    """Norms of the functions fs.
+
+    The zero function, a function of infinite norm and one that the
+    bathtub bound certifies (:func:`_certified`) need no search.  The
+    others are searched in order, in lockstep groups of up to ``_GROUP``
+    (:func:`_lockstep`), so that the certified ones leave no gaps in the
+    groups.
+    """
+    results: list[NormResult | None] = [None] * len(fs)
+    todo = []
+    for i, f in enumerate(fs):
+        if f.is_zero:
+            results[i] = NormResult(0.0, None)
+        elif norm_is_infinite(f, params):
+            results[i] = NormResult(INF, None)
+        else:
+            results[i] = _certified(f, params, integ.rel_tol)
+            if results[i] is None:
+                todo.append(i)
+    for k in range(0, len(todo), _GROUP):
+        group = todo[k:k + _GROUP]
+        for i, result in zip(group, _lockstep([fs[i] for i in group], params, integ)):
+            results[i] = result
+    return results
+
+
+def _lockstep(
+    fs: list[PiecewiseRadialFunction],
+    params: SpaceParams,
+    integ: IntegrationSettings,
+) -> list[NormResult]:
+    """Norms of the functions fs, of finite norm and not zero, searched in lockstep.
 
     Each function gets its own window and grid call.  Those that survive
     their grid then share one kernel call for the aligned balls, one per
@@ -456,16 +790,6 @@ def _search_group(
     # best grid cells, breakpoint-aligned balls and truncation flag
     members, windows, grid_starts, aligned, truncated = [], [], [], [], []
     for i, f in enumerate(fs):
-        if f.is_zero:
-            results[i] = NormResult(0.0, None)
-            continue
-        if norm_is_infinite(f, params):
-            results[i] = NormResult(INF, None)
-            continue
-        if _nonincreasing(f):
-            results[i] = _centered_supremum(f, params, integ.rel_tol)
-            continue
-
         r_min, r_max, d_max = search_window(f, params.mode)
         rs = np.geomspace(r_min, r_max, _N_RADII)
         ds = np.linspace(0.0, d_max, _N_CENTERS)
@@ -627,14 +951,13 @@ def _shape(f: PiecewiseRadialFunction) -> tuple[PiecewiseRadialFunction, float]:
     return PiecewiseRadialFunction(tuple(pieces)), c
 
 
-def lockstep_chunks(fs: list, parts: int = 1) -> list[list]:
-    """fs cut, in order, into chunks of at most one lockstep group.
+def even_chunks(fs: list, parts: int = 1) -> list[list]:
+    """fs cut, in order, into at most ``parts`` chunks of near-equal size.
 
-    The chunks are cut evenly when fs is too short to give each of
-    ``parts`` consumers (pool workers, say) a whole group, so that every
-    consumer gets a share.
+    One chunk per consumer (pool workers, say): each chunk's searched
+    functions then fill whole lockstep groups (:func:`_search_group`).
     """
-    size = max(1, min(_GROUP, -(-len(fs) // parts)))
+    size = max(1, -(-len(fs) // parts))
     return [fs[k:k + size] for k in range(0, len(fs), size)]
 
 
@@ -681,9 +1004,10 @@ class NormTable:
     multiplied by c; ``argmax``, ``truncated`` and ``tol_ok`` are the
     shape's.  This is sound because the norm depends only on |f| and
     ||c s|| = c ||s||, and no decision of the search depends on the scale
-    of f: the scout tolerance, the zoom's stop gain and the truncation
-    margin are all relative, and the window and the aligned balls come
-    from the breakpoints alone.  The breakpoints of s are those of |f|:
+    of f: the certificate compares two bounds that both scale with c, the
+    scout tolerance, the zoom's stop gain and the truncation margin are
+    all relative, and the window and the aligned balls come from the
+    breakpoints alone.  The breakpoints of s are those of |f|:
     a merge drops only a point where |f| is the same power on both
     sides, which f's signs alone made a breakpoint.  So searching s is
     searching |f| up to the rounding of its coefficients (an ulp each).
@@ -691,18 +1015,18 @@ class NormTable:
     Results are memoized on (s, params, integ) in the calling process,
     shared by every table, so each distinct norm shape is searched once
     per command.  The shapes not in the memo are searched in first-seen
-    order in chunks of :func:`lockstep_chunks`.  With ``workers`` > 1 a
-    process pool is created at the first batch with two or more shapes
-    left to search, with min(workers, CPU count, that count) processes,
-    and then searches every batch with two or more such shapes until
-    ``close``, one chunk per task, the chunks cut for its processes; a
-    batch with one runs here.  The pool only searches.  It forks where
-    the platform can, since a spawned worker would first import numpy
-    and the package again; fork copies only the calling thread, so the
-    caller must not be running threads of its own then.  The pool's
-    ``map`` keeps input order and every norm is a pure function of its
-    inputs, so each result equals the search alone bit for bit, whatever
-    ``workers`` is.
+    order, in one chunk here or one chunk per pool process
+    (:func:`even_chunks`).  With ``workers`` > 1 a process pool is
+    created at the first batch with two or more shapes left to search,
+    with min(workers, CPU count, that count) processes, and then
+    searches every batch with two or more such shapes until ``close``,
+    one chunk per task; a batch with one runs here.  The pool only
+    searches.  It forks where the platform can, since a spawned worker
+    would first import numpy and the package again; fork copies only the
+    calling thread, so the caller must not be running threads of its own
+    then.  The pool's ``map`` keeps input order and every norm is a pure
+    function of its inputs, so each result equals the search alone bit
+    for bit, whatever ``workers`` is.
     """
 
     def __init__(
@@ -725,7 +1049,7 @@ class NormTable:
         if len(todo) >= 2 and self._pool is None:
             self._start_pool(len(todo))
         pooled = len(todo) >= 2 and self._pool is not None
-        chunks = lockstep_chunks(todo, self._pool_size if pooled else 1)
+        chunks = even_chunks(todo, self._pool_size if pooled else 1)
         run = self._pool.map if pooled else map
         searched = run(_search_group, chunks, repeat(params), repeat(integ))
         for group, results in zip(chunks, searched):

@@ -105,6 +105,18 @@ class TestVerifyTheorem1:
         assert "norm_chain_h_truncated" in names
         assert any(name.startswith("ratio_gen_vnj") for name in names)
 
+    def test_n3_passes_at_defaults(self, capsys):
+        # the outer part h is certified: its bathtub bound over the window
+        # meets its centered supremum 2.023192236959367, below the
+        # r -> infinity limit 2.0231922379709633, so its `truncated` is exact
+        argv = ["verify-thm1", "--n", "3", "--p", "2", "--q", "4", "--s", "2"]
+        code, rep = run_json(capsys, argv)
+        assert code == 0
+        assert rep["all_passed"] is True
+        h = rep["tasks"][0]["norms"]["h"]
+        assert h["value"] == 2.023192236959367
+        assert h["truncated"] is True and h["argmax_d"] == 0.0
+
     def test_every_failure_carries_verdict_context(self, capsys):
         code, rep = run_json(capsys, ["verify-thm1"])
         for check in rep["checks"]:

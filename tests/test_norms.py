@@ -140,7 +140,7 @@ class TestInfiniteDetection:
     def test_constant_finite_in_small_mode(self):
         f = canonicalize([(0.0, INF, 1.0, 0.0)])
         assert not norm_is_infinite(f, S112)
-        assert norms_mod._nonincreasing(f)
+        assert norms_mod._certified(f, S112, IntegrationSettings().rel_tol) is not None
         # sup over r < 1 of (2r)^{1/2 - 1} * (2r)^{1} = (2r)^{1/2} -> sqrt(2)
         res = norm(f, S112)
         assert res.value == pytest.approx(math.sqrt(2.0), rel=1e-4)
@@ -175,7 +175,7 @@ class TestInfiniteDetection:
         sp = SpaceParams(n, 1.0, 2.0, Mode.MORREY)
         assert not norm_is_infinite(f, sp)
         assert search_window(f, Mode.MORREY)[1] == 1e8
-        assert norms_mod._nonincreasing(f)
+        assert norms_mod._certified(f, sp, IntegrationSettings().rel_tol) is not None
         res = norm(f, sp)
         assert res.argmax == norms_mod.Ball(0.0, 1e7)
         expected = math.sqrt(unit_ball_volume(n) * 1e7**n)
@@ -275,18 +275,25 @@ class TestZoomSearch:
     def test_kernel_calls_per_cold_norm(self, monkeypatch):
         calls = self._count_kernel_calls(monkeypatch)
         sp = SpaceParams(2, 1.0, 2.0, Mode.MORREY)
-        # |f| jumps up at 1, so f is searched, not taken on the exact path
-        f = canonicalize([(0.0, 1.0, 1.0, -1.0), (1.0, 3.0, 2.0, -1.0)])
+        # |f| jumps up past a gap, and the bathtub bound does not certify f
+        f = canonicalize([(0.0, 1.0, 1.0, -1.0), (1.5, 3.0, 2.0, -1.0)])
+        assert norms_mod._certified(f, sp, IntegrationSettings().rel_tol) is None
         norms_mod._search_cached.cache_clear()
         norm(f, sp)
         assert 0 < len(calls) <= 24
 
     def test_kernel_calls_per_lockstep_group(self, monkeypatch):
         # G cold n = 1 norms in one group: G grid calls, then one call for
-        # the aligned balls, one per zoom round and one final, shared
+        # the aligned balls, one per zoom round and one final, shared.
+        # Only functions that the bathtub bound does not certify are searched
         calls = self._count_kernel_calls(monkeypatch)
         rng = np.random.Generator(np.random.Philox(key=5))
-        fs = list(dict.fromkeys(random_pair(rng, M112)[0] for _ in range(5)))
+        rel_tol = IntegrationSettings().rel_tol
+        fs = []
+        while len(fs) < 5:
+            f = random_pair(rng, M112)[0]
+            if f not in fs and norms_mod._certified(f, M112, rel_tol) is None:
+                fs.append(f)
         monkeypatch.setattr(norms_mod, "_GROUP", len(fs))
         norms_mod._search_cached.cache_clear()
         results = NormTable(M112).evaluate(fs)
@@ -297,12 +304,12 @@ class TestZoomSearch:
         # the best ball of |x|^(-n/q) slides along the flat centered
         # profile with gains at rounding level, so the zoom stops well
         # before its last round: grid, aligned balls, rounds and final
-        # re-evaluation take fewer than _ROUNDS calls in all.  The power
-        # is radially decreasing, so the search is forced here
-        monkeypatch.setattr(norms_mod, "_nonincreasing", lambda f: False)
+        # re-evaluation take fewer than _ROUNDS calls in all.  The bathtub
+        # bound certifies the power, so the search is forced here
+        monkeypatch.setattr(norms_mod, "_certified", lambda *args: None)
+        monkeypatch.setattr(norms_mod, "_search_cached", norms_mod._SearchMemo(maxsize=16))
         calls = self._count_kernel_calls(monkeypatch)
         sp = SpaceParams(2, 1.5, 4.0, Mode.MORREY)
-        norms_mod._search_cached.cache_clear()
         res = norm(canonicalize([(0.0, INF, 1.0, -0.5)]), sp)
         assert res.value == pytest.approx(closed_form_power_norm(sp), rel=1e-12)
         assert len(calls) < norms_mod._ROUNDS
@@ -338,6 +345,7 @@ class TestZoomStop:
     def _full_zoom(monkeypatch, fs, sp):
         """The norms of fs with the stop rule off, each searched alone."""
         with monkeypatch.context() as patch:
+            patch.setattr(norms_mod, "_certified", lambda *args: None)
             patch.setattr(norms_mod, "_STOP_ROUNDS", norms_mod._ROUNDS + 1)
             return [norms_mod._search_group([f], sp, IntegrationSettings())[0]
                     for f in fs]
@@ -356,9 +364,13 @@ class TestZoomStop:
         [(M112, 25), (S112, 25), (SpaceParams(2, 1.0, 2.0, Mode.MORREY), 2)],
     )
     def test_no_shortfall_against_full_zoom(self, monkeypatch, sp, trials):
+        # the bathtub bound would certify most of these; the search is
+        # forced on every one, since the zoom stop is what is tested
         fs = self._random_set(sp, trials)
         full = self._full_zoom(monkeypatch, fs, sp)
-        norms_mod._search_cached.cache_clear()
+        monkeypatch.setattr(norms_mod, "_certified", lambda *args: None)
+        # a fresh memo, so that no forced search outlives the test
+        monkeypatch.setattr(norms_mod, "_search_cached", norms_mod._SearchMemo(maxsize=512))
         stopped = NormTable(sp).evaluate(fs)
         rel_tol = IntegrationSettings().rel_tol
         for f, a, b in zip(fs, stopped, full):
@@ -467,20 +479,44 @@ class TestLockstepBatch:
     @pytest.mark.parametrize(
         "size, parts, lengths",
         [
-            (20, 1, [8, 8, 4]),     # whole groups
-            (20, 2, [8, 8, 4]),     # enough for every part
-            (5, 2, [3, 2]),         # cut evenly, one chunk per part
+            (20, 1, [20]),          # one chunk here
+            (20, 2, [10, 10]),      # one chunk per part
+            (5, 2, [3, 2]),         # cut evenly
             (7, 4, [2, 2, 2, 1]),
             (1, 3, [1]),
             (0, 2, []),
         ],
     )
-    def test_lockstep_chunks(self, monkeypatch, size, parts, lengths):
-        monkeypatch.setattr(norms_mod, "_GROUP", 8)
+    def test_lockstep_chunks(self, size, parts, lengths):
         items = list(range(size))
-        chunks = norms_mod.lockstep_chunks(items, parts)
+        chunks = norms_mod.even_chunks(items, parts)
         assert [len(c) for c in chunks] == lengths
         assert [x for c in chunks for x in c] == items
+
+    def test_certified_functions_leave_no_gaps(self, monkeypatch):
+        # certified and searched functions alternate; the searched ones
+        # still fill one whole lockstep group
+        rng = np.random.Generator(np.random.Philox(key=5))
+        rel_tol = IntegrationSettings().rel_tol
+        searched, certified = [], []
+        while len(searched) < 4 or len(certified) < 4:
+            f = random_pair(rng, M112)[0]
+            side = searched if norms_mod._certified(f, M112, rel_tol) is None else certified
+            if len(side) < 4 and f not in side:
+                side.append(f)
+        fs = [f for pair in zip(searched, certified) for f in pair]
+        sizes = []
+        original = norms_mod._lockstep
+
+        def counting(group, *args):
+            sizes.append(len(group))
+            return original(group, *args)
+
+        monkeypatch.setattr(norms_mod, "_lockstep", counting)
+        monkeypatch.setattr(norms_mod, "_GROUP", 4)
+        norms_mod._search_cached.cache_clear()
+        NormTable(M112).evaluate(fs)
+        assert sizes == [4]
 
 
 class TestNormShape:
@@ -635,7 +671,11 @@ def _random_nonincreasing(rng, sp):
 
 
 class TestExactCentered:
-    """A radially nonincreasing |f| takes the centered supremum, not the search."""
+    """f certified by the bathtub bound takes the centered supremum, not the search.
+
+    A radially nonincreasing |f|^p is its own decreasing rearrangement,
+    so its bathtub bound meets its centered supremum and it is certified.
+    """
 
     @staticmethod
     def _no_kernel(monkeypatch):
@@ -693,7 +733,7 @@ class TestExactCentered:
         # as r -> infinity, so the window's best is r_max = 1e6
         f = canonicalize([(0.0, 1.0, 1.0, 0.0), (1.0, INF, 1.0, -2.0)])
         sp = SpaceParams(1, 1.0, 1.0, Mode.MORREY)
-        assert norms_mod._nonincreasing(f)
+        assert norms_mod._certified(f, sp, IntegrationSettings().rel_tol) is not None
         res = norm(f, sp)
         assert res.value == pytest.approx(4.0 - 2.0 / 1e6, rel=1e-15)
         assert res.argmax == norms_mod.Ball(0.0, 1e6) and res.truncated
@@ -701,8 +741,13 @@ class TestExactCentered:
     @pytest.mark.parametrize(
         "pieces, expected",
         [
-            ([(0.0, 1.0, 1.0, -0.5), (2.0, 3.0, 0.5, -0.5)], False),    # a gap
-            ([(0.0, 1.0, 1.0, -0.5), (1.0, 3.0, 1.5, -0.5)], False),    # an upward jump
+            # [DERIVED] in M112 the bound counts both constant runs at once,
+            # U = (2 + 2)^(1/2) = 2, which no ball reaches: the centered
+            # ball of radius 2.5 gives 4 / 5^(1/2)
+            ([(0.0, 1.0, 1.0, 0.0), (1.5, 2.5, 1.0, 0.0)], False),      # a gap
+            # [DERIVED] U = 3 * 2^(1/2) from the 3-run alone, above the
+            # centered 4 = 8 / 4^(1/2)
+            ([(0.0, 1.0, 1.0, 0.0), (1.0, 2.0, 3.0, 0.0)], False),      # an upward jump
             ([(0.0, 1e-200, 1.0, 0.0), (1e-200, INF, 1.0, -2.0)], False),  # up, past floats
             ([(0.0, 1.0, 1.0, 0.5)], False),                            # alpha > 0
             ([(0.5, INF, 1.0, -0.5)], False),                           # starts past 0
@@ -713,18 +758,26 @@ class TestExactCentered:
         ],
     )
     def test_nonincreasing_edge_cases(self, pieces, expected):
-        assert norms_mod._nonincreasing(canonicalize(pieces)) is expected
+        # whether the bathtub bound certifies f in M112; the nonincreasing
+        # ones must, and these others must not (zero takes its own exit)
+        f = canonicalize(pieces)
+        rel_tol = IntegrationSettings().rel_tol
+        assert (not f.is_zero and norms_mod._certified(f, M112, rel_tol) is not None) is expected
 
     @pytest.mark.parametrize("sp", [M112, S112, SpaceParams(2, 1.5, 4.0, Mode.MORREY),
                                     SpaceParams(3, 2.0, 4.0, Mode.SMALL_MORREY)])
-    def test_shape_keeps_nonincreasing(self, sp):
+    def test_shape_keeps_nonincreasing(self, monkeypatch, sp):
+        # every draw and its shape are certified, with no kernel call;
         # dividing by the first coefficient lifts a continuous breakpoint
         # by about an ulp, which must not push the shape off the exact path
         rng = np.random.Generator(np.random.Philox(key=7))
-        for _ in range(300):
-            f = _random_nonincreasing(rng, sp)
-            assert norms_mod._nonincreasing(norms_mod._shape(f)[0]) is norms_mod._nonincreasing(f)
-            assert norms_mod._nonincreasing(f), f
+        rel_tol = IntegrationSettings().rel_tol
+        fs = [_random_nonincreasing(rng, sp) for _ in range(300)]
+        for f in fs:
+            for g in (f, norms_mod._shape(f)[0]):
+                assert norms_mod._certified(g, sp, rel_tol) is not None, g
+        self._no_kernel(monkeypatch)
+        assert all(res.argmax.d == 0.0 for res in NormTable(sp).evaluate(fs))
 
     @pytest.mark.parametrize("sp", [M112, S112])
     def test_continuous_breakpoint_skips_the_kernel(self, monkeypatch, sp):
@@ -742,24 +795,24 @@ class TestExactCentered:
                     (3, 2.0, 4.0), (3, 1.5, 3.0)],
     )
     def test_agrees_with_forced_search(self, monkeypatch, n, p, q, mode):
-        # 9 functions per case, 108 in all.  The search flags `truncated`
-        # when its profile rose by more than 1e-7 over its last grid step,
-        # so it misses a limit that beats r_max by less: one critical tail
-        # of the n = 3 Morrey set climbs 3.7e-10 past r_max, 2.4e-10 of it
-        # over the last grid step.  Where the flags differ the exact flag
-        # must be that miss, backed by the tail's closed-form limit.
+        # 9 functions per case, 108 in all, all certified.  The search
+        # flags `truncated` when its profile rose by more than 1e-7 over
+        # its last grid step, so it misses a limit that beats r_max by
+        # less: one critical tail of the n = 3 Morrey set climbs 3.7e-10
+        # past r_max, 2.4e-10 of it over the last grid step.  Where the
+        # flags differ the exact flag must be that miss, backed by the
+        # tail's closed-form limit.
         sp = SpaceParams(n, p, q, mode)
         rng = np.random.Generator(np.random.Philox(key=5, counter=[n, int(2 * p), int(q), 0]))
         fs = []
         while len(fs) < 9:
             f = _random_nonincreasing(rng, sp)
-            # the exact path sees the shape
-            if norms_mod._nonincreasing(norms_mod._shape(f)[0]) and not norm_is_infinite(f, sp):
+            if not norm_is_infinite(f, sp):
                 fs.append(f)
         norms_mod._search_cached.cache_clear()
         exact = NormTable(sp).evaluate(fs)
         with monkeypatch.context() as patch:
-            patch.setattr(norms_mod, "_nonincreasing", lambda f: False)
+            patch.setattr(norms_mod, "_certified", lambda *args: None)
             norms_mod._search_cached.cache_clear()
             searched = NormTable(sp).evaluate(fs)
         norms_mod._search_cached.cache_clear()
@@ -772,6 +825,170 @@ class TestExactCentered:
                 limit = abs(tail.coef) * closed_form_power_norm(sp)
                 assert a.truncated and (sp.mode, tail.hi, tail.alpha) == (Mode.MORREY, INF, -n / q)
                 assert limit > a.value * (1.0 + rel_tol), (f, a, b)
+
+
+def _random_mixed(rng, sp):
+    """A random f with free exponents, gaps and upward jumps.
+
+    One to four pieces on disjoint intervals, the first from 0 and the
+    last to infinity half the time each, with exponents that keep the
+    norm finite at 0 and, in Morrey mode, mostly at infinity (callers
+    drop the rest with norm_is_infinite).
+    """
+    n, q = sp.n, sp.q
+    k = int(rng.integers(1, 5))
+    cuts = np.sort(np.exp(rng.uniform(math.log(1e-2), math.log(10.0), 2 * k))).tolist()
+    pieces = []
+    for j in range(k):
+        lo, hi = cuts[2 * j], cuts[2 * j + 1]
+        if j == 0 and rng.random() < 0.5:
+            lo = 0.0
+        if j == k - 1 and rng.random() < 0.5:
+            hi = INF
+        if lo == 0.0:
+            alpha = float(rng.uniform(-n / q, 1.0))
+        elif hi == INF and sp.mode is Mode.MORREY:
+            alpha = -n / q - float(rng.uniform(0.0, 1.0)) * (rng.random() < 0.7)
+        else:
+            alpha = float(rng.uniform(-2.0 * n, 1.0 if hi == INF else 1.5))
+        coef = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 3.0))
+        pieces.append((lo, hi, coef, 0.0 if hi == INF and alpha > 0.0 else alpha))
+    return canonicalize(pieces)
+
+
+def _dense_bathtub(f, sp, cells=4000):
+    """Lower estimates of (U_win, U_all): |f|^p averaged on geometric cells.
+
+    The cells, sorted by their mean, give sets of measure M holding the
+    cells' integral, at most Phi(M), so every estimate is at most U.
+    """
+    n, p, q = sp.n, sp.p, sp.q
+    vn = unit_ball_volume(n)
+    measure, mass = [], []
+    for pc in f.pieces:
+        t = np.geomspace(max(pc.lo, 1e-9), min(pc.hi, 1e9), cells + 1)
+        if pc.lo == 0.0:
+            t[0] = 0.0
+        gamma = pc.alpha * p + n
+        measure.append(vn * np.diff(t**n))
+        mass.append(n * vn * abs(pc.coef) ** p * np.diff(t**gamma) / gamma)
+    measure, mass = np.concatenate(measure), np.concatenate(mass)
+    order = np.argsort(-mass / measure)
+    m, phi = np.cumsum(measure[order]), np.cumsum(mass[order])
+    bound = m ** (1.0 / q - 1.0 / p) * phi ** (1.0 / p)
+    r_min, r_max, _ = search_window(f, sp.mode)
+    window = (vn * r_min**n <= m) & (m <= vn * r_max**n)
+    below = m < vn if sp.mode is Mode.SMALL_MORREY else m < INF
+    return bound[window].max(initial=0.0), bound[below].max(initial=0.0)
+
+
+class TestBathtubBound:
+    """The bathtub bound U of the module docstring: L <= ||f|| <= U."""
+
+    REL_TOL = IntegrationSettings().rel_tol
+
+    @staticmethod
+    def _random_set(sp, count, key):
+        counter = [sp.n, int(2 * sp.p), int(sp.q), 0]
+        rng = np.random.Generator(np.random.Philox(key=key, counter=counter))
+        fs = []
+        while len(fs) < count:
+            # the sweeps' shared critical exponent, and free exponents
+            f = random_pair(rng, sp)[0] if len(fs) % 2 else _random_mixed(rng, sp)
+            if not f.is_zero and not norm_is_infinite(f, sp) and f not in fs:
+                fs.append(f)
+        return fs
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    @pytest.mark.parametrize(
+        "n, p, q, count", [(1, 1.0, 2.0, 12), (1, 2.0, 3.0, 8), (2, 1.0, 2.0, 4), (3, 2.0, 4.0, 3)]
+    )
+    def test_search_never_beats_the_bound(self, monkeypatch, n, p, q, count, mode):
+        sp = SpaceParams(n, p, q, mode)
+        fs = self._random_set(sp, count, key=13)
+        monkeypatch.setattr(norms_mod, "_certified", lambda *args: None)
+        # a fresh memo, so that no forced search outlives the test
+        monkeypatch.setattr(norms_mod, "_search_cached", norms_mod._SearchMemo(maxsize=64))
+        for f, res in zip(fs, NormTable(sp).evaluate(fs)):
+            u_win, u_all = norms_mod._bathtub_bounds(f, sp)
+            lower = norms_mod._centered_supremum(f, sp, self.REL_TOL).value
+            assert res.value <= u_win * (1.0 + self.REL_TOL), (f, res, u_win)
+            # L and U meet on nonincreasing functions, up to rounding: L's
+            # centered integral at a breakpoint carries an ulp of b^gamma
+            # divided by gamma, which reached 1.2e-14 relative on a piece
+            # with gamma = -0.01
+            assert lower <= u_win * (1.0 + 1e-13) and u_win <= u_all, (f, lower, u_win, u_all)
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    @pytest.mark.parametrize("n, p, q", [(1, 1.0, 2.0), (2, 1.5, 4.0), (3, 2.0, 4.0)])
+    def test_bound_covers_dense_rearrangement(self, n, p, q, mode):
+        # a missed stationary point would leave U below the cells' estimate
+        sp = SpaceParams(n, p, q, mode)
+        for f in self._random_set(sp, 20, key=17):
+            u_win, u_all = norms_mod._bathtub_bounds(f, sp)
+            dense_win, dense_all = _dense_bathtub(f, sp)
+            assert u_win >= dense_win * (1.0 - 1e-12), (f, u_win, dense_win)
+            assert u_all >= dense_all * (1.0 - 1e-12), (f, u_all, dense_all)
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    @pytest.mark.parametrize(
+        "n, p, q", [(1, 1.0, 2.0), (2, 1.0, 2.0), (2, 1.5, 4.0), (3, 2.0, 4.0)]
+    )
+    def test_power_bound_is_closed_form(self, n, p, q, mode):
+        # [DERIVED] |x|^(-n/q) has g*(m) = (m / v_n)^(-p/q), so
+        # Phi(m) = v_n^(p/q) m^(1 - p/q) / (1 - p/q), and
+        # m^(1/q - 1/p) Phi(m)^(1/p) = v_n^(1/q) (1 - p/q)^(-1/p) at every m
+        sp = SpaceParams(n, p, q, mode)
+        expected = closed_form_power_norm(sp)
+        for u in norms_mod._bathtub_bounds(canonicalize([(0.0, INF, 1.0, -n / q)]), sp):
+            assert abs(u - expected) <= 4 * math.ulp(expected)
+
+    def test_annulus_step_is_searched(self):
+        # [DERIVED] n = 1, p = 1, q = 2, f = c on 1 <= |x| < 3 with c = 1.5:
+        # g* = c on [0, 2 (b - a)) = [0, 4), and m^(-1/2) Phi(m) = c m^(1/2)
+        # up to m = 4, then 4 c m^(-1/2): U = c (2 (b - a))^(1/q) = 3.  The
+        # centered profile (2 r)^(-1/2) 2 c (r - 1) rises on [1, 3] and
+        # falls past it: L = c 4 / 6^(1/2) = 6^(1/2) < U, so f is searched
+        f = canonicalize([(1.0, 3.0, 1.5, 0.0)])
+        u_win, u_all = norms_mod._bathtub_bounds(f, M112)
+        assert u_win == u_all == pytest.approx(3.0, rel=1e-15)
+        lower = norms_mod._centered_supremum(f, M112, self.REL_TOL)
+        assert lower.value == pytest.approx(math.sqrt(6.0), rel=1e-15)
+        assert norms_mod._certified(f, M112, self.REL_TOL) is None
+        res = norm(f, M112)
+        assert lower.value * (1.0 - self.REL_TOL) <= res.value <= u_win * (1.0 + self.REL_TOL)
+
+    def test_out_of_range_level_is_searched(self):
+        # [DERIVED] 1e-170 squared underflows, so the bound declines and f
+        # is searched; 1 on |x| < 1 dominates: (2 r)^(1/4) -> 2^(1/4) as
+        # r -> 1 in small mode, n = 1, p = 2, q = 4
+        sp = SpaceParams(1, 2.0, 4.0, Mode.SMALL_MORREY)
+        f = canonicalize([(0.0, 1.0, 1.0, 0.0), (2.0, 3.0, 1e-170, 0.0)])
+        with pytest.raises(OverflowError):
+            norms_mod._bathtub_bounds(f, sp)
+        assert norms_mod._certified(f, sp, self.REL_TOL) is None
+        res = norm(f, sp)
+        assert res.value == pytest.approx(2.0**0.25, rel=1e-6) and res.truncated
+
+    def test_exponential_sum_roots(self):
+        # every sign change on a fine grid holds a root that was found,
+        # and every root found is one, for sums with up to 5 terms
+        rng = np.random.default_rng(3)
+        z = np.linspace(-4.0, 4.0, 4001)
+        for _ in range(300):
+            terms = [
+                (float(rng.uniform(-2.0, 2.0)), float(rng.choice([0.0, rng.uniform(-3.0, 3.0)])))
+                for _ in range(int(rng.integers(1, 6)))
+            ]
+            lin = float(rng.uniform(-1.0, 1.0)) if rng.random() < 0.3 else 0.0
+            roots = norms_mod._exp_sum_roots(terms, lin, -4.0, 4.0)
+            values = sum(a * np.exp(e * z) for a, e in terms) + lin * z
+            for k in np.flatnonzero(np.sign(values[:-1]) * np.sign(values[1:]) < 0):
+                assert any(z[k] <= root <= z[k + 1] for root in roots), (terms, lin, roots)
+            scale = sum(abs(a) * np.exp(abs(e) * 4.0) for a, e in terms) + abs(lin) * 4.0
+            for root in roots:
+                value = sum(a * math.exp(e * root) for a, e in terms) + lin * root
+                assert abs(value) <= 1e-12 * scale, (terms, lin, root)
 
 
 class TestBestInRows:
@@ -879,8 +1096,9 @@ class TestNormAxioms:
 class TestDegradedAccuracyFlag:
     def test_budget_exhaustion_reported(self, monkeypatch):
         sp = SpaceParams(2, 1.0, 2.0, Mode.MORREY)
-        # |f| jumps up at 1, so f is searched, not taken on the exact path
-        f = canonicalize([(0.0, 1.0, 1.0, -1.0), (1.0, INF, 2.0, -1.0)])
+        # |f| jumps up past a gap, and the bathtub bound does not certify f
+        f = canonicalize([(0.0, 1.0, 1.0, -1.0), (1.5, 3.0, 2.0, -1.0)])
+        assert norms_mod._certified(f, sp, IntegrationSettings().rel_tol) is None
         monkeypatch.setattr(integrate_mod, "_MAX_PANELS", 2)
         monkeypatch.setattr(norms_mod, "_N_RADII", 8)
         monkeypatch.setattr(norms_mod, "_N_CENTERS", 3)
