@@ -105,8 +105,10 @@ def centered_integrals(
         if gamma == 0.0:
             seg = np.log(top / pc.lo)
         else:
-            lo_pow = 0.0 if pc.lo == 0.0 else pc.lo**gamma
-            seg = (top**gamma - lo_pow) / gamma
+            # one power routine for both ends (numpy's scalar and Python's
+            # power can differ from the array loop by an ulp), so the term
+            # is exactly 0 at r = lo
+            seg = (np.power(top, gamma) - np.power(pc.lo, gamma)) / gamma
         out += area * abs(pc.coef) ** p * seg
     return out
 

@@ -47,14 +47,9 @@ zoom.  The zoom starts from the best grid cells and from the best balls
 whose faces d - r and d + r both sit on breakpoints of f (or at the
 origin); each round evaluates a small patch in (d, log r) and one in
 (d - r, d + r) around every start, moves each start to its best ball
-and shrinks the patches.  Centered balls (d = 0) are exact.  A function
-leaves the zoom once its best ball has moved in three rounds with a gain
-of at most 1e-13 relative each, counted since its last larger gain;
-rounds in which the best ball stands still do not count, because a ball
-that rests says nothing about the gains still to come (near the window's
-edge the best ball can rest for a few rounds before it climbs again).
-The winner is then re-evaluated at the requested tolerance, as after a
-full zoom.
+and shrinks the patches, for a fixed number of rounds.  Centered balls
+(d = 0) are exact.  The winner is then re-evaluated at the requested
+tolerance.
 
 Norms are searched in lockstep groups (:func:`_lockstep`), formed
 after the exits and the certificate (:func:`_search_group`): each
@@ -139,11 +134,6 @@ _SHRINK = 1.0 / 3.0
 _ROUNDS = 20
 _OFFSETS = np.linspace(-1.0, 1.0, _PATCH)
 
-# A function leaves the zoom after _STOP_ROUNDS rounds in which its best
-# ball moved and gained at most _STOP_GAIN relative (see the zoom loop).
-_STOP_GAIN = 1e-13
-_STOP_ROUNDS = 3
-
 # Functions searched in lockstep: a group's aligned balls, each zoom
 # round and the final re-evaluation are one kernel call each.  Larger
 # groups amortize the per-call overhead further but hold larger arrays.
@@ -201,8 +191,8 @@ class NormResult:
     window's by more than the requested ``rel_tol``, and False when the
     bound over every radius of the mode does not; the value is the
     window's centered supremum either way, and ``argmax`` is the
-    centered ball (0, r*).  ``tol_ok`` is False when some probe integral missed its tolerance
-    budget.
+    centered ball (0, r*).  ``tol_ok`` is False when some probe integral
+    missed its tolerance budget.
     """
 
     value: float
@@ -233,9 +223,7 @@ def centered_norm_profile(f: PiecewiseRadialFunction, params: SpaceParams, r):
     r = np.asarray(r, dtype=float)
     if params.mode is Mode.SMALL_MORREY and not (r < 1.0).all():
         raise ValueError(f"small mode requires radius < 1, got {r}")
-    # at the first breakpoint of an f that starts past 0 the integral is
-    # 0 up to rounding, which can leave it an ulp below
-    integrals = np.maximum(centered_integrals(f, params.p, params.n, r), 0.0)
+    integrals = centered_integrals(f, params.p, params.n, r)
     with np.errstate(over="ignore"):
         return _weight(params, r) * integrals ** (1.0 / params.p)
 
@@ -834,7 +822,8 @@ def _lockstep(
         starts_r.append(np.concatenate([grid_r, sr[top]]))
 
     # Zoom: one patch in (d, log r) and one in (u, v) = (d - r, d + r)
-    # around every live start, all evaluated in one kernel call per round.
+    # around every start, all evaluated in one kernel call per round, for
+    # all _ROUNDS rounds.
     # The (u, v) patch follows ridges where a face of the ball hugs a
     # breakpoint and (d, r) must move diagonally.  Each patch spans one
     # grid cell at first.  Row s of d, r and vals holds start s's
@@ -842,62 +831,34 @@ def _lockstep(
     # function's steps and window.
     n_rows = np.array([s.size for s in starts_d])
     row_fn = np.repeat(np.arange(len(members)), n_rows)
-    window = [np.array(col)[row_fn][:, None] for col in zip(*windows)]
+    step_d, step_log_r, r_min, r_max, d_max = (
+        np.array(col)[row_fn][:, None] for col in zip(*windows)
+    )
     d_cur, r_cur = np.concatenate(starts_d), np.concatenate(starts_r)
-    v_cur = np.empty(d_cur.size)
     x, y = (o.ravel() for o in np.meshgrid(_OFFSETS, _OFFSETS, indexing="ij"))
-
-    # Each function's best row, from a table of 2 * _STARTS row indices
-    # per function.  A function with fewer aligned balls fills its table
-    # by repeating its first row, whose ball is already in the running,
-    # so the winning ball is the one its own rows give.
-    first = np.cumsum(n_rows) - n_rows
-    pick = first[:, None] + np.arange(2 * _STARTS)
-    pick = np.where(pick < (first + n_rows)[:, None], pick, first[:, None])
-    fns = np.arange(len(members))
-
-    # The stop rule, after every round: a round in which a function's
-    # best ball moved and gained at most _STOP_GAIN relative counts, a
-    # larger gain resets the count, and a round in which the best ball
-    # stood still leaves it as it is.  A ball that rests says nothing
-    # about the gains to come: near the window's edge the best ball can
-    # rest for a few rounds before it climbs again.  After _STOP_ROUNDS
-    # counted rounds the function's rows keep their balls and leave the
-    # kernel calls, so each function's rounds depend on its own values.
-    lead_d = lead_r = lead_v = np.full(len(members), np.nan)
-    calm = np.zeros(len(members), dtype=int)
-    n_stopped = 0
-    # every row is live until a function stops
-    live, at, fn_rows = slice(None), np.arange(d_cur.size), row_fn[:, None]
-    step_d, step_log_r, r_min, r_max, d_max = window
+    rows, fn_rows = np.arange(d_cur.size), row_fn[:, None]
     for k in range(_ROUNDS):
         scale = _SHRINK**k
-        dl, rl = d_cur[live], r_cur[live]
-        h_uv = np.minimum(step_d, rl[:, None] * step_log_r) * scale
-        u = (dl - rl)[:, None] + h_uv * x
-        v = (dl + rl)[:, None] + h_uv * y
-        d = np.hstack([dl[:, None] + step_d * scale * x, 0.5 * (u + v)])
-        r = np.hstack([rl[:, None] * np.exp(step_log_r * scale * y), 0.5 * (v - u)])
+        h_uv = np.minimum(step_d, r_cur[:, None] * step_log_r) * scale
+        u = (d_cur - r_cur)[:, None] + h_uv * x
+        v = (d_cur + r_cur)[:, None] + h_uv * y
+        d = np.hstack([d_cur[:, None] + step_d * scale * x, 0.5 * (u + v)])
+        r = np.hstack([r_cur[:, None] * np.exp(step_log_r * scale * y), 0.5 * (v - u)])
         # np.clip's result, without its slow path for array bounds
         d = np.minimum(np.maximum(d, 0.0), d_max)
         r = np.minimum(np.maximum(r, r_min), r_max)
         vals = evaluate(members, fn_rows, d, r)
         best = _best_in_rows(vals, d, r)
-        d_cur[live], r_cur[live], v_cur[live] = d[at, best], r[at, best], vals[at, best]
+        d_cur, r_cur, v_cur = d[rows, best], r[rows, best], vals[rows, best]
 
-        win = pick[fns, _best_in_rows(v_cur[pick], d_cur[pick], r_cur[pick])]
-        moved = (d_cur[win] != lead_d) | (r_cur[win] != lead_r)
-        gain = v_cur[win] - lead_v  # NaN in round 0, which resets
-        lead_d, lead_r, lead_v = d_cur[win], r_cur[win], v_cur[win]
-        calm = np.where(moved, np.where(gain <= _STOP_GAIN * lead_v, calm + 1, 0), calm)
-        stopped = np.count_nonzero(calm >= _STOP_ROUNDS)
-        if stopped == len(members):
-            break
-        if stopped > n_stopped:
-            n_stopped = stopped
-            live = np.flatnonzero(calm[row_fn] < _STOP_ROUNDS)
-            at, fn_rows = np.arange(live.size), row_fn[live][:, None]
-            step_d, step_log_r, r_min, r_max, d_max = (w[live] for w in window)
+    # Each function's winning row, from a table of 2 * _STARTS row
+    # indices per function.  A function with fewer aligned balls fills
+    # its table by repeating its first row, whose ball is already in the
+    # running, so the winning ball is the one its own rows give.
+    first = np.cumsum(n_rows) - n_rows
+    pick = first[:, None] + np.arange(2 * _STARTS)
+    pick = np.where(pick < (first + n_rows)[:, None], pick, first[:, None])
+    win = pick[np.arange(len(members)), _best_in_rows(v_cur[pick], d_cur[pick], r_cur[pick])]
 
     # The scout tolerance guided the search; the reported value is the
     # winning ball re-evaluated at the requested tolerance.
@@ -1005,8 +966,8 @@ class NormTable:
     shape's.  This is sound because the norm depends only on |f| and
     ||c s|| = c ||s||, and no decision of the search depends on the scale
     of f: the certificate compares two bounds that both scale with c, the
-    scout tolerance, the zoom's stop gain and the truncation margin are
-    all relative, and the window and the aligned balls come from the
+    scout tolerance and the truncation margin are relative, the zoom's
+    rounds are fixed, and the window and the aligned balls come from the
     breakpoints alone.  The breakpoints of s are those of |f|:
     a merge drops only a point where |f| is the same power on both
     sides, which f's signs alone made a breakpoint.  So searching s is
