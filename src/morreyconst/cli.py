@@ -151,6 +151,29 @@ _FORCED_MODE = {"verify-thm1": "morrey", "verify-thm2": "small"}
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # every subcommand takes the same flags, declared once on a parent
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="JSON file with any of the flags below")
+    common.add_argument("--n", type=int, help="space dimension")
+    common.add_argument("--p", type=float, help="integrability exponent")
+    common.add_argument("--q", type=float, help="scaling exponent (p <= q)")
+    common.add_argument("--mode", choices=_MODES,
+                        help="radius domain: all radii, or radii below 1")
+    common.add_argument("--s", type=float, action="append",
+                        help="power parameter, repeatable")
+    common.add_argument("--eps", type=float, action="append",
+                        help="small-mode split radius ladder, repeatable")
+    common.add_argument("--rel-tol", type=float, dest="rel_tol",
+                        help="quadrature relative tolerance")
+    common.add_argument("--seed", type=int, help="random-pair generator seed")
+    common.add_argument("--trials", type=int, help="number of random pairs")
+    common.add_argument("--threads", type=int,
+                        help="worker processes for the lockstep groups of distinct norms "
+                        "(capped at the CPU count)")
+    common.add_argument("--out", help="report path (default: stdout)")
+    common.add_argument("--format", choices=_FORMATS, help="report format")
+    common.add_argument("--function", help="pieces as 'lo hi coef alpha; ...'")
+
     parser = argparse.ArgumentParser(
         prog="morreyconst",
         description="Ball-averaged norms of radial power functions and the "
@@ -165,27 +188,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "search": "random sweep checking that no ratio exceeds 2",
     }
     for name, desc in descriptions.items():
-        sp = sub.add_parser(name, help=desc, description=desc)
-        sp.add_argument("--config", help="JSON file with any of the flags below")
-        sp.add_argument("--n", type=int, help="space dimension")
-        sp.add_argument("--p", type=float, help="integrability exponent")
-        sp.add_argument("--q", type=float, help="scaling exponent (p <= q)")
-        sp.add_argument("--mode", choices=_MODES,
-                        help="radius domain: all radii, or radii below 1")
-        sp.add_argument("--s", type=float, action="append",
-                        help="power parameter, repeatable")
-        sp.add_argument("--eps", type=float, action="append",
-                        help="small-mode split radius ladder, repeatable")
-        sp.add_argument("--rel-tol", type=float, dest="rel_tol",
-                        help="quadrature relative tolerance")
-        sp.add_argument("--seed", type=int, help="random-pair generator seed")
-        sp.add_argument("--trials", type=int, help="number of random pairs")
-        sp.add_argument("--threads", type=int,
-                        help="worker processes for the lockstep groups of distinct norms "
-                        "(capped at the CPU count)")
-        sp.add_argument("--out", help="report path (default: stdout)")
-        sp.add_argument("--format", choices=_FORMATS, help="report format")
-        sp.add_argument("--function", help="pieces as 'lo hi coef alpha; ...'")
+        sub.add_parser(name, help=desc, description=desc, parents=[common])
     return parser
 
 

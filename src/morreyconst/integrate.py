@@ -34,6 +34,7 @@ import math
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import zip_longest
 
 import numpy as np
 
@@ -44,6 +45,7 @@ __all__ = [
     "IntegrationSettings",
     "BallIntegral",
     "centered_integrals",
+    "group_centered_integrals",
     "ball_integrals",
     "group_ball_integrals",
     "integrate_abs_pow_ball",
@@ -87,30 +89,71 @@ def _singular_at_origin(f: PiecewiseRadialFunction, p: float, n: int) -> bool:
     return any(pc.lo == 0.0 and pc.alpha * p + n <= 0.0 for pc in f.pieces)
 
 
-def centered_integrals(
-    f: PiecewiseRadialFunction, p: float, n: int, rs: np.ndarray
+def _centered_term(t, lo, factor, gamma: float):
+    """factor (t^gamma - lo^gamma) / gamma, or factor log(t / lo) when gamma = 0.
+
+    Both powers come from np.power, so the term is exactly 0 at t = lo.
+    """
+    if gamma == 0.0:
+        return factor * np.log(t / lo)
+    return factor * ((np.power(t, gamma) - np.power(lo, gamma)) / gamma)
+
+
+def group_centered_integrals(
+    fs: tuple[PiecewiseRadialFunction, ...], p: float, n: int, which, rs
 ) -> np.ndarray:
-    """Exact integrals of |f|^p over the centered balls of radii rs (any shape)."""
+    """Exact integrals of |f|^p over centered balls of a group of functions, in one pass.
+
+    Ball k has radius rs[k] (any shape) and belongs to fs[which[k]];
+    which broadcasts against rs, in any order.  Piece j of every function
+    is one slot, whose terms take one np.power per distinct
+    gamma = alpha p + n, with gamma a number, so every value equals its
+    function's own call bit for bit (an array exponent is an ulp off for
+    about 5 % of t at gamma = 0.5, 2 or -1).  A function with a divergent
+    piece at the origin gives INF.
+    """
     rs = np.asarray(rs, dtype=float)
     if not (rs > 0.0).all():
         raise ValueError(f"radii must be > 0, got {rs}")
     area = unit_sphere_area(n)
-    out = np.zeros(rs.shape, dtype=float)
-    for pc in f.pieces:
-        gamma = pc.alpha * p + n
-        if pc.lo == 0.0 and gamma <= 0.0:
-            out[...] = INF
-            return out
-        top = np.clip(rs, pc.lo, pc.hi)
-        if gamma == 0.0:
-            seg = np.log(top / pc.lo)
-        else:
-            # one power routine for both ends (numpy's scalar and Python's
-            # power can differ from the array loop by an ulp), so the term
-            # is exactly 0 at r = lo
-            seg = (np.power(top, gamma) - np.power(pc.lo, gamma)) / gamma
-        out += area * abs(pc.coef) ** p * seg
+    divergent = [_singular_at_origin(f, p, n) for f in fs]
+    # per function: its pieces' (lo, hi, |c|^p |S^(n-1)|, gamma), none if it diverges
+    terms = [
+        [] if div else [(pc.lo, pc.hi, area * abs(pc.coef) ** p, pc.alpha * p + n)
+                        for pc in f.pieces]
+        for f, div in zip(fs, divergent)
+    ]
+    # per slot: (lo, hi, factor, gamma) of each ball, and the distinct gammas
+    if len(fs) == 1:  # one function's are numbers, for all its balls
+        slots = [(lo, hi, factor, gamma, [gamma]) for lo, hi, factor, gamma in terms[0]]
+    else:  # a function without the slot's piece adds 0 there, and no gamma
+        which = np.broadcast_to(which, rs.shape)
+        slots = []
+        for column in zip_longest(*terms, fillvalue=(1.0, 1.0, 0.0, math.nan)):
+            distinct = list(dict.fromkeys(gamma for *_, gamma in column if gamma == gamma))
+            slots.append((*np.array(column).T[:, which], distinct))
+    out = np.zeros(rs.shape)
+    for lo, hi, factor, gammas, distinct in slots:
+        top = np.minimum(np.maximum(rs, lo), hi)
+        if len(distinct) == 1:
+            out += _centered_term(top, lo, factor, distinct[0])
+            continue
+        for gamma in distinct:  # each gamma on its own balls
+            at = gammas == gamma
+            out[at] += _centered_term(top[at], lo[at], factor[at], gamma)
+    if any(divergent):
+        out[np.array(divergent)[which]] = INF
     return out
+
+
+def centered_integrals(
+    f: PiecewiseRadialFunction, p: float, n: int, rs: np.ndarray
+) -> np.ndarray:
+    """Exact integrals of |f|^p over the centered balls of radii rs (any shape).
+
+    The one-function form of :func:`group_centered_integrals`.
+    """
+    return group_centered_integrals((f,), p, n, 0, rs)
 
 
 # ---------------------------------------------------------------------------
@@ -455,6 +498,7 @@ def _ball_integrals_n1(tab: _N1Table, ends: list[int], d: np.ndarray, r: np.ndar
         else:
             runs.append([tab.gamma[i], a, b])
     c_lo, c_hi = _joined(c_lo), _joined(c_hi)
+    inner = diff < 0.0
     # a divergent piece meets radius 0 where d = r: those balls are INF
     with np.errstate(divide="ignore", invalid="ignore") if origin is not None else nullcontext():
         pw_lo, pw_hi = [], []
@@ -466,20 +510,33 @@ def _ball_integrals_n1(tab: _N1Table, ends: list[int], d: np.ndarray, r: np.ndar
             pw_lo.append(_powers(t_lo[a:b], exp_lo))
             pw_hi.append(_powers(t_hi[a:b], exp_hi))
         pw_lo, pw_hi = _joined(pw_lo), _joined(pw_hi)
-        w_lo, w_hi = tab.w[c_lo], tab.w[c_hi]
-        split = (
-            w_hi * (pw_hi - tab.p_lo[c_hi])
-            + tab.between[c_lo, c_hi]
-            + w_lo * (tab.p_hi[c_lo] - pw_lo)
-        )
-        out = np.where(c_lo == c_hi, w_hi * (pw_hi - pw_lo), split)
-        inner = diff < 0.0
+        # in place, so that a large call holds few temporaries: within one
+        # cell w_hi (pw_hi - pw_lo), across cells
+        # w_hi (pw_hi - p_lo) + between + w_lo (p_hi - pw_lo)
+        del diff, t_lo, t_hi
+        w = tab.w[c_hi]
+        out = pw_hi - tab.p_lo[c_hi]
+        out *= w
+        part = pw_hi - pw_lo
+        part *= w
+        del pw_hi
+        split = c_lo != c_hi
+        np.copyto(out, part, where=~split)
+        np.add(out, tab.between[c_lo, c_hi], out=out, where=split)
+        w = tab.w[c_lo]
+        np.subtract(tab.p_hi[c_lo], pw_lo, out=part)
+        part *= w
+        np.add(out, part, out=out, where=split)
         if origin is not None:
-            out = np.where(origin, INF, out)
+            out[origin] = INF
             inner &= ~origin
         if inner.any():
-            core = tab.below[c_lo] + w_lo * (pw_lo - tab.p_lo[c_lo])
-            out = np.where(inner, out + 2.0 * core, out)
+            # plus twice the core below |d - r|: below + w_lo (pw_lo - p_lo)
+            np.subtract(pw_lo, tab.p_lo[c_lo], out=part)
+            part *= w
+            part += tab.below[c_lo]
+            part *= 2.0
+            np.add(out, part, out=out, where=inner)
     return out
 
 
@@ -514,6 +571,7 @@ def group_ball_integrals(
     else:
         which = np.broadcast_to(which, shape).reshape(-1)
         ends = np.searchsorted(which, np.arange(len(fs) + 1)).tolist()
+        del which  # a large call's kernel then holds one array fewer
     if n == 1:
         values = _ball_integrals_n1(_n1_table(tuple(fs), p), ends, d, r)
         return values.reshape(shape), np.ones(shape, dtype=bool)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -128,10 +129,18 @@ class PiecewiseRadialFunction:
     """Canonical form: disjoint pieces sorted by lo, no zero coefficients.
 
     Use :func:`canonicalize` to build one from raw pieces; the constructor
-    trusts its input.  The zero function is the empty piece tuple.
+    trusts its input.  The zero function is the empty piece tuple.  The
+    hash, the dataclass's own, is computed once: functions key caches.
     """
 
     pieces: tuple[RadialPiece, ...] = field(default=())
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.pieces,))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def is_zero(self) -> bool:

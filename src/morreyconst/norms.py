@@ -5,8 +5,9 @@ with radii unrestricted (Morrey mode) or confined to (0, 1) (small mode).
 
 Two exact bounds bracket the norm.  From below, the centered balls:
 the centered profile P(r) is closed form, and its supremum L over the
-window's radii comes exactly from a few candidate radii
-(:func:`_centered_supremum`).  From above, the bathtub principle
+window's radii comes exactly from a few candidate radii, for a whole
+batch of functions in one vectorized pass (:func:`_centered_suprema`).
+From above, the bathtub principle
 (Lieb & Loss, *Analysis*, Thm 1.14): let g* be the decreasing
 rearrangement of |f|^p in the measure variable m = v_n t^n and
 Phi(m) = int_0^m g*.  A ball of measure m holds at most Phi(m) of |f|^p,
@@ -52,14 +53,15 @@ and shrinks the patches, for a fixed number of rounds.  Centered balls
 tolerance.
 
 Norms are searched in lockstep groups (:func:`_lockstep`), formed
-after the exits and the certificate (:func:`_search_group`): each
-function has its own grid call, and then the aligned balls, every zoom
+after the exits and the certificate (:func:`_search_group`): the grids
+(each function's in its own window), the aligned balls, every zoom
 round and the final re-evaluation of the whole group are one kernel call
-each (:func:`~morreyconst.integrate.group_ball_integrals`), so the
-per-call cost of numpy is paid once per round for the group.  A row of
-those calls is one (function, start) pair with its function's own window
-and steps, and every ball's value is independent of the group, so a
-norm comes out bit for bit the same in any group.
+each (:func:`~morreyconst.integrate.group_ball_integrals`), 23 calls
+for a cold group of any size, so the per-call cost of numpy is paid once
+per round for the group.  A row of those calls is one (function, start)
+pair with its function's own window and steps, and every ball's value is
+independent of the group, so a norm comes out bit for bit the same in
+any group.
 
 The norm depends only on |f| and ||c f|| = |c| ||f||, so a search runs
 once per norm shape, |f| over the magnitude of its first coefficient
@@ -92,6 +94,7 @@ from morreyconst.integrate import (
     IntegrationSettings,
     centered_integrals,
     group_ball_integrals,
+    group_centered_integrals,
 )
 from morreyconst.model import (
     Ball,
@@ -292,39 +295,45 @@ def _limit_at_infinity(f: PiecewiseRadialFunction, params: SpaceParams) -> float
     return 0.0
 
 
-def _stationary_roots(f: PiecewiseRadialFunction, params: SpaceParams) -> np.ndarray:
-    """Radii inside f's pieces where the centered profile is stationary.
+def _stationary_roots(
+    fs: list[PiecewiseRadialFunction], params: SpaceParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """Radii inside the pieces of fs where their centered profiles are stationary.
 
-    On a piece c |x|^alpha from a > 0, with A = |c|^p |S^(n-1)|, the
-    root of A r^gamma = m I(r) (see :func:`_centered_supremum`) is
+    Returns (radii, owners): radii[k] is a root of fs[owners[k]].  On a
+    piece c |x|^alpha from a > 0, with A = |c|^p |S^(n-1)|, the root of
+    A r^gamma = m I(r) (see :func:`_centered_suprema`) is
     r^gamma = m (gamma I(a) - A a^gamma) / (A (gamma - m)), or
     r = a exp(1/m - I(a) / A) when gamma = 0, when that is a radius
     inside the piece.  With p = q (m = 0) the profile I(r)^(1/p) only
     rises and has none.  A piece from 0 has none either: there P(r) is a
-    constant times r^(alpha + n/q).
+    constant times r^(alpha + n/q).  Every piece of every f is solved at
+    once, elementwise, so a root does not depend on the other functions.
     """
     p, n = params.p, params.n
     m = n * (1.0 - p / params.q)
-    if m == 0.0:
-        return np.empty(0)
-    lo, hi, coef, alpha = np.array(
-        [(pc.lo, pc.hi, pc.coef, pc.alpha) for pc in f.pieces if pc.lo > 0.0]
-    ).reshape(-1, 4).T
+    rows = [(k, pc.lo, pc.hi, pc.coef, pc.alpha)
+            for k, f in enumerate(fs) for pc in f.pieces if pc.lo > 0.0]
+    if m == 0.0 or not rows:
+        return np.empty(0), np.empty(0, dtype=int)
+    owner, lo, hi, coef, alpha = np.array(rows).T
+    owner = owner.astype(int)
     gamma = alpha * p + n
     rate = unit_sphere_area(n) * np.abs(coef) ** p
-    at_lo = centered_integrals(f, p, n, lo)
+    at_lo = group_centered_integrals(tuple(fs), p, n, owner, lo)
     with np.errstate(all="ignore"):  # gamma in {0, m}: one branch has no root
         power = m * (gamma * at_lo - rate * lo**gamma) / (rate * (gamma - m))
         roots = np.where(
             gamma == 0.0, lo * np.exp(1.0 / m - at_lo / rate), power ** (1.0 / gamma)
         )
-    return roots[(lo < roots) & (roots < hi)]
+    keep = (lo < roots) & (roots < hi)
+    return roots[keep], owner[keep]
 
 
-def _centered_supremum(
-    f: PiecewiseRadialFunction, params: SpaceParams, rel_tol: float
-) -> NormResult:
-    """The supremum of f's centered profile P(r), for any f of finite norm, exactly.
+def _centered_suprema(
+    fs: list[PiecewiseRadialFunction], params: SpaceParams, rel_tol: float
+) -> list[NormResult]:
+    """The supremum of each f's centered profile P(r), for fs of finite norm, exactly.
 
     That is L, the lower end of the bracket of the module docstring, and
     f's norm wherever the bathtub bound meets it (:func:`_certified`).
@@ -352,25 +361,49 @@ def _centered_supremum(
     or P(1) in small mode, which is the supremum over r < 1 of the
     continuous P.  It is True when that beats the window by more than
     rel_tol.  The argmax is (0, r*) with r* the smallest candidate that
-    attains the window's supremum.
+    attains the window's supremum.  The candidates of all of fs are
+    stacked and sorted function by function, and every step is
+    elementwise or a reduction over one f's row, so each result equals
+    f's alone bit for bit.
     """
-    r_min, r_max, _ = search_window(f, params.mode)
+    if not fs:
+        return []
     small = params.mode is Mode.SMALL_MORREY
-
-    roots = _stationary_roots(f, params)
-    radii = np.sort(np.concatenate([[r_min, r_max, *f.breakpoints()], roots]))
-    if small:
-        radii = np.append(radii[radii < 1.0], 1.0)
-    radii = radii[radii > 0.0]
-    # Morrey params, so that small mode may evaluate P(1) too
-    values = centered_norm_profile(f, params.with_mode(Mode.MORREY), radii)
-    inside = np.flatnonzero((r_min <= radii) & (radii <= r_max))
-    best = inside[np.argmax(values[inside])]
-    value = float(values[best])
-    top = float(values.max()) if small else max(float(values.max()), _limit_at_infinity(f, params))
-    return NormResult(
-        value, Ball(0.0, float(radii[best])), truncated=top > value * (1.0 + rel_tol)
-    )
+    found: list[list[float]] = [[] for _ in fs]
+    for root, k in zip(*(a.tolist() for a in _stationary_roots(fs, params))):
+        found[k].append(root)
+    # every f's candidates, sorted, one run after another
+    radii, owner, slot, inside, starts = [], [], [], [], []
+    for k, (f, roots) in enumerate(zip(fs, found)):
+        r_min, r_max, _ = search_window(f, params.mode)
+        candidates = [r_min, r_max, *f.breakpoints(), *roots]
+        if small:
+            candidates = [r for r in candidates if r < 1.0] + [1.0]
+        candidates = sorted(r for r in candidates if r > 0.0)
+        starts.append(len(radii))
+        radii += candidates
+        owner += [k] * len(candidates)
+        slot += range(len(candidates))
+        inside += [r_min <= r <= r_max for r in candidates]
+    radii = np.array(radii)
+    # Morrey's profile, so that small mode may evaluate P(1) too
+    integrals = group_centered_integrals(tuple(fs), params.p, params.n, owner, radii)
+    with np.errstate(over="ignore"):
+        values = _weight(params, radii) * integrals ** (1.0 / params.p)
+    # one row per f, padded: its top, then its window's first maximum (or
+    # first NaN), as np.argmax takes
+    rows = np.full((len(fs), max(slot) + 1), -INF)
+    rows[owner, slot] = values
+    tops = rows.max(axis=1).tolist()
+    rows[owner, slot] = np.where(inside, values, -INF)
+    best = np.add(starts, rows.argmax(axis=1))
+    results = []
+    for f, value, r_star, top in zip(fs, values[best].tolist(), radii[best].tolist(), tops):
+        if not small:
+            top = max(top, _limit_at_infinity(f, params))
+        truncated = top > value * (1.0 + rel_tol)
+        results.append(NormResult(value, Ball(0.0, r_star), truncated=truncated))
+    return results
 
 
 def _pow(t: float, e: float) -> float:
@@ -657,25 +690,28 @@ def _bathtub_bounds(f: PiecewiseRadialFunction, params: SpaceParams) -> tuple[fl
 
 
 def _certified(
-    f: PiecewiseRadialFunction, params: SpaceParams, rel_tol: float
+    f: PiecewiseRadialFunction,
+    params: SpaceParams,
+    rel_tol: float,
+    lower: NormResult | None = None,
 ) -> NormResult | None:
     """f's norm without a search where the bathtub bound certifies it, else None.
 
-    With L the :func:`_centered_supremum` result and
-    bar = L.value (1 + rel_tol), f is certified when U_win <= bar
-    (:func:`_bathtub_bounds`): no ball of the window beats L by more than
-    rel_tol, so L is what the search would approximate.  Its
-    ``truncated`` is exact: True when a centered ball outside the window
-    or a limit beats bar (L's own flag), False when U_all <= bar.  In
-    between, no ball outside the window is known to beat bar, none is
-    ruled out, and f is searched (None).  So is an f whose values or
-    radii take either bound out of the float range.
+    With L f's :func:`_centered_suprema` result (``lower``, when the
+    caller has it already) and bar = L.value (1 + rel_tol), f is
+    certified when U_win <= bar (:func:`_bathtub_bounds`): no ball of the
+    window beats L by more than rel_tol, so L is what the search would
+    approximate.  Its ``truncated`` is exact: True when a centered ball
+    outside the window or a limit beats bar (L's own flag), False when
+    U_all <= bar.  In between, no ball outside the window is known to
+    beat bar, none is ruled out, and f is searched (None).  So is an f
+    whose values or radii take the bound out of the float range.
     """
     try:
         u_win, u_all = _bathtub_bounds(f, params)
-        result = _centered_supremum(f, params, rel_tol)
     except OverflowError:
         return None
+    result = _centered_suprema([f], params, rel_tol)[0] if lower is None else lower
     bar = result.value * (1.0 + rel_tol)
     if not u_win <= bar < INF or not (result.truncated or u_all <= bar):
         return None
@@ -720,22 +756,27 @@ def _search_group(
     """Norms of the functions fs.
 
     The zero function, a function of infinite norm and one that the
-    bathtub bound certifies (:func:`_certified`) need no search.  The
-    others are searched in order, in lockstep groups of up to ``_GROUP``
-    (:func:`_lockstep`), so that the certified ones leave no gaps in the
-    groups.
+    bathtub bound certifies (:func:`_certified`) need no search: the
+    centered suprema L of all the others come from one
+    :func:`_centered_suprema` pass, and the bound is checked shape by
+    shape.  The rest are searched in order, in lockstep groups of up to
+    ``_GROUP`` (:func:`_lockstep`), so that the certified ones leave no
+    gaps in the groups.
     """
     results: list[NormResult | None] = [None] * len(fs)
-    todo = []
+    finite, todo = [], []
     for i, f in enumerate(fs):
         if f.is_zero:
             results[i] = NormResult(0.0, None)
         elif norm_is_infinite(f, params):
             results[i] = NormResult(INF, None)
         else:
-            results[i] = _certified(f, params, integ.rel_tol)
-            if results[i] is None:
-                todo.append(i)
+            finite.append(i)
+    lowers = _centered_suprema([fs[i] for i in finite], params, integ.rel_tol)
+    for i, lower in zip(finite, lowers):
+        results[i] = _certified(fs[i], params, integ.rel_tol, lower)
+        if results[i] is None:
+            todo.append(i)
     for k in range(0, len(todo), _GROUP):
         group = todo[k:k + _GROUP]
         for i, result in zip(group, _lockstep([fs[i] for i in group], params, integ)):
@@ -750,13 +791,13 @@ def _lockstep(
 ) -> list[NormResult]:
     """Norms of the functions fs, of finite norm and not zero, searched in lockstep.
 
-    Each function gets its own window and grid call.  Those that survive
-    their grid then share one kernel call for the aligned balls, one per
-    zoom round and one for the final re-evaluation.  A row of a shared
-    call is one (function, start) pair and carries its function's window
-    and steps, and a ball's value does not depend on the group it is
-    evaluated in, so every result equals the function's search alone
-    bit for bit.
+    Each function gets its own window, and the grids of all of them are
+    one kernel call.  Those that survive their grid then share one
+    kernel call for the aligned balls, one per zoom round and one for
+    the final re-evaluation.  A row of a shared call is one (function,
+    start) pair and carries its function's window and steps, and a
+    ball's value does not depend on the group it is evaluated in, so
+    every result equals the function's search alone bit for bit.
     """
     p, n = params.p, params.n
     scout = replace(integ, rel_tol=max(integ.rel_tol, _SCOUT_REL_TOL))
@@ -774,17 +815,20 @@ def _lockstep(
             tol_ok[np.asarray(members)[np.broadcast_to(which, ok.shape)[~ok]]] = False
         return _weight(params, r) * ints ** (1.0 / p)
 
+    # Every function's whole grid, the exact d = 0 row included, is one
+    # kernel call: grids[i] is fs[i]'s, centers[i] by radii[i].
+    bounds = np.array([search_window(f, params.mode) for f in fs])
+    radii = np.geomspace(bounds[:, 0], bounds[:, 1], _N_RADII, axis=-1)
+    centers = np.linspace(0.0, bounds[:, 2], _N_CENTERS, axis=-1)
+    index = np.arange(len(fs))
+    grids = evaluate(index.tolist(), index[:, None, None], centers[:, :, None], radii[:, None, :])
+
     # per function that survives its grid: its index in fs, zoom window,
     # best grid cells, breakpoint-aligned balls and truncation flag
     members, windows, grid_starts, aligned, truncated = [], [], [], [], []
-    for i, f in enumerate(fs):
-        r_min, r_max, d_max = search_window(f, params.mode)
-        rs = np.geomspace(r_min, r_max, _N_RADII)
-        ds = np.linspace(0.0, d_max, _N_CENTERS)
-
-        # The whole grid, the exact d = 0 row included, is one kernel call.
-        grid = evaluate([i], 0, ds[:, None], rs[None, :])
-
+    for i, (f, grid, ds, rs, (r_min, r_max, d_max)) in enumerate(
+        zip(fs, grids, centers, radii, bounds.tolist())
+    ):
         if np.isinf(grid).any():
             results[i] = NormResult(INF, None, tol_ok=bool(tol_ok[i]))
             continue

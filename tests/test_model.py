@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -176,6 +177,43 @@ class TestWitnessAlgebra:
             RadialPiece(pc.lo, pc.hi, abs(pc.coef), pc.alpha) for pc in k.pieces
         )
         assert abs_k == f
+
+
+class TestHash:
+    RAW = [(0.0, 1.0, 1.0, -0.5), (1.0, 2.5, -3.0, 0.25), (4.0, INF, 0.5, -1.0)]
+
+    def test_equal_functions_hash_equal(self):
+        f, g = canonicalize(self.RAW), canonicalize(reversed(self.RAW))
+        assert f is not g and f == g and hash(f) == hash(g)
+        assert hash(f) == hash((f.pieces,))  # the dataclass's own hash
+        assert {f: 1}[g] == 1
+
+    def test_hash_is_of_the_pieces(self):
+        f = canonicalize(self.RAW)
+        assert f != scale(f, 2.0) and hash(f) != hash(scale(f, 2.0))
+        assert hash(PiecewiseRadialFunction()) == hash(canonicalize([]))
+
+    def test_pieces_hashed_once(self, monkeypatch):
+        f = canonicalize(self.RAW)
+        calls = []
+        original = RadialPiece.__hash__
+
+        def counting(pc):
+            calls.append(pc)
+            return original(pc)
+
+        monkeypatch.setattr(RadialPiece, "__hash__", counting)
+        for _ in range(3):
+            hash(f)
+        assert len(calls) == len(f.pieces)
+
+    def test_pickle_round_trip(self):
+        # the process pool's path: a function comes back equal, with its hash
+        f = canonicalize(self.RAW)
+        hash(f)  # cached before pickling, and not
+        for g in (f, canonicalize(self.RAW)):
+            back = pickle.loads(pickle.dumps(g))
+            assert back == f and hash(back) == hash(f) and back.pieces == f.pieces
 
 
 class TestTextRecord:
