@@ -16,8 +16,8 @@ status is 0 exactly when every check in the report passed.
 
 Each command owns one norms.NormTable: the ratio commands hand it all
 their candidate pairs at once, so every distinct norm shape (|f| up to
-a positive factor) is certified or searched once, in lockstep groups,
-and --threads N > 1 lets it hand that work to a pool of at most N (and
+a positive factor) is certified, solved exactly (n = 1) or searched
+once, and --threads N > 1 lets it hand that work to a pool of at most N (and
 at most the CPU count) worker processes, shut down before the command
 returns.
 The workers only search; the memo stays in the command's process.
@@ -168,7 +168,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, help="random-pair generator seed")
     common.add_argument("--trials", type=int, help="number of random pairs")
     common.add_argument("--threads", type=int,
-                        help="worker processes for the lockstep groups of distinct norms "
+                        help="worker processes for the distinct norms "
                         "(capped at the CPU count)")
     common.add_argument("--out", help="report path (default: stdout)")
     common.add_argument("--format", choices=_FORMATS, help="report format")
@@ -302,6 +302,50 @@ def _theorem1_ratio_tolerance(kind: ConstantKind, deficit: float, rel_tol: float
     return s_eff * deficit + 10.0 * rel_tol
 
 
+def _outer_part_truncated(space, a: float, b: float, r_max: float, rel_tol: float) -> bool:
+    """The exact n = 1 truncation flag of h = |x|^(-1/q) on a <= |x| < b.
+
+    h is the outer witness part: a = eps, b = 1 in small mode, a = 1,
+    b = infinity in Morrey mode.  With kappa = 1 - p/q, |h|^p is
+    |x|^(kappa - 1), and value^p of an interval is its length^(-kappa)
+    times its integral of |h|^p.  An interval on one side of 0 does best
+    starting at a (|h| falls), where value^p is
+    len^(-kappa) ((a + len)^kappa - a^kappa) / kappa, which rises with
+    len up to b - a.  One holding points on both sides does best
+    centered (the integral is concave in each end), where value^p is
+    (2 r)^(-kappa) 2 (r^kappa - a^kappa) / kappa, which rises with r up
+    to b.  So the supremum over radii up to rho is the larger of the two
+    at len = min(2 rho, b - a) and r = min(rho, b); over every radius of
+    the mode it is that at rho = 1 in small mode, and the limit
+    2^(1 - kappa) / kappa in Morrey mode.  The flag is set when that
+    beats the window's supremum by more than rel_tol.
+    """
+    kappa = 1.0 - space.p / space.q
+
+    def best(rho: float) -> float:
+        length, r = min(2.0 * rho, b - a), min(rho, b)
+        one = length**-kappa * ((a + length) ** kappa - a**kappa) / kappa
+        two = (2.0 * r) ** -kappa * 2.0 * (r**kappa - a**kappa) / kappa
+        return max(one, two) ** (1.0 / space.p)
+
+    full = best(1.0) if b < math.inf else (2.0 ** (1.0 - kappa) / kappa) ** (1.0 / space.p)
+    return full > best(r_max) * (1.0 + rel_tol)
+
+
+def _truncation_check(name: str, space, res, expected: bool, climbing: str) -> Check:
+    """The check that res's truncation flag is the expected one.
+
+    For n >= 2 the flag is expected set, which the search's margin rule
+    decides; for n = 1 the expectation is derived
+    (:func:`_outer_part_truncated`).
+    """
+    if space.n == 1:
+        text = f"exact n = 1 truncation flag {'set' if expected else 'clear'} (derived)"
+    else:
+        text = f"supremum still climbing {climbing}: truncation flag set"
+    return Check(name, res.truncated == expected, text, 1.0 if res.truncated else 0.0)
+
+
 def _cmd_verify_thm1(cfg: RunConfig, table: NormTable):
     space = cfg.space
     space.require_strict()
@@ -347,13 +391,9 @@ def _cmd_verify_thm1(cfg: RunConfig, table: NormTable):
             2.0 * deficit,
         )
     )
+    expected = space.n > 1 or _outer_part_truncated(space, 1.0, math.inf, r_max, cfg.integ.rel_tol)
     checks.append(
-        Check(
-            "norm_chain_h_truncated",
-            results["h"].truncated,
-            "supremum still climbing at r_max: truncation flag set",
-            1.0 if results["h"].truncated else 0.0,
-        )
+        _truncation_check("norm_chain_h_truncated", space, results["h"], expected, "at r_max")
     )
 
     ratio_tasks = []
@@ -416,13 +456,11 @@ def _cmd_verify_thm2(cfg: RunConfig, table: NormTable):
                 BOUND_SLACK,
             )
         )
+        r_max = search_window(outer[i], space.mode)[1]
+        expected = space.n > 1 or _outer_part_truncated(space, eps, 1.0, r_max,
+                                                        cfg.integ.rel_tol)
         checks.append(
-            Check(
-                f"h_truncated_eps={eps:g}",
-                nh.truncated,
-                "supremum still climbing as r -> 1: truncation flag set",
-                1.0 if nh.truncated else 0.0,
-            )
+            _truncation_check(f"h_truncated_eps={eps:g}", space, nh, expected, "as r -> 1")
         )
         eps_ratios = []
         for kind, row in zip(kinds, rows):

@@ -2,11 +2,9 @@
 
 * Centered balls: exact closed form from power-function antiderivatives.
 * Every ball when n = 1, where the ball is the interval [d - r, d + r]:
-  exact, from an antiderivative table of |f|^p built once per (f, p)
-  and cached (:class:`_N1Table`).  A ball costs one searchsorted and one
-  power per shell end |d - r| and d + r.  The tables of a group of
-  functions stack into one, so the balls of the whole group take one
-  pass.
+  exact, from an antiderivative table of |f|^p built once per call
+  (:class:`_N1Table`).  A ball costs one searchsorted and one power per
+  shell end |d - r| and d + r.
 * Off-center balls when n >= 2: the spheres of radius t <= r - d lie
   inside the ball and give a closed-form core; the shell
   |d - r| <= t <= d + r contributes through the spherical cap fraction.
@@ -18,10 +16,8 @@
 * Monte Carlo: an independent stochastic route used to cross-check the
   quadrature, never as the primary evaluator.
 
-Every ball goes through the vectorized :func:`group_ball_integrals`,
-whose balls may belong to several functions; :func:`ball_integrals` is
-its one-function form and :func:`integrate_abs_pow_ball` its one-ball
-form.
+Every ball goes through the vectorized :func:`ball_integrals`;
+:func:`integrate_abs_pow_ball` is its one-ball form.
 
 Divergent integrals are detected analytically (a power t^alpha with
 alpha*p + n <= 0 supported down to radius 0, inside the ball) and
@@ -33,7 +29,6 @@ from __future__ import annotations
 import math
 from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import zip_longest
 
 import numpy as np
@@ -47,7 +42,6 @@ __all__ = [
     "centered_integrals",
     "group_centered_integrals",
     "ball_integrals",
-    "group_ball_integrals",
     "integrate_abs_pow_ball",
     "mc_integrate",
 ]
@@ -334,45 +328,38 @@ def _powers(t: np.ndarray, gamma) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _N1Table:
-    """Antiderivative tables of |f|^p on the line, for the n = 1 kernel.
+    """Antiderivative table of |f|^p on the line, for the n = 1 kernel.
 
-    One function's table is a list of cells.  Cells j = 1..K are the
-    intervals [knots[j-1], knots[j]) (knots[K] = inf), which tile
-    [0, inf); support gaps are cells with w = 0.  On cell j the integral
-    of |f|^p from u to v is w[j] (P_j(v) - P_j(u)), with P_j(t) =
-    t^gamma_j (or log t when gamma_j = 0), gamma_j = alpha p + 1 and
-    w[j] = |c|^p / gamma_j (|c|^p when gamma_j = 0).  p_lo[j] and
-    p_hi[j] are P_j at the cell's two knots.  between[i, j] is the
-    integral over the whole cells strictly between i and j, summed term
-    by term: a difference of two prefix sums would lose the digits of a
-    small middle after a large earlier cell.  below[j] = between[0, j]
-    is the integral from 0 up to knots[j-1].  Cell 0 pads every
-    per-cell array, so np.searchsorted(knots, t, "right") is a cell.
+    Cells j = 1..K are the intervals [knots[j-1], knots[j]) (knots[K] =
+    inf), which tile [0, inf); support gaps are cells with w = 0.  On
+    cell j the integral of |f|^p from u to v is w[j] (P_j(v) - P_j(u)),
+    with P_j(t) = t^gamma_j (or log t when gamma_j = 0), gamma_j =
+    alpha p + 1 and w[j] = |c|^p / gamma_j (|c|^p when gamma_j = 0).
+    p_lo[j] and p_hi[j] are P_j at the cell's two knots.  between[i, j]
+    is the integral over the whole cells strictly between i and j, summed
+    term by term: a difference of two prefix sums would lose the digits
+    of a small middle after a large earlier cell.  below[j] =
+    between[0, j] is the integral from 0 up to knots[j-1].  Cell 0 pads
+    every per-cell array, so np.searchsorted(knots, t, "right") is a
+    cell.
 
-    The function's ``gamma`` is the exponent every piece shares, or
-    None.  When it is a number, every power of the table and of the
-    balls, gaps included, takes it as a number (see :func:`_powers`):
-    all random-pair and witness functions share one.  When it is None,
-    ``gammas`` is gathered per ball, with gaps taking 1.
+    ``gamma`` is the exponent every piece shares, or None.  When it is a
+    number, every power of the table and of the balls, gaps included,
+    takes it as a number (see :func:`_powers`): all random-pair and
+    witness functions share one.  When it is None, ``gammas`` is
+    gathered per ball, with gaps taking 1.
 
-    Radii below the function's ``floor``, the start of the support, are
-    raised to powers as ``floor`` (w = 0 there), so radius 0 never meets
-    a gamma <= 0 power unless f lives at the origin.  ``divergent``
-    marks such a piece: the balls that reach it are INF, and the table
-    entries only they would read (P at 0, below) hold finite stand-ins.
-
-    A group of functions stacks their tables: function i's cells start
-    at off[i] (its pad), its knots are knots[k_off[i]:k_off[i+1]], and
-    between is block diagonal.  gamma, floor and divergent hold one
-    entry per function.
+    Radii below ``floor``, the start of the support, are raised to powers
+    as ``floor`` (w = 0 there), so radius 0 never meets a gamma <= 0
+    power unless f lives at the origin.  ``divergent`` marks such a
+    piece: the balls that reach it are INF, and the table entries only
+    they would read (P at 0, below) hold finite stand-ins.
     """
 
     knots: np.ndarray
-    k_off: tuple[int, ...]
-    off: tuple[int, ...]
-    gamma: tuple[float | None, ...]
-    floor: tuple[float, ...]
-    divergent: tuple[bool, ...]
+    gamma: float | None
+    floor: float
+    divergent: bool
     gammas: np.ndarray
     w: np.ndarray
     p_lo: np.ndarray
@@ -381,33 +368,8 @@ class _N1Table:
     between: np.ndarray
 
 
-@lru_cache(maxsize=32)
-def _n1_table(fs: tuple[PiecewiseRadialFunction, ...], p: float) -> _N1Table:
-    """The :class:`_N1Table` of the group fs for |f|^p, built once per (fs, p).
-
-    A group of several is stacked from its members' own tables.  Every
-    reuse comes from the kernel calls of one lockstep search, in which
-    each function first makes a call of its own (its grid), so a few
-    groups' worth of entries suffice; more would only hold the tables
-    of finished norms.
-    """
-    if len(fs) > 1:
-        tabs = [_n1_table((f,), p) for f in fs]
-        off = np.cumsum([0, *(t.w.size for t in tabs)]).tolist()
-        between = np.zeros((off[-1], off[-1]))
-        for t, a, b in zip(tabs, off, off[1:]):
-            between[a:b, a:b] = t.between
-        return _N1Table(
-            knots=np.concatenate([t.knots for t in tabs]),
-            k_off=tuple(np.cumsum([0, *(t.knots.size for t in tabs)]).tolist()),
-            off=tuple(off[:-1]),
-            **{name: sum((getattr(t, name) for t in tabs), ())
-               for name in ("gamma", "floor", "divergent")},
-            **{name: np.concatenate([getattr(t, name) for t in tabs])
-               for name in ("gammas", "w", "p_lo", "p_hi", "below")},
-            between=between,
-        )
-    (f,) = fs
+def _n1_table(f: PiecewiseRadialFunction, p: float) -> _N1Table:
+    """The :class:`_N1Table` of f for |f|^p."""
     cells = []  # (lo, hi, |c|^p, gamma); gamma is None on a support gap
     edge = 0.0
     for pc in f.pieces:
@@ -437,16 +399,15 @@ def _n1_table(fs: tuple[PiecewiseRadialFunction, ...], p: float) -> _N1Table:
 
     w = np.array([0.0, *amp]) / np.where(gammas == 0.0, 1.0, gammas)
     whole = w * (p_hi - p_lo)
-    upper = np.triu(np.broadcast_to(whole, (whole.size, whole.size)), k=1)
+    cells = np.arange(whole.size)
+    upper = np.where(cells > cells[:, None], whole, 0.0)
     between = np.zeros_like(upper)
     between[:, 1:] = np.cumsum(upper, axis=1)[:, :-1]
     return _N1Table(
         knots=np.array(lo),
-        k_off=(0, len(lo)),
-        off=(0,),
-        gamma=(shared,),
-        floor=(floor,),
-        divergent=(divergent,),
+        gamma=shared,
+        floor=floor,
+        divergent=divergent,
         gammas=gammas,
         w=w,
         p_lo=p_lo,
@@ -456,60 +417,33 @@ def _n1_table(fs: tuple[PiecewiseRadialFunction, ...], p: float) -> _N1Table:
     )
 
 
-def _joined(parts: list[np.ndarray]) -> np.ndarray:
-    """The 1-d parts end to end; a lone part is returned as it is."""
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+def _ball_integrals_n1(tab: _N1Table, d: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Exact n = 1 ball integrals from f's :class:`_N1Table`, for 1-d d and r.
 
-
-def _ball_integrals_n1(tab: _N1Table, ends: list[int], d: np.ndarray, r: np.ndarray):
-    """Exact n = 1 ball integrals from a group's stacked :class:`_N1Table`.
-
-    d and r are 1-d, and function i of the group owns the balls
-    ends[i]:ends[i+1].  The ball is the interval [d - r, d + r]; by
-    symmetry its integral is the integral over the shell t_lo = |d - r|
-    <= t <= t_hi = d + r, plus 2 G(t_lo) when d < r, where G(t) is the
-    integral from 0 to t.  Each shell end is located by one searchsorted
-    on its function's knots and raised to one power, taken per run of
-    consecutive functions that share an exponent rule, so a ball's value
-    does not depend on the group it is evaluated in.  A shell inside one
-    cell is w (P(t_hi) - P(t_lo)) directly, never a difference of two
-    sums that both hold the cell, which would lose the digits of a tiny
-    far ball.
+    The ball is the interval [d - r, d + r]; by symmetry its integral is
+    the integral over the shell t_lo = |d - r| <= t <= t_hi = d + r, plus
+    2 G(t_lo) when d < r, where G(t) is the integral from 0 to t.  Each
+    shell end is located by one searchsorted on the knots and raised to
+    one power.  A shell inside one cell is w (P(t_hi) - P(t_lo))
+    directly, never a difference of two sums that both hold the cell,
+    which would lose the digits of a tiny far ball.
     """
     diff = d - r
     t_lo, t_hi = np.abs(diff), d + r
-    c_lo, c_hi = [], []  # cells of the shell ends, per function
-    origin = None  # balls of a divergent function that reach radius 0
-    runs = []  # [exponent rule, first ball, end ball] per run of functions
-    for i, (a, b) in enumerate(zip(ends, ends[1:])):
-        knots = tab.knots[tab.k_off[i]:tab.k_off[i + 1]]
-        for t, cells in ((t_lo, c_lo), (t_hi, c_hi)):
-            cells.append(np.searchsorted(knots, t[a:b], side="right"))
-            if tab.off[i]:
-                cells[-1] += tab.off[i]
-            if tab.floor[i] > 0.0:
-                np.maximum(t[a:b], tab.floor[i], out=t[a:b])
-        if tab.divergent[i]:
-            if origin is None:
-                origin = np.zeros(d.shape, dtype=bool)
-            origin[a:b] = diff[a:b] <= 0.0
-        if runs and runs[-1][0] == tab.gamma[i]:
-            runs[-1][2] = b
-        else:
-            runs.append([tab.gamma[i], a, b])
-    c_lo, c_hi = _joined(c_lo), _joined(c_hi)
-    inner = diff < 0.0
+    c_lo = np.searchsorted(tab.knots, t_lo, side="right")
+    c_hi = np.searchsorted(tab.knots, t_hi, side="right")
+    if tab.floor > 0.0:
+        np.maximum(t_lo, tab.floor, out=t_lo)
+        np.maximum(t_hi, tab.floor, out=t_hi)
     # a divergent piece meets radius 0 where d = r: those balls are INF
-    with np.errstate(divide="ignore", invalid="ignore") if origin is not None else nullcontext():
-        pw_lo, pw_hi = [], []
-        for gamma, a, b in runs:
-            if gamma is None:
-                exp_lo, exp_hi = tab.gammas[c_lo[a:b]], tab.gammas[c_hi[a:b]]
-            else:
-                exp_lo = exp_hi = gamma
-            pw_lo.append(_powers(t_lo[a:b], exp_lo))
-            pw_hi.append(_powers(t_hi[a:b], exp_hi))
-        pw_lo, pw_hi = _joined(pw_lo), _joined(pw_hi)
+    origin = diff <= 0.0 if tab.divergent else None
+    inner = diff < 0.0
+    with np.errstate(divide="ignore", invalid="ignore") if tab.divergent else nullcontext():
+        if tab.gamma is None:
+            exp_lo, exp_hi = tab.gammas[c_lo], tab.gammas[c_hi]
+        else:
+            exp_lo = exp_hi = tab.gamma
+        pw_lo, pw_hi = _powers(t_lo, exp_lo), _powers(t_hi, exp_hi)
         # in place, so that a large call holds few temporaries: within one
         # cell w_hi (pw_hi - pw_lo), across cells
         # w_hi (pw_hi - p_lo) + between + w_lo (p_hi - pw_lo)
@@ -540,49 +474,6 @@ def _ball_integrals_n1(tab: _N1Table, ends: list[int], d: np.ndarray, r: np.ndar
     return out
 
 
-def group_ball_integrals(
-    fs: tuple[PiecewiseRadialFunction, ...],
-    p: float,
-    n: int,
-    which,
-    d,
-    r,
-    settings: IntegrationSettings = IntegrationSettings(),
-) -> tuple[np.ndarray, np.ndarray]:
-    """Integrals of |f|^p over many balls of a group of functions, in one call.
-
-    Ball k has center distance d[k] and radius r[k] and belongs to
-    fs[which[k]].  d and r broadcast against each other, which broadcasts
-    to their shape, and the flattened which must be nondecreasing: the
-    balls are laid out function by function.  Returns (values, tol_ok) arrays of their
-    common shape, with the meaning of :class:`BallIntegral`; every value
-    equals, bit for bit, what its function's own call would give.  For
-    n = 1 the whole group is one pass of the closed-form kernel over a
-    stacked table.  For n >= 2 each function's balls go through the
-    quadrature kernel in turn, which costs far more than the call.
-    """
-    d, r = np.broadcast_arrays(np.asarray(d, dtype=float), np.asarray(r, dtype=float))
-    if (d < 0.0).any() or (r <= 0.0).any():
-        raise ValueError("need center distances >= 0 and radii > 0")
-    shape = d.shape
-    d, r = d.reshape(-1), r.reshape(-1)
-    if len(fs) == 1:  # one function owns every ball
-        ends = [0, d.size]
-    else:
-        which = np.broadcast_to(which, shape).reshape(-1)
-        ends = np.searchsorted(which, np.arange(len(fs) + 1)).tolist()
-        del which  # a large call's kernel then holds one array fewer
-    if n == 1:
-        values = _ball_integrals_n1(_n1_table(tuple(fs), p), ends, d, r)
-        return values.reshape(shape), np.ones(shape, dtype=bool)
-    parts = [
-        _ball_integrals_nd(f, p, n, d[a:b], r[a:b], settings)
-        for f, a, b in zip(fs, ends, ends[1:])
-    ]
-    values, tol_ok = (np.concatenate(x).reshape(shape) for x in zip(*parts))
-    return values, tol_ok
-
-
 def ball_integrals(
     f: PiecewiseRadialFunction,
     p: float,
@@ -595,13 +486,23 @@ def ball_integrals(
 
     d and r broadcast against each other.  Returns (values, tol_ok)
     arrays of their common shape, with the meaning of
-    :class:`BallIntegral`: the group-of-one form of
-    :func:`group_ball_integrals`.  For n = 1 every value is closed form.
-    For n >= 2 the closed-form cores are vectorized, and the off-center
-    shells of each function go through one :func:`_adaptive_quadrature`
-    call, whose GK15 passes see at most ``_POINTS_PER_CALL`` points each.
+    :class:`BallIntegral`.  For n = 1 every value is closed form
+    (:func:`_ball_integrals_n1`).  For n >= 2 the closed-form cores are
+    vectorized, and the off-center shells go through one
+    :func:`_adaptive_quadrature` call, whose GK15 passes see at most
+    ``_POINTS_PER_CALL`` points each.  Each value depends on its own ball
+    only.
     """
-    return group_ball_integrals((f,), p, n, 0, d, r, settings)
+    d, r = np.broadcast_arrays(np.asarray(d, dtype=float), np.asarray(r, dtype=float))
+    if (d < 0.0).any() or (r <= 0.0).any():
+        raise ValueError("need center distances >= 0 and radii > 0")
+    shape = d.shape
+    d, r = d.reshape(-1), r.reshape(-1)
+    if n == 1:
+        values = _ball_integrals_n1(_n1_table(f, p), d, r)
+        return values.reshape(shape), np.ones(shape, dtype=bool)
+    values, tol_ok = _ball_integrals_nd(f, p, n, d, r, settings)
+    return values.reshape(shape), tol_ok.reshape(shape)
 
 
 def _ball_integrals_nd(f, p, n, d, r, settings):

@@ -40,36 +40,62 @@ mu(lam) = m on the segment that brackets m) and the limits as m -> 0 and
 m -> infinity, or m = v_n in small mode.  No quadrature, grid or scipy
 is used.
 
-Every function that the bound does not certify is searched.  By radial
-symmetry the supremum over centers a reduces to a supremum over the
-center distance d = |a|, leaving a 2-parameter search in (d, r): a
-coarse log-r x linear-d grid, filled by one batched kernel call, then a
-zoom.  The zoom starts from the best grid cells and from the best balls
-whose faces d - r and d + r both sit on breakpoints of f (or at the
-origin); each round evaluates a small patch in (d, log r) and one in
-(d - r, d + r) around every start, moves each start to its best ball
-and shrinks the patches, for a fixed number of rounds.  Centered balls
-(d = 0) are exact.  The winner is then re-evaluated at the requested
-tolerance.
+For n = 1 every function that the bound does not certify takes an
+exact path (:mod:`morreyconst.exact1d`).  A ball is an interval [u, v];
+with g = |f|^p on the line, kappa = 1 - p/q and Phi(u, v) the integral of g
+over [u, v], value^p = (v - u)^(-kappa) Phi(u, v).  The norm is the
+supremum over 0 < v - u <= 2 r_max, and it is attained at a stationary
+point of one of the smooth strata of that domain, or approached in a
+limit.  Mirror images give equal values, so one of each pair is taken.
+The candidates:
 
-Norms are searched in lockstep groups (:func:`_lockstep`), formed
-after the exits and the certificate (:func:`_search_group`): the grids
-(each function's in its own window), the aligned balls, every zoom
-round and the final re-evaluation of the whole group are one kernel call
-each (:func:`~morreyconst.integrate.group_ball_integrals`), 23 calls
-for a cold group of any size, so the per-call cost of numpy is paid once
-per round for the group.  A row of those calls is one (function, start)
-pair with its function's own window and steps, and every ball's value is
-independent of the group, so a norm comes out bit for bit the same in
-any group.
+* both ends on faces (0, or plus or minus a breakpoint): corners;
+* one end fixed on a face, the other free at x = e^z on a piece, where
+  g(x) (x - x0) = kappa (G(x) - G(x0)), G the signed antiderivative of g;
+* both ends free, on two pieces, where g(u) = g(v) = kappa Phi / (v - u);
+  g(u) = g(v) makes log |u| affine in z = log v on power pieces, and
+  where one piece is constant it fixes the other end, which then joins
+  the fixed points of the class above;
+* on the cap v - u = 2 rho, an end on a face, or both ends free with
+  g(u) = g(v): rho = r_max for the value, and rho = 1 for the small
+  mode's flag;
+* the centered balls, whose supremum L and its limits are exact already
+  (:func:`_centered_tops`).
+
+Every free-end condition is the root of one kind of function of z, an
+exponential sum P(z) = a0 + a1 e^(e1 z) + a2 e^(e2 z) + lin z, with a
+linear term only beside a single exponential (where alpha p = -1 makes G
+logarithmic).  Its slope changes sign at most once, in closed form, so
+P has at most two roots, each in a monotone bracket.  A bracket whose
+bound (v_lo - u_hi)^(-kappa) Phi(u_lo, v_hi) cannot beat L is pruned,
+and every other bracket of a batch takes safeguarded Newton steps at
+once.  Each function's candidate balls are then
+evaluated in one call of the exact n = 1 kernel.  The value is the best
+ball of the window, argmax ties going to the smaller (d, r); there is no
+r_min and no d_max, which were the search grid's.  ``truncated`` is
+exact: the best over every radius of the mode (the cap at rho = 1 in
+small mode, every interior candidate and the limit at infinity in
+Morrey mode) beats the value by more than rel_tol.
+
+For n >= 2 every function that the bound does not certify is searched
+(:func:`_search`).  By radial symmetry the supremum over centers a
+reduces to a supremum over the center distance d = |a|, leaving a
+2-parameter search in (d, r): a coarse log-r x linear-d grid, filled by
+one batched kernel call, then a zoom.  The zoom starts from the best grid
+cells and from the best balls whose faces d - r and d + r both sit on
+breakpoints of f (or at the origin); each round evaluates a small patch
+in (d, log r) and one in (d - r, d + r) around every start, moves each
+start to its best ball and shrinks the patches, for a fixed number of
+rounds, each round one kernel call.  Centered balls (d = 0) are exact.
+The winner is then re-evaluated at the requested tolerance.
 
 The norm depends only on |f| and ||c f|| = |c| ||f||, so a search runs
 once per norm shape, |f| over the magnitude of its first coefficient
 (:func:`_shape`): a function's norm is its shape's norm times that
 magnitude.  :class:`NormTable` is the one evaluator: it takes shapes,
-memoizes results per shape in the calling process, and searches the
-missing ones in lockstep groups, here or on its process pool, whose
-workers only search; :func:`norm` is a pool-less table of one.
+memoizes results per shape in the calling process, and evaluates the
+missing ones here or on its process pool, whose workers only search;
+:func:`norm` is a pool-less table of one.
 
 Whether the norm is infinite is decided analytically from the piece
 exponents before any search runs (:func:`norm_is_infinite`, exact on
@@ -82,18 +108,18 @@ import math
 import os
 import sys
 from dataclasses import dataclass, replace
-import threading
 from collections import OrderedDict
 from collections.abc import Iterable
 from itertools import repeat
 
 import numpy as np
 
+from morreyconst.exact1d import best_in_rows, exact_norms
 from morreyconst.geometry import unit_ball_volume, unit_sphere_area
 from morreyconst.integrate import (
     IntegrationSettings,
+    ball_integrals,
     centered_integrals,
-    group_ball_integrals,
     group_centered_integrals,
 )
 from morreyconst.model import (
@@ -137,10 +163,9 @@ _SHRINK = 1.0 / 3.0
 _ROUNDS = 20
 _OFFSETS = np.linspace(-1.0, 1.0, _PATCH)
 
-# Functions searched in lockstep: a group's aligned balls, each zoom
-# round and the final re-evaluation are one kernel call each.  Larger
-# groups amortize the per-call overhead further but hold larger arrays.
-_GROUP = 8
+# Shapes per vectorized pass of the exact n = 1 path (a memory bound: a
+# pass holds a few hundred brackets and candidate balls per shape).
+_EXACT_CHUNK = 16
 
 
 def search_window(f: PiecewiseRadialFunction, mode: Mode) -> tuple[float, float, float]:
@@ -173,6 +198,13 @@ def search_window(f: PiecewiseRadialFunction, mode: Mode) -> tuple[float, float,
       which ``truncated`` reports.  When f vanishes past b, the
       centered ball of radius b <= R holds all of |f|^p in the least
       volume and beats every larger ball.
+
+    For n = 1 only r_max is used: the exact path (:mod:`~morreyconst.exact1d`)
+    takes every center and every radius up to r_max.  For n >= 2 the
+    search does not look below r_min or past d_max, so it can miss the
+    best ball of a thin annulus a <= |x| < b far out, whose radius is
+    about (b - a) / 2; no bound yet shows that nothing below r_min beats
+    the search's value.
     """
     finite = [b for b in f.breakpoints() if b > 0.0]
     b = max(finite, default=0.0)
@@ -194,8 +226,18 @@ class NormResult:
     window's by more than the requested ``rel_tol``, and False when the
     bound over every radius of the mode does not; the value is the
     window's centered supremum either way, and ``argmax`` is the
-    centered ball (0, r*).  ``tol_ok`` is False when some probe integral
-    missed its tolerance budget.
+    centered ball (0, r*).
+
+    For n = 1 it is exact for every f.  ``value`` is the supremum over
+    all centers and all radii 0 < r <= r_max of :func:`search_window`,
+    attained at ``argmax``, ties going to the smaller (d, r), and
+    ``truncated`` is True when the supremum over every radius of the
+    mode (r < 1 in small mode; every r, its limit as r -> infinity
+    included, in Morrey mode) beats it by more than ``rel_tol``.  For
+    n >= 2 an uncertified f is searched, and ``truncated`` is the
+    search's heuristic: the best grid column still rising by more than
+    1e-7 over its last step.  ``tol_ok`` is False when some probe
+    integral missed its tolerance budget.
     """
 
     value: float
@@ -221,14 +263,19 @@ def _weight(params: SpaceParams, r) -> float | np.ndarray:
 def centered_norm_profile(f: PiecewiseRadialFunction, params: SpaceParams, r):
     """Norm quantity of the centered balls of radii r (exact closed form).
 
-    r may be a number or an array; the result has r's shape.
+    r may be a number or an array; the result has r's shape.  A number is
+    evaluated as a one-element array, since numpy's power of a 0-d array
+    can take another path and differ by an ulp, so both forms agree bit
+    for bit.
     """
     r = np.asarray(r, dtype=float)
     if params.mode is Mode.SMALL_MORREY and not (r < 1.0).all():
         raise ValueError(f"small mode requires radius < 1, got {r}")
-    integrals = centered_integrals(f, params.p, params.n, r)
+    flat = r.reshape(-1)
+    integrals = centered_integrals(f, params.p, params.n, flat)
     with np.errstate(over="ignore"):
-        return _weight(params, r) * integrals ** (1.0 / params.p)
+        values = _weight(params, flat) * integrals ** (1.0 / params.p)
+    return values.reshape(r.shape)[()]
 
 
 def closed_form_power_norm(params: SpaceParams) -> float:
@@ -330,17 +377,16 @@ def _stationary_roots(
     return roots[keep], owner[keep]
 
 
-def _centered_suprema(
-    fs: list[PiecewiseRadialFunction], params: SpaceParams, rel_tol: float
-) -> list[NormResult]:
-    """The supremum of each f's centered profile P(r), for fs of finite norm, exactly.
+def _centered_tops(
+    fs: list[PiecewiseRadialFunction], params: SpaceParams
+) -> list[tuple[float, float, float]]:
+    """(L, r*, top) of each f's centered profile P(r), for fs of finite norm, exactly.
 
-    That is L, the lower end of the bracket of the module docstring, and
-    f's norm wherever the bathtub bound meets it (:func:`_certified`).
-    Its value is the supremum over the search window [r_min, r_max] of
-    :func:`search_window`, which is what a search of f would
-    approximate.  On a piece c |x|^alpha with lower end a > 0 the
-    centered integral is I(r) = I(a) + K (r^gamma - a^gamma),
+    L is the lower end of the bracket of the module docstring, and f's
+    norm wherever the bathtub bound meets it (:func:`_certified`).  It is
+    the supremum over the search window [r_min, r_max] of
+    :func:`search_window`.  On a piece c |x|^alpha with lower end a > 0
+    the centered integral is I(r) = I(a) + K (r^gamma - a^gamma),
     gamma = alpha p + n and K = |c|^p |S^(n-1)| / gamma (or
     I(a) + |c|^p |S^(n-1)| log(r / a) when gamma = 0), and
     d log P / d log r = |c|^p |S^(n-1)| r^gamma / (p I(r)) - m / p with
@@ -355,16 +401,14 @@ def _centered_suprema(
     times r^(alpha + n/q) on it, monotone in r, so the supremum over
     (0, r_min] is P(r_min); otherwise P vanishes there.
 
-    ``truncated`` compares the window's supremum with the supremum over
-    every radius of the mode: the same candidates unclipped, and the
-    limit as r -> infinity in Morrey mode (:func:`_limit_at_infinity`)
-    or P(1) in small mode, which is the supremum over r < 1 of the
-    continuous P.  It is True when that beats the window by more than
-    rel_tol.  The argmax is (0, r*) with r* the smallest candidate that
-    attains the window's supremum.  The candidates of all of fs are
-    stacked and sorted function by function, and every step is
-    elementwise or a reduction over one f's row, so each result equals
-    f's alone bit for bit.
+    top is the supremum over every radius of the mode: the same
+    candidates unclipped, and the limit as r -> infinity in Morrey mode
+    (:func:`_limit_at_infinity`) or P(1) in small mode, which is the
+    supremum over r < 1 of the continuous P.  r* is the smallest
+    candidate that attains L.  The candidates of all of fs are stacked
+    and sorted function by function, and every step is elementwise or a
+    reduction over one f's row, so each result equals f's alone bit for
+    bit.
     """
     if not fs:
         return []
@@ -397,13 +441,22 @@ def _centered_suprema(
     tops = rows.max(axis=1).tolist()
     rows[owner, slot] = np.where(inside, values, -INF)
     best = np.add(starts, rows.argmax(axis=1))
-    results = []
-    for f, value, r_star, top in zip(fs, values[best].tolist(), radii[best].tolist(), tops):
-        if not small:
-            top = max(top, _limit_at_infinity(f, params))
-        truncated = top > value * (1.0 + rel_tol)
-        results.append(NormResult(value, Ball(0.0, r_star), truncated=truncated))
-    return results
+    if not small:
+        tops = [max(top, _limit_at_infinity(f, params)) for f, top in zip(fs, tops)]
+    return list(zip(values[best].tolist(), radii[best].tolist(), tops))
+
+
+def _centered_result(row: tuple[float, float, float], rel_tol: float) -> NormResult:
+    """The centered supremum (L, r*, top) as a result: truncated when top beats L by rel_tol."""
+    value, r_star, top = row
+    return NormResult(value, Ball(0.0, r_star), truncated=top > value * (1.0 + rel_tol))
+
+
+def _centered_suprema(
+    fs: list[PiecewiseRadialFunction], params: SpaceParams, rel_tol: float
+) -> list[NormResult]:
+    """Each f's centered supremum L (:func:`_centered_tops`) as a result, argmax (0, r*)."""
+    return [_centered_result(row, rel_tol) for row in _centered_tops(fs, params)]
 
 
 def _pow(t: float, e: float) -> float:
@@ -735,19 +788,6 @@ def _aligned_balls(f: PiecewiseRadialFunction, r_min: float, r_max: float, d_max
     return d[keep], r[keep]
 
 
-def _best_in_rows(values: np.ndarray, d: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Column of each row's best ball: largest value, ties to the smaller (d, r).
-
-    Three reductions instead of a sort: the largest value, then the
-    smallest d among the balls that reach it, then the first smallest r
-    among those.
-    """
-    top = values == values.max(axis=-1, keepdims=True)
-    d_top = np.where(top, d, INF)
-    top &= d_top == d_top.min(axis=-1, keepdims=True)
-    return np.where(top, r, INF).argmin(axis=-1)
-
-
 def _search_group(
     fs: list[PiecewiseRadialFunction],
     params: SpaceParams,
@@ -758,11 +798,12 @@ def _search_group(
     The zero function, a function of infinite norm and one that the
     bathtub bound certifies (:func:`_certified`) need no search: the
     centered suprema L of all the others come from one
-    :func:`_centered_suprema` pass, and the bound is checked shape by
-    shape.  The rest are searched in order, in lockstep groups of up to
-    ``_GROUP`` (:func:`_lockstep`), so that the certified ones leave no
-    gaps in the groups.
+    :func:`_centered_tops` pass, and the bound is checked shape by
+    shape.  For n = 1 the rest take the exact path
+    (:func:`~morreyconst.exact1d.exact_norms`), ``_EXACT_CHUNK`` at a
+    time; for n >= 2 each is searched (:func:`_search`).
     """
+    rel_tol = integ.rel_tol
     results: list[NormResult | None] = [None] * len(fs)
     finite, todo = [], []
     for i, f in enumerate(fs):
@@ -772,115 +813,71 @@ def _search_group(
             results[i] = NormResult(INF, None)
         else:
             finite.append(i)
-    lowers = _centered_suprema([fs[i] for i in finite], params, integ.rel_tol)
-    for i, lower in zip(finite, lowers):
-        results[i] = _certified(fs[i], params, integ.rel_tol, lower)
+    for i, row in zip(finite, _centered_tops([fs[i] for i in finite], params)):
+        results[i] = _certified(fs[i], params, rel_tol, _centered_result(row, rel_tol))
         if results[i] is None:
-            todo.append(i)
-    for k in range(0, len(todo), _GROUP):
-        group = todo[k:k + _GROUP]
-        for i, result in zip(group, _lockstep([fs[i] for i in group], params, integ)):
-            results[i] = result
+            todo.append((i, row))
+    if params.n == 1:
+        for k in range(0, len(todo), _EXACT_CHUNK):
+            chunk = todo[k:k + _EXACT_CHUNK]
+            shapes = [fs[i] for i, _ in chunk]
+            r_max = [search_window(f, params.mode)[1] for f in shapes]
+            found = exact_norms(shapes, params, rel_tol, [row for _, row in chunk], r_max)
+            for (i, _), (value, d, r, truncated) in zip(chunk, found):
+                results[i] = NormResult(value, Ball(d, r), truncated=truncated)
+    else:
+        for i, _ in todo:
+            results[i] = _search(fs[i], params, integ)
     return results
 
 
-def _lockstep(
-    fs: list[PiecewiseRadialFunction],
-    params: SpaceParams,
-    integ: IntegrationSettings,
-) -> list[NormResult]:
-    """Norms of the functions fs, of finite norm and not zero, searched in lockstep.
+def _search(
+    f: PiecewiseRadialFunction, params: SpaceParams, integ: IntegrationSettings
+) -> NormResult:
+    """The norm of f, of finite norm and not zero, by the (d, r) search (n >= 2).
 
-    Each function gets its own window, and the grids of all of them are
-    one kernel call.  Those that survive their grid then share one
-    kernel call for the aligned balls, one per zoom round and one for
-    the final re-evaluation.  A row of a shared call is one (function,
-    start) pair and carries its function's window and steps, and a
-    ball's value does not depend on the group it is evaluated in, so
-    every result equals the function's search alone bit for bit.
+    The grid, the aligned balls, each zoom round and the final
+    re-evaluation are one kernel call each.  Row s of a zoom round holds
+    start s's two patches.
     """
     p, n = params.p, params.n
     scout = replace(integ, rel_tol=max(integ.rel_tol, _SCOUT_REL_TOL))
-    results: list[NormResult | None] = [None] * len(fs)
-    tol_ok = np.ones(len(fs), dtype=bool)  # every scout probe met its tolerance
+    tol_ok = True  # every scout probe met its tolerance
 
-    def evaluate(members: list[int], which, d, r) -> np.ndarray:
-        """Norm quantity of many balls at the scout tolerance.
-
-        Ball k belongs to fs[members[which[k]]]; see group_ball_integrals.
-        """
-        group = tuple(fs[i] for i in members)
-        ints, ok = group_ball_integrals(group, p, n, which, d, r, scout)
-        if not ok.all():
-            tol_ok[np.asarray(members)[np.broadcast_to(which, ok.shape)[~ok]]] = False
+    def evaluate(d, r) -> np.ndarray:
+        """Norm quantity of many balls at the scout tolerance."""
+        nonlocal tol_ok
+        ints, ok = ball_integrals(f, p, n, d, r, scout)
+        tol_ok = tol_ok and bool(ok.all())
         return _weight(params, r) * ints ** (1.0 / p)
 
-    # Every function's whole grid, the exact d = 0 row included, is one
-    # kernel call: grids[i] is fs[i]'s, centers[i] by radii[i].
-    bounds = np.array([search_window(f, params.mode) for f in fs])
-    radii = np.geomspace(bounds[:, 0], bounds[:, 1], _N_RADII, axis=-1)
-    centers = np.linspace(0.0, bounds[:, 2], _N_CENTERS, axis=-1)
-    index = np.arange(len(fs))
-    grids = evaluate(index.tolist(), index[:, None, None], centers[:, :, None], radii[:, None, :])
+    # The whole grid, the exact d = 0 row included, is one kernel call.
+    r_min, r_max, d_max = search_window(f, params.mode)
+    radii = np.geomspace(r_min, r_max, _N_RADII)
+    centers = np.linspace(0.0, d_max, _N_CENTERS)
+    grid = evaluate(centers[:, None], radii[None, :])
+    if np.isinf(grid).any():
+        return NormResult(INF, None, tol_ok=tol_ok)
+    col_max = grid.max(axis=0)
+    # Margin sits above quadrature scout noise but far below any genuine
+    # boundary climb (the witness profiles move by >= 1e-4 per grid step).
+    truncated = bool(col_max[-1] > col_max[-2] * (1.0 + 1e-7))
 
-    # per function that survives its grid: its index in fs, zoom window,
-    # best grid cells, breakpoint-aligned balls and truncation flag
-    members, windows, grid_starts, aligned, truncated = [], [], [], [], []
-    for i, (f, grid, ds, rs, (r_min, r_max, d_max)) in enumerate(
-        zip(fs, grids, centers, radii, bounds.tolist())
-    ):
-        if np.isinf(grid).any():
-            results[i] = NormResult(INF, None, tol_ok=bool(tol_ok[i]))
-            continue
-
-        col_max = grid.max(axis=0)
-        flat = np.argsort(grid, axis=None)[::-1][:_STARTS]
-        gi, gj = np.unravel_index(flat, grid.shape)
-        members.append(i)
-        # the zoom's first steps: one grid cell in d and in log r
-        windows.append((float(ds[1] - ds[0]), math.log(rs[1] / rs[0]), r_min, r_max, d_max))
-        grid_starts.append((ds[gi], rs[gj]))
-        aligned.append(_aligned_balls(f, r_min, r_max, d_max))
-        # Margin sits above quadrature scout noise but far below any genuine
-        # boundary climb (the witness profiles move by >= 1e-4 per grid step).
-        truncated.append(bool(col_max[-1] > col_max[-2] * (1.0 + 1e-7)))
-    if not members:
-        return results
-
-    # Starts: each function's best grid cells and best breakpoint-aligned
-    # balls, the aligned balls of the whole group scored in one call.
-    seed_d, seed_r = zip(*aligned)
-    counts = [s.size for s in seed_d]
-    seed_vals = evaluate(
-        members,
-        np.repeat(np.arange(len(members)), counts),
-        np.concatenate(seed_d),
-        np.concatenate(seed_r),
-    )
-    starts_d, starts_r = [], []
-    for (grid_d, grid_r), sd, sr, vals in zip(
-        grid_starts, seed_d, seed_r, np.split(seed_vals, np.cumsum(counts)[:-1])
-    ):
-        top = np.argsort(vals)[::-1][:_STARTS]
-        starts_d.append(np.concatenate([grid_d, sd[top]]))
-        starts_r.append(np.concatenate([grid_r, sr[top]]))
+    # Starts: the best grid cells and the best breakpoint-aligned balls.
+    gi, gj = np.unravel_index(np.argsort(grid, axis=None)[::-1][:_STARTS], grid.shape)
+    seed_d, seed_r = _aligned_balls(f, r_min, r_max, d_max)
+    top = np.argsort(evaluate(seed_d, seed_r))[::-1][:_STARTS]
+    d_cur = np.concatenate([centers[gi], seed_d[top]])
+    r_cur = np.concatenate([radii[gj], seed_r[top]])
 
     # Zoom: one patch in (d, log r) and one in (u, v) = (d - r, d + r)
     # around every start, all evaluated in one kernel call per round, for
-    # all _ROUNDS rounds.
-    # The (u, v) patch follows ridges where a face of the ball hugs a
-    # breakpoint and (d, r) must move diagonally.  Each patch spans one
-    # grid cell at first.  Row s of d, r and vals holds start s's
-    # patches; the rows come function by function, and each carries its
-    # function's steps and window.
-    n_rows = np.array([s.size for s in starts_d])
-    row_fn = np.repeat(np.arange(len(members)), n_rows)
-    step_d, step_log_r, r_min, r_max, d_max = (
-        np.array(col)[row_fn][:, None] for col in zip(*windows)
-    )
-    d_cur, r_cur = np.concatenate(starts_d), np.concatenate(starts_r)
+    # all _ROUNDS rounds.  The (u, v) patch follows ridges where a face
+    # of the ball hugs a breakpoint and (d, r) must move diagonally.  Each
+    # patch spans one grid cell at first.
+    step_d, step_log_r = float(centers[1] - centers[0]), math.log(radii[1] / radii[0])
     x, y = (o.ravel() for o in np.meshgrid(_OFFSETS, _OFFSETS, indexing="ij"))
-    rows, fn_rows = np.arange(d_cur.size), row_fn[:, None]
+    rows = np.arange(d_cur.size)
     for k in range(_ROUNDS):
         scale = _SHRINK**k
         h_uv = np.minimum(step_d, r_cur[:, None] * step_log_r) * scale
@@ -888,42 +885,25 @@ def _lockstep(
         v = (d_cur + r_cur)[:, None] + h_uv * y
         d = np.hstack([d_cur[:, None] + step_d * scale * x, 0.5 * (u + v)])
         r = np.hstack([r_cur[:, None] * np.exp(step_log_r * scale * y), 0.5 * (v - u)])
-        # np.clip's result, without its slow path for array bounds
         d = np.minimum(np.maximum(d, 0.0), d_max)
         r = np.minimum(np.maximum(r, r_min), r_max)
-        vals = evaluate(members, fn_rows, d, r)
-        best = _best_in_rows(vals, d, r)
+        vals = evaluate(d, r)
+        best = best_in_rows(vals, d, r)
         d_cur, r_cur, v_cur = d[rows, best], r[rows, best], vals[rows, best]
-
-    # Each function's winning row, from a table of 2 * _STARTS row
-    # indices per function.  A function with fewer aligned balls fills
-    # its table by repeating its first row, whose ball is already in the
-    # running, so the winning ball is the one its own rows give.
-    first = np.cumsum(n_rows) - n_rows
-    pick = first[:, None] + np.arange(2 * _STARTS)
-    pick = np.where(pick < (first + n_rows)[:, None], pick, first[:, None])
-    win = pick[np.arange(len(members)), _best_in_rows(v_cur[pick], d_cur[pick], r_cur[pick])]
 
     # The scout tolerance guided the search; the reported value is the
     # winning ball re-evaluated at the requested tolerance.
-    group = tuple(fs[i] for i in members)
-    final, final_ok = group_ball_integrals(
-        group, p, n, np.arange(len(members)), d_cur[win], r_cur[win], integ
+    win = best_in_rows(v_cur, d_cur, r_cur)
+    best_d, best_r = float(d_cur[win]), float(r_cur[win])
+    value, ok = ball_integrals(f, p, n, best_d, best_r, integ)
+    if value == INF:
+        return NormResult(INF, None, tol_ok=tol_ok)
+    return NormResult(
+        value=_weight(params, best_r) * float(value) ** (1.0 / p),
+        argmax=Ball(best_d, best_r),
+        truncated=truncated,
+        tol_ok=tol_ok and bool(ok),
     )
-    for i, best_d, best_r, value, ok, trunc in zip(
-        members, d_cur[win].tolist(), r_cur[win].tolist(), final.tolist(), final_ok.tolist(),
-        truncated,
-    ):
-        if value == INF:
-            results[i] = NormResult(INF, None, tol_ok=bool(tol_ok[i]))
-            continue
-        results[i] = NormResult(
-            value=_weight(params, best_r) * value ** (1.0 / p),
-            argmax=Ball(best_d, best_r),
-            truncated=trunc,
-            tol_ok=bool(tol_ok[i]) and ok,
-        )
-    return results
 
 
 def _shape(f: PiecewiseRadialFunction) -> tuple[PiecewiseRadialFunction, float]:
@@ -959,8 +939,8 @@ def _shape(f: PiecewiseRadialFunction) -> tuple[PiecewiseRadialFunction, float]:
 def even_chunks(fs: list, parts: int = 1) -> list[list]:
     """fs cut, in order, into at most ``parts`` chunks of near-equal size.
 
-    One chunk per consumer (pool workers, say): each chunk's searched
-    functions then fill whole lockstep groups (:func:`_search_group`).
+    One chunk per consumer (pool workers, say): each chunk's n = 1
+    shapes then fill whole passes of the exact path (:func:`_search_group`).
     """
     size = max(1, -(-len(fs) // parts))
     return [fs[k:k + size] for k in range(0, len(fs), size)]
@@ -976,25 +956,21 @@ class _SearchMemo:
     def __init__(self, maxsize: int) -> None:
         self._maxsize = maxsize
         self._results: OrderedDict = OrderedDict()
-        self._lock = threading.Lock()
 
     def get(self, key) -> NormResult | None:
-        with self._lock:
-            result = self._results.get(key)
-            if result is not None:
-                self._results.move_to_end(key)
-            return result
+        result = self._results.get(key)
+        if result is not None:
+            self._results.move_to_end(key)
+        return result
 
     def put(self, key, result: NormResult) -> None:
-        with self._lock:
-            self._results[key] = result
-            self._results.move_to_end(key)
-            if len(self._results) > self._maxsize:
-                self._results.popitem(last=False)
+        self._results[key] = result
+        self._results.move_to_end(key)
+        if len(self._results) > self._maxsize:
+            self._results.popitem(last=False)
 
     def cache_clear(self) -> None:
-        with self._lock:
-            self._results.clear()
+        self._results.clear()
 
 
 _search_cached = _SearchMemo(maxsize=4096)

@@ -215,6 +215,30 @@ class TestSearchCommand:
             assert t["top_pairs"][0]["index"] == 0
 
 
+    def test_thin_annulus_seed_passes(self, capsys):
+        # seed 83005 draws -0.23137 |x|^(-1/2) on [0.018431, 0.019073), whose
+        # best ball is the annulus itself, r = 3.2e-4: every ratio stays
+        # under the ceiling
+        code, rep = run_json(capsys, ["search", "--n", "1", "--p", "1", "--q", "2", "--mode",
+                                      "small", "--trials", "30", "--seed", "83005"])
+        assert code == 0
+        assert all(c["passed"] for c in rep["checks"])
+
+    def test_outer_part_truncation_derived(self):
+        # [DERIVED] n = 1, p = 1, q = 2: for h = |x|^(-1/2) on eps <= |x| < 1
+        # the r -> 1 ball [-1, 1] over the ball [eps, 1] is
+        # 2^(1/2) (1 - eps)^(1/2): a tie at eps = 0.5, a win below it
+        from morreyconst.cli import _outer_part_truncated
+        from morreyconst.model import Mode, SpaceParams
+
+        sp = SpaceParams(1, 1.0, 2.0, Mode.SMALL_MORREY)
+        r_max = 1.0 - 1e-6
+        assert not _outer_part_truncated(sp, 0.5, 1.0, r_max, 1e-10)
+        assert not _outer_part_truncated(sp, 0.6, 1.0, r_max, 1e-10)
+        assert _outer_part_truncated(sp, 0.49, 1.0, r_max, 1e-10)
+        assert _outer_part_truncated(sp.with_mode(Mode.MORREY), 1.0, math.inf, 1e6, 1e-10)
+
+
 class TestConfigFile:
     def test_file_supplies_values(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -17,7 +17,6 @@ from morreyconst.integrate import (
     _adaptive_quadrature,
     ball_integrals,
     centered_integrals,
-    group_ball_integrals,
     integrate_abs_pow_ball,
     mc_integrate,
 )
@@ -320,80 +319,6 @@ class TestBallIntegralN1Reference:
             rel = 1e-12 if rk >= 1e-3 * dk else 1e-10
             assert values[k] == pytest.approx(_mp_ball_n1(f, 1.0, dk, rk), rel=rel), (dk, rk)
         assert np.isinf(values[-2:]).all()  # tangent, and covering the origin
-
-
-def _bits(values: np.ndarray) -> np.ndarray:
-    return np.asarray(values, dtype=float).view(np.int64)
-
-
-class TestGroupBallIntegrals:
-    """A group's stacked kernel call against one call per function, bit for bit."""
-
-    SHARED_HALF = canonicalize(  # alpha -1/2 at p = 1: shared gamma 1/2
-        [(0.0, 0.5, 1.3, -0.5), (0.5, 2.0, -0.7, -0.5), (2.0, INF, 0.4, -0.5)]
-    )
-    SHARED_QUARTER = canonicalize(  # alpha -1/4: shared gamma 3/4, support gaps
-        [(0.1, 1.0, 0.9, -0.25), (1.5, 3.0, 2.0, -0.25)]
-    )
-    GATHERED = canonicalize(  # mixed exponents: gathered per ball
-        [(0.0, 0.5, 1.0, 0.4), (0.5, 2.0, -1.5, -0.3), (2.0, 4.0, 0.8, -2.0)]
-    )
-    DIVERGENT = canonicalize(  # |x|^-1 at the origin: balls reaching 0 are INF
-        [(0.0, 1.0, 1.0, -1.0), (1.0, 2.0, 0.5, -0.5)]
-    )
-    ZERO = canonicalize([])
-
-    @staticmethod
-    def _balls(count: int, seed: int):
-        rng = np.random.Generator(np.random.Philox(key=seed))
-        d = np.concatenate([[0.0, 1.0, 0.5, 2.0], rng.uniform(0.0, 6.0, count)])
-        r = np.concatenate([[0.3, 1.0, 2.5, 1e-5], rng.uniform(1e-3, 5.0, count)])
-        return d, r
-
-    @pytest.mark.parametrize("n", [1, 2])
-    def test_group_equals_one_function_calls(self, n):
-        # runs of equal and different exponent rules, an empty slice, a
-        # zero function and a divergent one, each with its own ball count
-        fs = (self.SHARED_HALF, self.SHARED_QUARTER, self.GATHERED, self.GATHERED,
-              self.ZERO, self.SHARED_HALF, self.DIVERGENT, self.SHARED_QUARTER)
-        counts = [40, 25, 0, 33, 5, 17, 12, 30] if n == 1 else [6, 4, 0, 5, 2, 3, 4, 3]
-        balls = [self._balls(c, seed) for seed, c in enumerate(counts)]
-        which = np.repeat(np.arange(len(fs)), [d.size for d, _ in balls])
-        d = np.concatenate([b[0] for b in balls])
-        r = np.concatenate([b[1] for b in balls])
-        values, tol_ok = group_ball_integrals(fs, 1.0, n, which, d, r)
-        assert values.shape == tol_ok.shape == d.shape
-        for k, (f, (dk, rk)) in enumerate(zip(fs, balls)):
-            alone, alone_ok = ball_integrals(f, 1.0, n, dk, rk)
-            assert (_bits(values[which == k]) == _bits(alone)).all(), k
-            assert (tol_ok[which == k] == alone_ok).all(), k
-        if n == 1:  # the divergent function's balls that reach the origin
-            assert np.isinf(values[which == 6][:3]).all()
-        assert (values[which == 4] == 0.0).all()  # the zero function's
-
-    def test_broadcast_layout(self):
-        # rows of balls, one function per row, as the lockstep search lays them out
-        fs = (self.SHARED_QUARTER, self.GATHERED)
-        d = np.array([[0.2, 1.0, 3.0], [0.0, 0.7, 2.5], [1.5, 0.1, 4.0]])
-        r = np.array([[0.5, 0.25, 1.0]])
-        which = np.array([[0], [0], [1]])
-        values, tol_ok = group_ball_integrals(fs, 1.0, 1, which, d, r)
-        assert values.shape == tol_ok.shape == (3, 3)
-        assert (_bits(values[:2]) == _bits(ball_integrals(fs[0], 1.0, 1, d[:2], r)[0])).all()
-        assert (_bits(values[2]) == _bits(ball_integrals(fs[1], 1.0, 1, d[2], r[0])[0])).all()
-
-    def test_half_power_correctly_rounded_in_a_group(self):
-        # the balls of TestBallIntegralN1.test_half_power_correctly_rounded,
-        # between functions with other exponent rules
-        r = np.geomspace(1e-6, 1e6, 401)
-        fs = (self.SHARED_QUARTER, POWER_HALF, self.GATHERED)
-        d = np.concatenate([[1.0, 2.0], np.zeros_like(r), r, [0.5]])
-        radii = np.concatenate([[0.5, 0.7], r, r, [1.5]])
-        which = np.repeat([0, 1, 2], [2, 2 * r.size, 1])
-        values, _ = group_ball_integrals(fs, 1.0, 1, which, d, radii)
-        centered, tangent = np.split(values[which == 1], 2)
-        assert (centered == 4.0 * np.sqrt(r)).all()
-        assert (tangent == 2.0 * np.sqrt(2.0 * r)).all()
 
 
 class TestBallIntegralHigherDim:

@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+import morreyconst.exact1d as exact1d_mod
 import morreyconst.integrate as integrate_mod
 import morreyconst.norms as norms_mod
 from morreyconst.constants import _sums, random_pair, witness_pair_morrey
@@ -262,14 +263,14 @@ class TestZoomSearch:
 
             return wrapper
 
-        kernels = [
-            name
-            for name in ("ball_integrals", "group_ball_integrals", "integrate_abs_pow_ball")
-            if hasattr(norms_mod, name)
-        ]
-        assert "group_ball_integrals" in kernels
-        for name in kernels:
-            monkeypatch.setattr(norms_mod, name, counting(getattr(norms_mod, name)))
+        for module in (norms_mod, exact1d_mod):
+            kernels = [
+                name for name in ("ball_integrals", "integrate_abs_pow_ball")
+                if hasattr(module, name)
+            ]
+            assert "ball_integrals" in kernels
+            for name in kernels:
+                monkeypatch.setattr(module, name, counting(getattr(module, name)))
         return calls
 
     def test_kernel_calls_per_cold_norm(self, monkeypatch):
@@ -283,26 +284,41 @@ class TestZoomSearch:
         # grid, aligned balls, every zoom round and the final re-evaluation
         assert len(calls) == 1 + 1 + norms_mod._ROUNDS + 1
 
-    def test_kernel_calls_per_lockstep_group(self, monkeypatch):
-        # G cold n = 1 norms in one group, G = 1, 3 and 8: one call for all
-        # the grids, one for the aligned balls, one per zoom round and one
-        # final, shared.  Only functions that the bathtub bound does not
-        # certify are searched
+    def test_kernel_calls_per_searched_norm(self, monkeypatch):
+        # G cold n = 2 norms in one batch, G = 1 and 3: each is searched on
+        # its own, with one call for its grid, one for its aligned balls,
+        # one per zoom round and one final.  Only functions that the
+        # bathtub bound does not certify are searched
+        calls = self._count_kernel_calls(monkeypatch)
+        sp = SpaceParams(2, 1.0, 2.0, Mode.SMALL_MORREY)
+        rng = np.random.Generator(np.random.Philox(key=5))
+        rel_tol = IntegrationSettings().rel_tol
+        for size in (1, 3):
+            fs = []
+            while len(fs) < size:
+                f = random_pair(rng, sp)[0]
+                if f not in fs and norms_mod._certified(f, sp, rel_tol) is None:
+                    fs.append(f)
+            norms_mod._search_cached.cache_clear()
+            calls.clear()
+            results = NormTable(sp).evaluate(fs)
+            assert all(res.argmax is not None for res in results)
+            assert len(calls) == size * (1 + 1 + norms_mod._ROUNDS + 1), size
+
+    def test_n1_makes_one_kernel_call_per_searched_norm(self, monkeypatch):
+        # the exact n = 1 path evaluates all of a shape's candidate balls
+        # in one call, and never calls the kernel for a certified shape
         calls = self._count_kernel_calls(monkeypatch)
         rng = np.random.Generator(np.random.Philox(key=5))
         rel_tol = IntegrationSettings().rel_tol
-        for size in (1, 3, 8):
-            fs = []
-            while len(fs) < size:
-                f = random_pair(rng, M112)[0]
-                if f not in fs and norms_mod._certified(f, M112, rel_tol) is None:
-                    fs.append(f)
-            monkeypatch.setattr(norms_mod, "_GROUP", size)
-            norms_mod._search_cached.cache_clear()
-            calls.clear()
-            results = NormTable(M112).evaluate(fs)
-            assert all(res.argmax is not None for res in results)
-            assert len(calls) == 1 + 1 + norms_mod._ROUNDS + 1, size
+        fs = [f for _ in range(10) for f in random_pair(rng, M112)]
+        shapes = {norms_mod._shape(f)[0] for f in fs}
+        searched = [s for s in shapes if not s.is_zero and not norm_is_infinite(s, M112)
+                    and norms_mod._certified(s, M112, rel_tol) is None]
+        assert searched
+        norms_mod._search_cached.cache_clear()
+        NormTable(M112).evaluate(fs)
+        assert len(calls) == len(searched)
 
     def test_critical_power_full_zoom(self, monkeypatch):
         # the best ball of |x|^(-n/q) slides along the flat centered
@@ -332,12 +348,10 @@ class TestZoomSearch:
             ),
         ]
         for sp, f in cases:
-            # cold: the norm cache and the n = 1 antiderivative tables both empty
+            # cold: the norm cache empty
             norms_mod._search_cached.cache_clear()
-            integrate_mod._n1_table.cache_clear()
             first = norm(f, sp)
             norms_mod._search_cached.cache_clear()
-            integrate_mod._n1_table.cache_clear()
             assert norm(f, sp) == first
 
     # Its argmax sits on r = r_max, and its later gains come after two to
@@ -350,10 +364,16 @@ class TestZoomSearch:
     ])
 
     def test_edge_climber_full_zoom(self, monkeypatch):
-        # the search is forced, and its value is frozen
+        # the bathtub bound is bypassed, so the exact n = 1 path runs, and
+        # its value is frozen.  The 20-round zoom that it replaced read
+        # 2.2982878820760986, 1.9e-12 below it, within rel_tol.  The
+        # argmax sits on r_max and the value still climbs as r -> 1
         monkeypatch.setattr(norms_mod, "_certified", lambda *args: None)
         res = norms_mod._search_group([self.EDGE_CLIMBER], S112, IntegrationSettings())[0]
-        assert res.value == 2.2982878820760986
+        assert res.value == 2.2982878820805674
+        rel_tol = IntegrationSettings().rel_tol
+        assert res.value * (1.0 - rel_tol) <= 2.2982878820760986 <= res.value
+        assert res.argmax.r == search_window(self.EDGE_CLIMBER, Mode.SMALL_MORREY)[1]
         assert (res.truncated, res.tol_ok) == (True, True)
 
 
@@ -367,7 +387,7 @@ def _same_result(a, b) -> bool:
 
 
 class TestLockstepBatch:
-    """NormTable searches groups in lockstep; every result equals the search alone."""
+    """NormTable evaluates batches; every result equals the function's alone."""
 
     MIXED = canonicalize([(0.0, 0.5, 1.0, 0.4), (0.5, 2.0, -1.5, -0.3), (2.0, 4.0, 0.8, -2.0)])
 
@@ -384,9 +404,10 @@ class TestLockstepBatch:
             results.append(norm(f, sp))
         return results
 
-    @pytest.mark.parametrize("group", [1, 3, norms_mod._GROUP])
+    @pytest.mark.parametrize("group", [1, 3, 8])
     @pytest.mark.parametrize("sp", [M112, S112])
     def test_mixed_batch_equals_batches_of_one(self, monkeypatch, sp, group):
+        # group is the exact n = 1 path's pass size
         rng = np.random.Generator(np.random.Philox(key=13))
         fs = []
         for _ in range(3):
@@ -400,7 +421,7 @@ class TestLockstepBatch:
             POWER_OUT,                                # truncated at r_max
         ]
         alone = self._batches_of_one(fs, sp)
-        monkeypatch.setattr(norms_mod, "_GROUP", group)
+        monkeypatch.setattr(norms_mod, "_EXACT_CHUNK", group)
         norms_mod._search_cached.cache_clear()
         batch = NormTable(sp).evaluate(fs)
         assert [res.value for res in alone[12:14]] == [0.0, INF]
@@ -408,17 +429,19 @@ class TestLockstepBatch:
         for k, (a, b) in enumerate(zip(alone, batch)):
             assert _same_result(a, b), (k, a, b)
 
-    @pytest.mark.parametrize("group", [1, 3])
-    def test_n2_batch_of_two(self, monkeypatch, group):
+    @pytest.mark.parametrize("parts", [1, 3])
+    def test_n2_batch_of_two(self, parts):
+        # the batch cut into pool-sized chunks, as NormTable cuts it
         sp = SpaceParams(2, 1.0, 2.0, Mode.MORREY)
         fs = [
             canonicalize([(0.0, 1.0, 1.0, -1.0), (1.0, 3.0, 0.5, -1.0)]),
             canonicalize([(0.0, 0.5, 1.0, -0.5), (0.5, 2.0, -0.7, -1.0)]),
         ]
         alone = self._alone(fs, sp)
-        monkeypatch.setattr(norms_mod, "_GROUP", group)
-        norms_mod._search_cached.cache_clear()
-        for a, b in zip(alone, NormTable(sp).evaluate(fs)):
+        chunks = norms_mod.even_chunks(fs, parts)
+        batch = [res for chunk in chunks
+                 for res in norms_mod._search_group(chunk, sp, IntegrationSettings())]
+        for a, b in zip(alone, batch):
             assert _same_result(a, b), (a, b)
 
     def test_batch_shares_the_memo_with_norm(self, monkeypatch):
@@ -456,7 +479,7 @@ class TestLockstepBatch:
 
     def test_certified_functions_leave_no_gaps(self, monkeypatch):
         # certified and searched functions alternate; the searched ones
-        # still fill one whole lockstep group
+        # still fill one whole pass of the exact n = 1 path
         rng = np.random.Generator(np.random.Philox(key=5))
         rel_tol = IntegrationSettings().rel_tol
         searched, certified = [], []
@@ -467,14 +490,14 @@ class TestLockstepBatch:
                 side.append(f)
         fs = [f for pair in zip(searched, certified) for f in pair]
         sizes = []
-        original = norms_mod._lockstep
+        original = norms_mod.exact_norms
 
         def counting(group, *args):
             sizes.append(len(group))
             return original(group, *args)
 
-        monkeypatch.setattr(norms_mod, "_lockstep", counting)
-        monkeypatch.setattr(norms_mod, "_GROUP", 4)
+        monkeypatch.setattr(norms_mod, "exact_norms", counting)
+        monkeypatch.setattr(norms_mod, "_EXACT_CHUNK", 4)
         norms_mod._search_cached.cache_clear()
         NormTable(M112).evaluate(fs)
         assert sizes == [4]
@@ -643,8 +666,8 @@ class TestExactCentered:
         def refuse(*args, **kwargs):
             raise AssertionError("kernel called on the exact path")
 
-        monkeypatch.setattr(integrate_mod, "group_ball_integrals", refuse)
-        monkeypatch.setattr(norms_mod, "group_ball_integrals", refuse)
+        for module in (integrate_mod, norms_mod, exact1d_mod):
+            monkeypatch.setattr(module, "ball_integrals", refuse)
         norms_mod._search_cached.cache_clear()
 
     @pytest.mark.parametrize("mode", list(Mode))
@@ -1022,6 +1045,30 @@ class TestBatchedCentered:
             assert _same_result(res, alone), (f, res, alone)
 
 
+    @pytest.mark.parametrize("mode", list(Mode))
+    @pytest.mark.parametrize("n, p, q", [(1, 1.0, 2.0), (1, 2.0, 3.0), (2, 1.5, 4.0),
+                                         (3, 2.0, 4.0)])
+    def test_float_radius_equals_value(self, n, p, q, mode):
+        # a certified norm is its centered profile at the argmax radius,
+        # to the bit, whether the radius is a number or an array.  Norm
+        # shapes (first coefficient 1), whose value is not rescaled
+        sp = SpaceParams(n, p, q, mode)
+        rng = np.random.Generator(np.random.Philox(key=29, counter=[n, int(2 * p), int(q), 0]))
+        rel_tol = IntegrationSettings().rel_tol
+        fs = []
+        while len(fs) < 30:
+            f = _random_exponents(rng, sp) if len(fs) % 3 else random_pair(rng, sp)[0]
+            f = norms_mod._shape(f)[0]
+            if (not f.is_zero and not norm_is_infinite(f, sp)
+                    and norms_mod._certified(f, sp, rel_tol) is not None):
+                fs.append(f)
+        for f, res in zip(fs, NormTable(sp).evaluate(fs)):
+            r = res.argmax.r
+            assert isinstance(r, float)
+            assert centered_norm_profile(f, sp, r) == res.value, (f, res)
+            assert centered_norm_profile(f, sp, np.array([r]))[0] == res.value, (f, res)
+
+
 class TestBestInRows:
     """The zoom's per-row argmax against the sort it replaced."""
 
@@ -1031,7 +1078,7 @@ class TestBestInRows:
 
     def check(self, values, d, r):
         values, d, r = (np.asarray(a, dtype=float) for a in (values, d, r))
-        best = norms_mod._best_in_rows(values, d, r)
+        best = norms_mod.best_in_rows(values, d, r)
         assert (best == self.lexsort_reference(values, d, r)).all()
         return best
 
@@ -1084,11 +1131,6 @@ class TestSmallNormSearch:
         res = norm(POWER_IN, S112)
         assert 0.0 < res.argmax.r < 1.0
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="r_min is a tenth of the smallest breakpoint, so the aligned ball "
-        "[a, b] of a thin annulus far out (r = (b - a) / 2) lies below the window",
-    )
     def test_thin_annulus_far_out(self):
         # [DERIVED] f = c |x|^(-1/2) on a <= |x| < b, n = 1, p = 1, q = 2:
         # the ball [a, b] gives 2 |c| (b^(1/2) - a^(1/2)) / (b - a)^(1/2)
