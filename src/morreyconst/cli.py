@@ -17,9 +17,10 @@ status is 0 exactly when every check in the report passed.
 Each command owns one norms.NormTable: the ratio commands hand it all
 their candidate pairs at once, so every distinct norm shape (|f| up to
 a positive factor) is certified, solved exactly (n = 1) or searched
-once, and --threads N > 1 lets it hand that work to a pool of at most N (and
-at most the CPU count) worker processes, shut down before the command
-returns.
+once.  The certificate and the exact n = 1 path run in the command's
+process; --threads N > 1 lets it hand the n >= 2 searches to a pool of
+at most N (and at most the CPU count) worker processes, shut down before
+the command returns.
 The workers only search; the memo stays in the command's process.
 The thread count never changes the report.
 """
@@ -168,7 +169,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, help="random-pair generator seed")
     common.add_argument("--trials", type=int, help="number of random pairs")
     common.add_argument("--threads", type=int,
-                        help="worker processes for the distinct norms "
+                        help="worker processes for the n >= 2 norm searches "
                         "(capped at the CPU count)")
     common.add_argument("--out", help="report path (default: stdout)")
     common.add_argument("--format", choices=_FORMATS, help="report format")

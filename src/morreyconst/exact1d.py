@@ -9,6 +9,10 @@ change sign at most once, in closed form, so each bracket splits into
 two monotone ones; those with a sign change and a bound that beats L
 take safeguarded Newton steps together (:func:`_newton`), and the roots
 become candidate balls next to the corners and caps.  No scipy.
+
+The same solver, generalized to any number of terms
+(:func:`exp_sum_roots`), finds every root of the bathtub bound of
+:mod:`morreyconst.norms`.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import numpy as np
 from morreyconst.integrate import ball_integrals
 from morreyconst.model import Mode, PiecewiseRadialFunction, SpaceParams
 
-__all__ = ["best_in_rows", "exact_norms"]
+__all__ = ["best_in_rows", "exact_norms", "exp_sum_roots", "runs"]
 
 INF = math.inf
 
@@ -94,39 +98,35 @@ def _bracket_ends(t: dict, z: np.ndarray):
                            np.where(free, oscale, np.abs(t["og"])))
 
 
-def _exp_sums(coef: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """P(z) and P'(z) for each column (a0, a1, e1, a2, e2, lin) of coef, times one factor.
+def _exp_sums(a: np.ndarray, e: np.ndarray, lin: np.ndarray, z: np.ndarray):
+    """P(z) and P'(z) for each column of P = sum over k of a[k] e^(e[k] z), plus lin z.
 
-    P = a0 + a1 e^(e1 z) + a2 e^(e2 z) + lin z.  The positive factor is
-    e^(-top), top the largest log-magnitude of a term, so that no term
-    overflows however far out z lies; signs and P / P' are P's own.
+    Both come times one positive factor, e^(-top) with top the largest
+    log-magnitude of a term, so that no term overflows however far out z
+    lies; signs and P / P' are P's own.  z is finite.
     """
-    a0, a1, e1, a2, e2, lin = coef
-    signed = np.stack([a0, a1, a2, lin * z])
+    signed = np.concatenate([a, (lin * z)[None]])
     with np.errstate(divide="ignore", invalid="ignore"):
         logs = np.log(np.abs(signed))
-        logs[1] += e1 * z
-        logs[2] += e2 * z
+        logs[:-1] += e * z
         top = logs.max(axis=0)
         top[~np.isfinite(top)] = 0.0
         terms = np.copysign(np.exp(logs - top), signed)
         drift = np.copysign(np.exp(np.minimum(np.log(np.abs(lin)) - top, 700.0)), lin)
-    return terms.sum(axis=0), e1 * terms[1] + e2 * terms[2] + drift
+    return terms.sum(axis=0), (e * terms[:-1]).sum(axis=0) + drift
 
 
-def _newton(coef: np.ndarray, lo: np.ndarray, hi: np.ndarray, sign_lo: np.ndarray) -> np.ndarray:
-    """The root of each column's sum (see :func:`_exp_sums`) in [lo, hi].
+def _newton(a, e, lin, lo: np.ndarray, hi: np.ndarray, sign_lo: np.ndarray,
+            z: np.ndarray) -> np.ndarray:
+    """The root of each column's sum (see :func:`_exp_sums`) in [lo, hi], from z.
 
-    P is monotone on each bracket and changes sign there, P(lo) having
-    sign_lo.  Every bracket takes safeguarded Newton steps at once: each
-    evaluation shrinks the bracket to the side where P changes sign, and
-    a step that would leave the bracket, or that is not half the one
-    before, bisects it instead.  A sum a0 + a e^(e z) starts at its
-    closed-form root.
+    P is monotone on each finite bracket and changes sign there, P(lo)
+    having sign_lo.  A start z outside (lo, hi), or beside a linear
+    term, is the midpoint instead.  Every bracket takes safeguarded
+    Newton steps at once: each evaluation shrinks the bracket to the side
+    where P changes sign, and a step that would leave the bracket, or
+    that is not half the one before, bisects it instead.
     """
-    a0, a1, e1, a2, e2, lin = coef
-    with np.errstate(divide="ignore", invalid="ignore"):
-        z = np.where(a2 == 0.0, np.log(-a0 / a1) / e1, np.log(-a0 / a2) / e2)
     z = np.where((lo < z) & (z < hi) & (lin == 0.0), z, 0.5 * (lo + hi))
     lo, hi = lo.copy(), hi.copy()
     last = hi - lo
@@ -135,20 +135,161 @@ def _newton(coef: np.ndarray, lo: np.ndarray, hi: np.ndarray, sign_lo: np.ndarra
         if not live.size:
             break
         at = z[live]
-        value, slope = _exp_sums(coef[:, live], at)
+        value, slope = _exp_sums(a[:, live], e[:, live], lin[live], at)
         below = np.sign(value) == sign_lo[live]
-        lo[live] = a = np.where(below, at, lo[live])
-        hi[live] = b = np.where(below, hi[live], at)
+        lo[live] = x = np.where(below, at, lo[live])
+        hi[live] = y = np.where(below, hi[live], at)
         with np.errstate(divide="ignore", invalid="ignore"):
             step = at - value / slope
-        newton = (a <= step) & (step <= b) & (np.abs(step - at) <= 0.5 * last[live])
-        nxt = np.where(value == 0.0, at, np.where(newton, step, 0.5 * (a + b)))
+        newton = (x <= step) & (step <= y) & (np.abs(step - at) <= 0.5 * last[live])
+        nxt = np.where(value == 0.0, at, np.where(newton, step, 0.5 * (x + y)))
         last[live] = np.abs(nxt - at)
         tol = 1e-14 * np.maximum(1.0, np.abs(at))
-        done = (last[live] <= tol) | (b - a <= tol) | (nxt == a) | (nxt == b)
+        done = (last[live] <= tol) | (y - x <= tol) | (nxt == x) | (nxt == y)
         z[live] = nxt
         live = live[~done]
     return z
+
+
+def _two_term_root(a0, e0, a1, e1):
+    """The root of a0 e^(e0 z) + a1 e^(e1 z), NaN where the signs agree."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.log(-a0 / a1) / (e1 - e0)
+
+
+def _packed(a: np.ndarray, e: np.ndarray):
+    """Each column's nonzero terms (a, e) moved, in order, to its first rows; and their count."""
+    live = a != 0.0
+    count = live.sum(axis=0)
+    rank = np.cumsum(live, axis=0, dtype=float)[live].astype(int) - 1
+    col = np.nonzero(live)[1]
+    out = np.zeros((2, max(2, int(count.max(initial=0))), a.shape[1]))
+    out[0][rank, col], out[1][rank, col] = a[live], e[live]
+    return out[0], out[1], count
+
+
+def _merged(a: np.ndarray, e: np.ndarray):
+    """Each column's terms (a, e), equal exponents merged, in their order, then zero terms.
+
+    Returns (a, e, count), count the number of nonzero terms per column.
+    """
+    a, e, count = _packed(a, e)
+    merged = False
+    for k in range(1, len(a)):
+        for j in range(k):
+            same = (e[j] == e[k]) & (a[j] != 0.0) & (a[k] != 0.0)
+            if same.any():
+                a[k] = np.where(same, a[j] + a[k], a[k])
+                a[j][same] = 0.0
+                merged = True
+    return _packed(a, e) if merged else (a, e, count)
+
+
+def _limit_sign(a, e, lin, up: bool) -> np.ndarray:
+    """The sign of each merged column's sum (see :func:`_merged`) as z -> +-infinity.
+
+    The dominant term decides: the fastest growing exponential, else the
+    linear term, else the slowest decaying exponential or the constant.
+    """
+    key = np.where(a != 0.0, e, -INF if up else INF)
+    k, cols = key.argmax(axis=0) if up else key.argmin(axis=0), np.arange(lin.size)
+    grows = e[k, cols] > 0.0 if up else e[k, cols] < 0.0
+    return np.where(grows | (lin == 0.0), np.sign(a[k, cols]), np.sign(lin) * (1.0 if up else -1.0))
+
+
+def _outward(a, e, lin, start, toward: float, sign) -> np.ndarray:
+    """The first z = start + toward 2^k, k >= 0, where each column's sum has sign (NaN if none)."""
+    z = np.full(start.size, np.nan)
+    live = np.arange(start.size)
+    step = 1.0
+    while live.size and step < 1e300:
+        at = start[live] + toward * step
+        hit = np.sign(_exp_sums(a[:, live], e[:, live], lin[live], at)[0]) == sign[live]
+        z[live[hit]] = at[hit]
+        live = live[~hit]
+        step *= 2.0
+    return z
+
+
+def _by_column(col: np.ndarray, rank: np.ndarray, columns: int, *values):
+    """col and values reordered by column, then by rank within the column (no sort)."""
+    count = np.bincount(col, minlength=columns)
+    at = (np.cumsum(count) - count)[col] + rank
+    out = [np.empty_like(v) for v in (col, *values)]
+    for o, v in zip(out, (col, *values)):
+        o[at] = v
+    return out
+
+
+def runs(col: np.ndarray) -> np.ndarray:
+    """The position of each entry of col, which is sorted, within its run of equal values."""
+    start = np.diff(col, prepend=-1) != 0
+    run = np.cumsum(start, dtype=float).astype(int) - 1
+    return np.arange(col.size) - np.flatnonzero(start)[run]
+
+
+def exp_sum_roots(a, e, lin, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """The roots in (lo, hi) of each column's P(z) = sum over k of a[k] e^(e[k] z), plus lin z.
+
+    a and e are (terms, columns), lin, lo and hi one value per column;
+    lo and hi may be infinite.  Returns (column, z) of every root, by
+    column and then by z.  Terms of equal exponent merge first.  Two
+    terms have their one root in closed form.  Otherwise Rolle's theorem
+    splits the bracket: P, divided by its slowest exponential when it has
+    neither a constant nor a linear term (which changes no sign), is
+    monotone between consecutive roots of its derivative, a sum with one
+    term fewer (or, beside lin z, with the constant lin), found the same
+    way.  Each such stretch holds at most one root, bracketed by a sign
+    change and found by :func:`_newton`; an infinite end takes the sign of
+    P's dominant term there and moves in to where P has that sign
+    (:func:`_outward`).
+    """
+    a, e, count = _merged(np.asarray(a, dtype=float), np.asarray(e, dtype=float))
+    columns = count.size
+    # as a difference of logarithms, so that no quotient of coefficients
+    # overflows (exact_norms keeps its own form, _two_term_root)
+    two = (count == 2) & (lin == 0.0) & (np.sign(a[0]) != np.sign(a[1]))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z2 = (np.log(np.abs(a[0])) - np.log(np.abs(a[1]))) / (e[1] - e[0])
+    two = np.flatnonzero(two & (lo < z2) & (z2 < hi))
+    col, z = two, z2[two]
+    deep = np.flatnonzero(((count > 2) | (lin != 0.0)) & (lo < hi))
+    if deep.size:
+        a, e, lin, lo, hi = a[:, deep], e[:, deep], lin[deep], lo[deep], hi[deep]
+        const = ((e == 0.0) & (a != 0.0)).any(axis=0)
+        slowest = np.where(a != 0.0, e, INF).min(axis=0)
+        e = np.where(a != 0.0, e - np.where((lin == 0.0) & ~const, slowest, 0.0), 0.0)
+        zero = np.zeros((1, deep.size))
+        t_col, t_z = exp_sum_roots(np.concatenate([a * e, lin[None]]),
+                                   np.concatenate([e, zero]), zero[0], lo, hi)
+        # [lo, turns..., hi] per column, then the stretches between them
+        ends = np.arange(deep.size)
+        at_col, at = _by_column(np.concatenate([ends, t_col, ends]),
+                                np.concatenate([0 * ends, 1 + runs(t_col), 1 + np.bincount(
+                                    t_col, minlength=deep.size)]), deep.size,
+                                np.concatenate([lo, t_z, hi]))
+        sign = np.empty_like(at)
+        inf = np.isinf(at)
+        for up in (False, True):
+            end = inf & ((at > 0.0) == up)
+            sign[end] = _limit_sign(a, e, lin, up)[at_col[end]]
+        fin, c = ~inf, at_col[~inf]
+        sign[fin] = np.sign(_exp_sums(a[:, c], e[:, c], lin[c], at[fin])[0])
+        pair = np.flatnonzero((at_col[:-1] == at_col[1:]) & (sign[:-1] * sign[1:] < 0.0))
+        c, z_a, z_b, s_a = at_col[pair], at[pair], at[pair + 1], sign[pair]
+        a, e, lin = a[:, c], e[:, c], lin[c]
+        low, high = z_a == -INF, z_b == INF
+        z_a[low] = _outward(a[:, low], e[:, low], lin[low],
+                            np.where(z_b[low] < INF, z_b[low], 0.0), -1.0, s_a[low])
+        z_b[high] = _outward(a[:, high], e[:, high], lin[high], z_a[high], 1.0, -s_a[high])
+        ok = ~(np.isnan(z_a) | np.isnan(z_b))
+        roots = _newton(a[:, ok], e[:, ok], lin[ok], z_a[ok], z_b[ok], s_a[ok],
+                        np.full(ok.sum(), np.nan))
+        # a column has either a closed-form root or these, by rising z
+        col, z = _by_column(np.concatenate([col, deep[c[ok]]]),
+                            np.concatenate([0 * col, runs(c[ok])]), columns,
+                            np.concatenate([z, roots]))
+    return col, z
 
 
 def _solve(t: np.ndarray, kappa: float, bar: np.ndarray):
@@ -175,16 +316,17 @@ def _solve(t: np.ndarray, kappa: float, bar: np.ndarray):
     # P' = s1 e^(e1 z) + s2 e^(e2 z) + lin has at most one sign change,
     # in closed form (lin != 0 only beside a single exponential), which
     # splits each bracket into two monotone ones
-    s1, s2, lin = coef[1] * coef[2], coef[3] * coef[4], coef[5]
-    with np.errstate(all="ignore"):
-        turn = np.where(lin == 0.0, np.log(-s2 / s1) / (coef[2] - coef[4]),
-                        np.where(s2 == 0.0, np.log(-lin / s1) / coef[2],
-                                 np.log(-lin / s2) / coef[4]))
+    a0, a1, e1, a2, e2, lin = coef
+    s1, s2, zero = a1 * e1, a2 * e2, np.zeros_like(lin)
+    turn = np.where(lin == 0.0, _two_term_root(s2, e2, s1, e1),
+                    np.where(s2 == 0.0, _two_term_root(lin, zero, s1, e1),
+                             _two_term_root(lin, zero, s2, e2)))
     turn = np.minimum(np.maximum(np.where(np.isnan(turn), z_b, turn), z_a), z_b)
     # A bracket end where P is zero to rounding is a root there (a free end
     # at its fixed end, say): that ball is a corner or a cap already, and
     # P takes the sign of its slope just inside
-    (at_a, rise_a), at_turn, (at_b, rise_b) = (_exp_sums(coef, z) for z in (z_a, turn, z_b))
+    sums = (np.stack([a0, a1, a2]), np.stack([zero, e1, e2]), lin)
+    (at_a, rise_a), at_turn, (at_b, rise_b) = (_exp_sums(*sums, z) for z in (z_a, turn, z_b))
     sign_a = np.where(np.abs(at_a) <= _END_ZERO, np.sign(rise_a), np.sign(at_a))
     sign_b = np.where(np.abs(at_b) <= _END_ZERO, -np.sign(rise_b), np.sign(at_b))
     signs = [sign_a, np.where(turn == z_b, sign_b, np.where(turn == z_a, sign_a,
@@ -212,7 +354,11 @@ def _solve(t: np.ndarray, kappa: float, bar: np.ndarray):
     t, z_a, z_b, sign_a = t[:, live], z_a[live], z_b[live], sign_a[live]
 
     rows = dict(zip(_ROWS, t))
-    z = _newton(t[1:7], z_a, z_b, sign_a)
+    a0, a1, e1, a2, e2, lin = t[1:7]
+    zero = np.zeros_like(lin)
+    # a sum a0 + a e^(e z) starts at its closed-form root
+    start = np.where(a2 == 0.0, _two_term_root(a0, zero, a1, e1), _two_term_root(a0, zero, a2, e2))
+    z = _newton(np.stack([a0, a1, a2]), np.stack([zero, e1, e2]), lin, z_a, z_b, sign_a, start)
     (x, _, _), (ox, _, _) = _bracket_ends(rows, z)
     r = np.where(rows["rho"] > 0.0, rows["rho"], 0.5 * np.abs(x - ox))
     return rows["own"].astype(int), 0.5 * np.abs(x + ox), r

@@ -31,14 +31,16 @@ m = mu(lam) is H(lam) = lam mu(lam) - kappa G(lam).  Between
 consecutive levels at which some piece starts or stops being cut, the
 pieces whose level-set ends move stay the same, and in z = log lam both
 mu and H are sums of exponentials (plus a linear term for a piece with
-alpha p + n = 0), whose roots come exactly from :func:`_exp_sum_roots`.
-A constant piece makes mu jump at its level; Phi is linear there, with
-slope lam, and the bound has no maximum inside that stretch, since its
-one stationary point there is a minimum.  So the candidates are the
-ends of every stretch, the roots of H, the window's ends (inverting
-mu(lam) = m on the segment that brackets m) and the limits as m -> 0 and
-m -> infinity, or m = v_n in small mode.  No quadrature, grid or scipy
-is used.
+alpha p + n = 0), whose roots come exactly from the vectorized solver
+:func:`~morreyconst.exact1d.exp_sum_roots` (Rolle's theorem, closed
+forms for two terms, safeguarded Newton steps).  A constant piece makes
+mu jump at its level; Phi is linear there, with slope lam, and the
+bound has no maximum inside that stretch, since its one stationary point
+there is a minimum.  So the candidates are the ends of every stretch,
+the roots of H, the window's ends (inverting mu(lam) = m on the segment
+that brackets m) and the limits as m -> 0 and m -> infinity, or m = v_n
+in small mode.  One vectorized pass bounds a whole batch.  No
+quadrature, grid or scipy is used.
 
 For n = 1 every function that the bound does not certify takes an
 exact path (:mod:`morreyconst.exact1d`).  A ball is an interval [u, v];
@@ -94,8 +96,9 @@ once per norm shape, |f| over the magnitude of its first coefficient
 (:func:`_shape`): a function's norm is its shape's norm times that
 magnitude.  :class:`NormTable` is the one evaluator: it takes shapes,
 memoizes results per shape in the calling process, and evaluates the
-missing ones here or on its process pool, whose workers only search;
-:func:`norm` is a pool-less table of one.
+missing ones here: the certificate for all of them, the exact path for
+n = 1; only the uncertified n >= 2 shapes go to its process pool, which
+only searches.  :func:`norm` is a pool-less table of one.
 
 Whether the norm is infinite is decided analytically from the piece
 exponents before any search runs (:func:`norm_is_infinite`, exact on
@@ -111,10 +114,11 @@ from dataclasses import dataclass, replace
 from collections import OrderedDict
 from collections.abc import Iterable
 from itertools import repeat
+from operator import attrgetter
 
 import numpy as np
 
-from morreyconst.exact1d import best_in_rows, exact_norms
+from morreyconst.exact1d import best_in_rows, exact_norms, exp_sum_roots, runs
 from morreyconst.geometry import unit_ball_volume, unit_sphere_area
 from morreyconst.integrate import (
     IntegrationSettings,
@@ -166,6 +170,8 @@ _OFFSETS = np.linspace(-1.0, 1.0, _PATCH)
 # Shapes per vectorized pass of the exact n = 1 path (a memory bound: a
 # pass holds a few hundred brackets and candidate balls per shape).
 _EXACT_CHUNK = 16
+
+_PIECE = attrgetter("lo", "hi", "coef", "alpha")
 
 
 def search_window(f: PiecewiseRadialFunction, mode: Mode) -> tuple[float, float, float]:
@@ -459,316 +465,277 @@ def _centered_suprema(
     return [_centered_result(row, rel_tol) for row in _centered_tops(fs, params)]
 
 
-def _pow(t: float, e: float) -> float:
-    """t^e for t in [0, infinity] and e != 0, with its limits at 0 and infinity."""
-    if t == 0.0 or t == INF:
-        return INF if (t == INF) == (e > 0.0) else 0.0
-    try:
-        return t**e
-    except OverflowError:
-        return INF
+def _piece_mass(c, gamma, a, b):
+    """Integral of c |x|^(gamma - n) over a <= |x| < b, over |S^(n-1)|, elementwise.
 
-
-def _exp_sum(terms, lin: float, z: float) -> tuple[float, float]:
-    """P(z) and P'(z) for P = sum of a e^(e z) over terms (a, e), plus lin z.
-
-    Both come times one positive factor, e^(-t) with t the largest
-    log-magnitude of a term at z, so that no term overflows however far
-    out z lies; signs and P / P' are P's own.
+    As c a^gamma expm1(gamma log(b / a)) / gamma when gamma < 0, and
+    c b^gamma expm1(-gamma log(b / a)) / -gamma when gamma > 0 (which
+    takes a = 0), so no difference of two powers loses digits as gamma
+    -> 0 or b -> a; c log(b / a) at gamma = 0.  log(b / a) is taken as
+    log1p((b - a) / a), which keeps its digits as b -> a, and is 0 where
+    b = a (a level set that underflowed to [0, 0) is empty).  No
+    warnings: callers run under np.errstate(all="ignore").
     """
-    logs = [math.log(abs(a)) + e * z for a, e in terms]
-    if lin and z:
-        logs.append(math.log(abs(lin)) + math.log(abs(z)))
-    top = max(logs, default=0.0)
-    value = slope = 0.0
-    for (a, e), log_abs in zip(terms, logs):
-        x = math.copysign(math.exp(log_abs - top), a)
-        value += x
-        slope += e * x
-    if lin:
-        value += math.copysign(math.exp(logs[-1] - top), lin * z) if z else 0.0
-        slope += math.copysign(math.exp(min(math.log(abs(lin)) - top, 700.0)), lin)
-    return value, slope
+    log, k = np.log1p(np.where(b > a, (b - a) / a, 0.0)), -np.abs(gamma)
+    return c * np.where(
+        gamma == 0.0, log, np.where(gamma > 0.0, b, a) ** gamma * np.expm1(k * log) / k)
 
 
-def _sign_at(terms, lin: float, z: float) -> float:
-    """The sign of P (see :func:`_exp_sum`) at z, or in the limit when z is infinite."""
-    if abs(z) < INF:
-        value = _exp_sum(terms, lin, z)[0]
-        return math.copysign(1.0, value) if value else 0.0
-    # the dominant term: the fastest growing exponential, else the
-    # linear term, else the slowest decaying exponential or the constant
-    growing = [(abs(e), a) for a, e in terms if e * z > 0.0]
-    if growing:
-        return math.copysign(1.0, max(growing)[1])
-    if lin:
-        return math.copysign(1.0, lin * z)
-    return math.copysign(1.0, max(terms, key=lambda t: t[1] * z)[0]) if terms else 0.0
+def _last_sum(x: np.ndarray) -> np.ndarray:
+    """The sum over x's last axis, left to right, so that trailing zeros change no bit."""
+    return np.cumsum(x, axis=-1)[..., -1]
 
 
-def _outward(terms, lin: float, start: float, toward: float, sign: float) -> float | None:
-    """The first z = start + toward 2^k, k >= 0, where P (see :func:`_exp_sum`) has sign."""
-    step = 1.0
-    while step < 1e300:
-        z = start + toward * step
-        if _sign_at(terms, lin, z) == sign:
-            return z
-        step *= 2.0
-    return None
+@np.errstate(all="ignore")
+def _bathtub_bounds(
+    fs: list[PiecewiseRadialFunction], params: SpaceParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """The bathtub bounds (U_win, U_all) of each f of fs, of finite norm and not zero.
 
-
-def _monotone_root(terms, lin: float, lo: float, hi: float) -> float | None:
-    """The root of P (see :func:`_exp_sum`) in (lo, hi), where P is monotone, if any."""
-    s_lo, s_hi = _sign_at(terms, lin, lo), _sign_at(terms, lin, hi)
-    if s_lo * s_hi >= 0.0:
-        return None
-    # an infinite end moves in to where P already has its limit's sign
-    if lo == -INF:
-        lo = _outward(terms, lin, hi if hi < INF else 0.0, -1.0, s_lo)
-    if hi == INF and lo is not None:
-        hi = _outward(terms, lin, lo, 1.0, s_hi)
-    if lo is None or hi is None:
-        return None
-    # Newton's method, kept inside the bracket by bisection
-    z = 0.5 * (lo + hi)
-    for _ in range(200):
-        value, slope = _exp_sum(terms, lin, z)
-        if value == 0.0:
-            return z
-        if (value > 0.0) == (s_lo > 0.0):
-            lo = z
-        else:
-            hi = z
-        newton = z - value / slope if slope else lo
-        nxt = newton if lo < newton < hi else 0.5 * (lo + hi)
-        if abs(nxt - z) <= 1e-15 * max(1.0, abs(z)) or nxt in (lo, hi):
-            return nxt
-        z = nxt
-    return z
-
-
-def _exp_sum_roots(terms, lin: float, lo: float, hi: float) -> list[float]:
-    """The roots in (lo, hi) of P(z) = sum of a e^(e z) over terms (a, e), plus lin z.
-
-    lo and hi may be infinite.  Terms of equal exponent merge first.  The
-    roots are found by Rolle's theorem: with lin = 0, P divided by its
-    slowest exponential has a derivative with one term fewer, and with
-    lin != 0 P' itself is an exponential sum.  Between consecutive roots
-    of that derivative, found the same way, P is monotone, so each such
-    stretch holds at most one root, bracketed by a sign change.  Two
-    terms have their one root in closed form.
-    """
-    merged: dict[float, float] = {}
-    for a, e in terms:
-        merged[e] = merged.get(e, 0.0) + a
-    terms = [(a, e) for e, a in sorted(merged.items()) if a != 0.0]
-    if lin:
-        turns = _exp_sum_roots([(a * e, e) for a, e in terms] + [(lin, 0.0)], 0.0, lo, hi)
-    elif len(terms) < 2:
-        return []
-    elif len(terms) == 2:
-        (a0, e0), (a1, e1) = terms
-        if (a0 > 0.0) == (a1 > 0.0):
-            return []
-        z = (math.log(abs(a0)) - math.log(abs(a1))) / (e1 - e0)
-        return [z] if lo < z < hi else []
-    else:
-        terms = [(a, e - terms[0][1]) for a, e in terms]
-        turns = _exp_sum_roots([(a * e, e) for a, e in terms[1:]], 0.0, lo, hi)
-    ends = [lo, *turns, hi]
-    roots = (_monotone_root(terms, lin, a, b) for a, b in zip(ends, ends[1:]))
-    return [z for z in roots if z is not None]
-
-
-def _bathtub_bounds(f: PiecewiseRadialFunction, params: SpaceParams) -> tuple[float, float]:
-    """The bathtub bound of f's norm: (U_win, U_all).
-
-    See the module docstring.  U_win takes the measure m over the search
+    See the module docstring.  U_win takes the measure m over f's search
     window, [v_n r_min^n, v_n r_max^n], and U_all over every radius of
-    the mode, limits included.  Raises OverflowError when a level of
-    |f|^p, or the measure of a level set of finite measure, leaves the
-    float range.
+    the mode, limits included.  A row whose levels of |f|^p, or the
+    measure or integral of one of its level sets, leave the float range
+    declines: its U is infinity.
+
+    One vectorized pass serves the batch, on tables padded to its widest
+    f: (f, piece); (f, level) for mu, G and the stretch ends; (f, stretch
+    between levels, piece) for the exponential sums of H, and of mu - m at
+    the window's ends, whose roots come from
+    :func:`~morreyconst.exact1d.exp_sum_roots`, one call each; and (f,
+    candidate) for the bound m^(1/q - 1/p) Phi^(1/p), taken as
+    (Phi m^(p/q - 1))^(1/p), whose one rounded exponent multiplies
+    log Phi m^(-kappa), not log m.  Every step is elementwise, or a
+    reduction over one f's row in which padding adds exact zeros, so each
+    row equals f's alone bit for bit.  So every power takes a base and an
+    exponent of one shape: numpy takes another path, which can differ by
+    an ulp, for an exponent broadcast along its inner loop, and which
+    loop is inner depends on the batch's shapes.
     """
+    if not fs:
+        return np.empty(0), np.empty(0)
     n, p, q = params.n, params.p, params.q
     kappa = 1.0 - p / q
     vn, area = unit_ball_volume(n), unit_sphere_area(n)
+    small = params.mode is Mode.SMALL_MORREY
+    count = len(fs)
+    sizes = np.array([len(f.pieces) for f in fs])
+    rows = np.arange(count)[:, None]
+    owner = np.repeat(np.arange(count), sizes)
+    table = np.full((4, count, 1, sizes.max()), np.nan)
+    table[:, owner, 0, np.arange(owner.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)] = (
+        np.array([_PIECE(pc) for f in fs for pc in f.pieces]).T)
+    # per piece, along the last axis, with axis 1 for the levels that
+    # broadcast against it: lo, hi, |c|^p, alpha p, gamma, the lowest
+    # and the highest level of |f|^p on it, its measure and its integral
+    lo, hi, coef, alpha = table
+    real = ~np.isnan(lo)
+    c, ap = np.abs(coef) ** p, alpha * p
+    gamma, neg = ap + n, ap < 0.0
+    ends = np.where(ap == 0.0, c, [c * lo**ap, c * hi**ap])
+    bot = np.where(real, ends.min(axis=0), -INF)
+    top = np.where(real, ends.max(axis=0), -INF)
+    full_m = np.where(real, vn * (hi**n - lo**n), 0.0)
+    full_g = np.where(real, _piece_mass(area * c, gamma, lo, hi), 0.0)
+    good = ((0.0 < c) & (c < INF) & ((top < INF) | (lo == 0.0) & neg)
+            & ((0.0 < bot) | (hi == INF) & neg | (lo == 0.0) & (ap > 0.0)))
+    declined = (real & (~good | (hi < INF) & ~(full_m < INF))).any(axis=(1, 2))
+    # the search window's measures (:func:`search_window`), and m = v_n,
+    # the end of small mode's radii
+    faces = np.concatenate([lo[:, 0], hi[:, 0]], axis=1)
+    inner = (0.0 < faces) & (faces < INF)
+    r_min = np.minimum(1e-3, 0.1 * np.where(inner, faces, INF).min(axis=1))
+    r_max = (np.full(count, 1.0 - 1e-6) if small
+             else np.maximum(1e6, 10.0 * np.where(inner, faces, 0.0).max(axis=1)))
+    m_q = np.stack([vn * r_min**n, vn * r_max**n] + [np.full(count, vn)] * small, axis=1)
+    queries = m_q.shape[1]
 
-    def mass(c: float, gamma: float, a: float, b: float) -> float:
-        """Integral of c |x|^(gamma - n) over a <= |x| < b."""
-        if gamma == 0.0:
-            return area * c * math.log(b / a)
-        return area * c * (_pow(b, gamma) - _pow(a, gamma)) / gamma
+    def level(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """mu(lam) and G(lam) for lam (f, k): the measure of {|f|^p > lam} and the integral over it.
 
-    # per piece: lo, hi, |c|^p, alpha, alpha p, gamma, the lowest and the
-    # highest level of |f|^p on it, and its measure and integral of |f|^p
-    pieces = []
-    for pc in f.pieces:
-        c, ap = _pow(abs(pc.coef), p), pc.alpha * p
-        ends = (c, c) if ap == 0.0 else (c * _pow(pc.lo, ap), c * _pow(pc.hi, ap))
-        bot, top = min(ends), max(ends)
-        if not (
-            0.0 < c < INF
-            and (0.0 < bot or (pc.hi == INF and ap < 0.0) or (pc.lo == 0.0 and ap > 0.0))
-            and (top < INF or (pc.lo == 0.0 and ap < 0.0))
-        ):
-            raise OverflowError("a level of |f|^p leaves the float range")
-        full_m = vn * (_pow(pc.hi, n) - _pow(pc.lo, n))
-        if pc.hi < INF and not full_m < INF:
-            raise OverflowError("a piece's measure leaves the float range")
-        pieces.append((pc.lo, pc.hi, c, pc.alpha, ap, ap + n, bot, top, full_m,
-                       mass(c, ap + n, pc.lo, pc.hi)))
-
-    def level(lam: float) -> tuple[float, float]:
-        """mu(lam) and G(lam): the measure of {|f|^p > lam} and the integral over it."""
-        m = g = 0.0
-        for lo, hi, c, _, ap, gamma, bot, top, full_m, full_g in pieces:
-            if lam >= top:
-                continue
-            if lam <= bot:
-                m += full_m
-                g += full_g
-                continue
-            t = min(max(_pow(lam / c, 1.0 / ap), lo), hi)
-            a, b = (lo, t) if ap < 0.0 else (t, hi)
-            m += vn * (_pow(b, n) - _pow(a, n))
-            g += mass(c, gamma, a, b)
-        return m, g
-
-    def segment(lam_lo: float, lam_hi: float):
-        """mu and H / lam_ref in z = log(lam / lam_ref) for levels in (lam_lo, lam_hi).
-
-        Returns (lam_ref, z range, mu's terms, H's terms and linear
-        coefficient), or None when no piece's level set moves there.
+        Only the pieces that a level cuts take powers and logarithms.
         """
-        moving = [pc for pc in pieces if pc[6] <= lam_lo and pc[7] >= lam_hi and pc[6] < pc[7]]
-        if not moving:
-            return None
-        ref = lam_hi if lam_hi < INF else lam_lo if lam_lo > 0.0 else moving[0][2]
-        fixed_m = fixed_g = h_lin = 0.0
-        mu_terms, h_terms = [], []
-        for lo, hi, c, alpha, ap, gamma, bot, top, full_m, full_g in pieces:
-            if top <= lam_lo:
-                continue
-            if bot >= lam_hi:
-                fixed_m += full_m
-                fixed_g += full_g
-                continue
-            # the moving end t = (lam / c)^(1 / ap): a level set [lo, t)
-            # when alpha < 0 and (t, hi) when alpha > 0
-            t = min(max(_pow(ref / c, 1.0 / ap), lo), hi)
-            w, rho, s = vn * _pow(t, n), n / ap, (1.0 if ap < 0.0 else -1.0)
-            if not w < INF:
-                raise OverflowError("a level set's measure leaves the float range")
-            end = lo if ap < 0.0 else hi
-            mu_terms.append((s * w, rho))
-            fixed_m -= s * vn * _pow(end, n)
-            if gamma == 0.0:
-                # G moves as -w ref z, and H / ref gains w + kappa w z
-                fixed_g += area * c * math.log(t / end)
-                h_terms.append((w, 0.0))
-                h_lin += kappa * w
-            else:
-                fixed_g -= s * area * c * _pow(end, gamma) / gamma
-                h_terms.append((s * w * p * (alpha + n / q) / gamma, 1.0 + rho))
-        if not (fixed_m < INF and abs(fixed_g) < INF):
-            return None  # every level set here has infinite measure
-        h_terms += [(fixed_m, 1.0), (-kappa * fixed_g / ref, 0.0)]
-        z_lo = math.log(lam_lo) - math.log(ref) if lam_lo > 0.0 else -INF
-        z_hi = math.log(lam_hi) - math.log(ref) if lam_hi < INF else INF
-        return ref, z_lo, z_hi, mu_terms + [(fixed_m, 0.0)], h_terms, h_lin
+        lam = lam[:, :, None]
+        skip, full = lam >= top, lam <= bot
+        m = np.where(full & ~skip, full_m, 0.0)
+        g = np.where(full & ~skip, full_g, 0.0)
+        cut = np.nonzero(~skip & ~full)
+        at, x = (cut[0], 0, cut[2]), lam[cut[0], cut[1], 0]
+        t = np.minimum(np.maximum(np.power(x / c[at], 1.0 / ap[at]), lo[at]), hi[at])
+        a, b = np.where(neg[at], lo[at], t), np.where(neg[at], t, hi[at])
+        m[cut] = vn * (b**n - a**n)
+        g[cut] = _piece_mass(area * c[at], gamma[at], a, b)
+        return _last_sum(m), _last_sum(g)
 
-    levels = sorted({v for pc in pieces for v in pc[6:8] if 0.0 < v < INF}, reverse=True)
-    bounds = [INF, *levels, 0.0]
-    # (m, Phi(m)) at both ends of every level's stretch: Phi is linear
-    # on [mu(e), mu(e-)] with slope e, so the bound has no maximum inside
-    stretches = []
-    for e in levels:
-        m, g = level(e)
-        flat = [pc for pc in pieces if pc[6] == pc[7] == e]
-        stretches.append((e, m, g, m + sum(pc[8] for pc in flat), g + sum(pc[9] for pc in flat)))
-    points = [(m, g) for _, m, g, _, _ in stretches] + [(m, g) for *_, m, g in stretches]
-    segments = [segment(lam_lo, lam_hi) for lam_hi, lam_lo in zip(bounds, bounds[1:])]
-    for seg in segments:
-        if seg is not None:
-            ref, z_lo, z_hi, _, h_terms, h_lin = seg
-            # any level gives a true point (mu, Phi(mu)), so clipping z
-            # where ref e^z would overflow costs no soundness
-            points += [level(ref * math.exp(min(z, 700.0)))
-                       for z in _exp_sum_roots(h_terms, h_lin, z_lo, z_hi)]
+    # the levels, highest first, padded with infinity (mu = G = 0 there);
+    # sorted in Python: a few per f
+    found = [sorted({v for v in row if 0.0 < v < INF}, reverse=True)
+             for row in np.concatenate([bot[:, 0], top[:, 0]], axis=1).tolist()]
+    count_l = np.array([len(row) for row in found])
+    wide = max(1, int(count_l.max()))
+    has = np.arange(wide) < count_l[:, None]
+    levels = np.array([row + [INF] * (wide - len(row)) for row in found])
+    # (m, Phi(m)) at both ends of every level's stretch: Phi is linear on
+    # [mu(e), mu(e-)] with slope e, so the bound has no maximum inside;
+    # and mu(0), G(0), past which m holds every level set
+    m_e, g_e = level(np.concatenate([levels, np.zeros((count, 1))], axis=1))
+    (m_e, m_all), (g_e, g_all) = np.split(m_e, [wide], axis=1), np.split(g_e, [wide], axis=1)
+    flat = (bot == top) & (bot == levels[:, :, None])
+    m_top = m_e + _last_sum(np.where(flat, full_m, 0.0))
+    g_top = g_e + _last_sum(np.where(flat, full_g, 0.0))
 
-    def phi(m: float) -> float:
-        """Phi(m), the integral of |f|^p's decreasing rearrangement up to m."""
-        for seg, (e, m_e, g_e, m_top, g_top) in zip(segments, stretches):
-            if m <= m_e:
-                break
-            if m <= m_top:
-                return g_e + e * (m - m_e)
-        else:
-            seg = segments[-1]
-            m_all, g_all = level(0.0)
-            if m >= m_all:
-                return g_all
-        if seg is None:  # mu is flat there: m sits on a stretch's end
-            lam = e
-        else:
-            ref, z_lo, z_hi, mu_terms, _, _ = seg
-            roots = _exp_sum_roots(mu_terms + [(-m, 0.0)], 0.0, z_lo, z_hi)
-            lam = ref * math.exp(min(roots[0], 700.0)) if roots else ref
-        m_l, g_l = level(lam)
-        # G(lam) + lam (m - mu(lam)) >= Phi(m) for every lam, with
-        # equality at the root, so a rounded root errs upward only
-        return g_l + lam * (m - m_l)
+    # Between consecutive levels lam_hi > lam_lo, in z = log(lam / ref),
+    # mu and H / ref are exponential sums: a moving piece's level set
+    # ends at t = (lam / c)^(1 / ap), [lo, t) when alpha < 0 and (t, hi)
+    # when alpha > 0
+    bounds = np.concatenate([np.full((count, 1), INF), levels, np.full((count, 1), INF)], axis=1)
+    bounds[np.arange(count), count_l + 1] = 0.0
+    lam_hi, lam_lo = bounds[:, :-1], bounds[:, 1:]
+    skip = top <= lam_lo[:, :, None]
+    fixed = ~skip & (bot >= lam_hi[:, :, None])
+    moving = ~skip & ~fixed
+    first = c[:, 0][rows, moving.argmax(axis=2)]
+    ref = np.where(lam_hi < INF, lam_hi, np.where(lam_lo > 0.0, lam_lo, first))
+    rho, sgn, end = n / ap, np.where(neg, 1.0, -1.0), np.where(neg, lo, hi)
+    # w = v_n t^n at lam = ref, and log(t / end), on the moving pieces only
+    w, log_t = np.zeros((2,) + moving.shape)
+    at = np.nonzero(moving)
+    piece = (at[0], 0, at[2])
+    t = np.minimum(np.maximum(np.power(ref[at[:2]] / c[piece], 1.0 / ap[piece]), lo[piece]),
+                   hi[piece])
+    w[at], log_t[at] = vn * t**n, np.log(t / end[piece])
+    declined |= (moving & ~(w < INF)).any(axis=(1, 2))
+    log_g = gamma == 0.0  # G moves as -w ref z, and H / ref gains w + kappa w z
+    fixed_m = _last_sum(np.where(fixed, full_m, np.where(moving, -(sgn * vn * end**n), 0.0)))
+    fixed_g = _last_sum(np.where(fixed, full_g, np.where(moving, np.where(
+        log_g, area * c * log_t, -(sgn * area * c * end**gamma / gamma)), 0.0)))
+    segment = moving.any(axis=2) & (np.abs(fixed_m) < INF) & (np.abs(fixed_g) < INF)
+    z_lo = np.where(lam_lo > 0.0, np.log(lam_lo) - np.log(ref), -INF)
+    z_hi = np.where(lam_hi < INF, np.log(lam_hi) - np.log(ref), INF)
 
-    r_min, r_max, _ = search_window(f, params.mode)
-    m_lo, m_hi = vn * _pow(r_min, n), vn * _pow(r_max, n)
-    # the window's ends, and m = v_n, the end of small mode's radii
-    ends = [(m, phi(m)) for m in (m_lo, m_hi, vn)[:3 if params.mode is Mode.SMALL_MORREY else 2]]
-    if any(math.isnan(x) for pair in points + ends for x in pair):
-        raise OverflowError("a level set's integral leaves the float range")
+    # Phi at the window's ends (and at v_n): in the first stretch that
+    # reaches m, linear; else at the root lam of mu(lam) = m in the
+    # segment above it (above 0 past the last stretch), unless m holds
+    # every level set; or, where mu is flat there, at the stretch's level.
+    # G(lam) + lam (m - mu(lam)) >= Phi(m) for every lam, with equality
+    # at the root, so a rounded root errs upward only
+    reach = (m_q[:, :, None] <= m_top[:, None, :]) & has[:, None, :]
+    inside = reach.any(axis=2)
+    j = np.where(inside, reach.argmax(axis=2), count_l[:, None])
+    i = np.maximum(np.minimum(j, count_l[:, None] - 1), 0)
+    m_j, g_j, e_j = m_e[rows, i], g_e[rows, i], levels[rows, i]
+    linear = inside & (m_q > m_j)
+    whole = ~inside & (m_q >= m_all)
+    rooted = ~linear & ~whole & segment[rows, j]
+    lam_q = np.where(linear | whole | rooted, INF, np.where(count_l[:, None] > 0, e_j, np.nan))
 
-    def bound(m: float, g: float) -> float:
-        if not 0.0 < m < INF:
-            return 0.0
-        return _pow(m, 1.0 / q - 1.0 / p) * max(g, 0.0) ** (1.0 / p)
+    # the roots of H on each segment, and of mu - m at the window's ends
+    h_at, q_at = np.nonzero(segment), np.nonzero(rooted)
+    q_seg = (q_at[0], j[q_at])
+    h_coef = np.where(moving, np.where(log_g, w, sgn * w * p * (alpha + n / q) / gamma), 0.0)
+    h_lin = _last_sum(np.where(moving & log_g, kappa * w, 0.0))
+    col, z = exp_sum_roots(
+        np.vstack([h_coef[h_at].T, fixed_m[h_at], -kappa * fixed_g[h_at] / ref[h_at]]),
+        np.vstack([np.where(moving & ~log_g, 1.0 + rho, 0.0)[h_at].T, np.ones(h_at[0].size),
+                   np.zeros(h_at[0].size)]),
+        h_lin[h_at], z_lo[h_at], z_hi[h_at])
+    owner = h_at[0][col]
+    slot = runs(owner)
+    q_col, z_q = exp_sum_roots(
+        np.vstack([np.where(moving, sgn * w, 0.0)[q_seg].T, fixed_m[q_seg] - m_q[q_at]]),
+        np.vstack([np.where(moving, rho, 0.0)[q_seg].T, np.zeros(q_at[0].size)]),
+        np.zeros(q_at[0].size), z_lo[q_seg], z_hi[q_seg])
+    # a column's first root (mu is monotone, so it has at most one)
+    lead = np.flatnonzero(np.diff(q_col, prepend=-1))
+    z_first = np.zeros(q_at[0].size)
+    z_first[q_col[lead]] = z_q[lead]
+    # any level gives a true point (mu, Phi(mu)), so clipping z where
+    # ref e^z would overflow costs no soundness
+    lam_q[q_at] = ref[q_seg] * np.exp(np.minimum(z_first, 700.0))
+    lam = np.full((count, slot.max(initial=-1) + 1 + queries), INF)
+    lam[owner, slot] = ref[h_at][col] * np.exp(np.minimum(z, 700.0))
+    lam[:, -queries:] = lam_q
+    m, g = level(lam)
+    m_l, g_l = m[:, -queries:], g[:, -queries:]
+    phi = np.where(linear, g_j + e_j * (m_q - m_j),
+                   np.where(whole, g_all, g_l + lam_q * (m_q - m_l)))
 
-    u_win = max(bound(m, g) for m, g in points + ends[:2] if m_lo <= m <= m_hi)
-    if params.mode is Mode.SMALL_MORREY:
-        u_all = max(bound(m, g) for m, g in points + ends if m <= vn)
-    else:
-        u_all = max([bound(m, g) for m, g in points] + [_limit_at_infinity(f, params)])
-    first = f.pieces[0]
-    if p < q and first.lo == 0.0 and first.alpha == -n / q:
-        u_all = max(u_all, abs(first.coef) * closed_form_power_norm(params))
-    return u_win, max(u_all, u_win)
+    # the bound over every candidate (m, Phi(m)), reduced per f
+    m = np.concatenate([m_e, m_top, m[:, :-queries], m_q], axis=1)
+    g = np.concatenate([g_e, g_top, g[:, :-queries], phi], axis=1)
+    column = np.arange(m.shape[1])
+    at_end = column >= m.shape[1] - queries
+    point = np.concatenate([has, has, np.ones((count, m.shape[1] - 2 * wide), bool)], axis=1)
+    point &= ~at_end
+    declined |= ((point | at_end) & (np.isnan(m) | np.isnan(g))).any(axis=1)
+    bound = np.where((0.0 < m) & (m < INF),
+                     (np.maximum(g, 0.0) * m ** (p / q - 1.0)) ** (1.0 / p), 0.0)
+    window = point | at_end & (column < m.shape[1] - small)
+    window &= (m_q[:, :1] <= m) & (m <= m_q[:, 1:2])
+    u_win = np.where(window, bound, -INF).max(axis=1)
+    u_all = np.where((point | at_end) & (m <= vn) if small else point, bound, -INF).max(axis=1)
+    # the limits as r -> infinity (:func:`_limit_at_infinity`) and, at a
+    # critical first piece, as r -> 0
+    power = closed_form_power_norm(params) if p < q else 0.0
+    head, tail = table[:, :, 0, 0], table[:, np.arange(count), 0, sizes - 1]
+    if not small:
+        critical = (tail[1] == INF) & (tail[3] == -n / q)
+        u_all = np.maximum(u_all, [_limit_at_infinity(f, params) for f in fs] if p == q
+                           else np.where(critical, np.abs(tail[2]) * power, 0.0))
+    critical = (head[0] == 0.0) & (head[3] == -n / q)
+    u_all = np.maximum(u_all, np.where(critical, np.abs(head[2]) * power, 0.0))
+    return np.where(declined, INF, u_win), np.where(declined, INF, np.maximum(u_all, u_win))
+
+
+def _nonincreasing(f: PiecewiseRadialFunction) -> bool:
+    """Whether |f| is radially nonincreasing on (0, infinity), as computed in floats.
+
+    Its first piece starts at 0, no exponent is positive, no gap separates
+    two pieces, and |f| does not jump up at a breakpoint (compared in
+    logarithms, so that no value leaves the float range); a drop to 0
+    past the last piece is allowed.
+    """
+    pieces = f.pieces
+    if pieces[0].lo != 0.0 or any(pc.alpha > 0.0 for pc in pieces):
+        return False
+    return all(
+        a.hi == b.lo and math.log(abs(b.coef)) + b.alpha * math.log(b.lo)
+        <= math.log(abs(a.coef)) + a.alpha * math.log(a.hi)
+        for a, b in zip(pieces, pieces[1:])
+    )
 
 
 def _certified(
-    f: PiecewiseRadialFunction,
+    fs: list[PiecewiseRadialFunction],
     params: SpaceParams,
     rel_tol: float,
-    lower: NormResult | None = None,
-) -> NormResult | None:
-    """f's norm without a search where the bathtub bound certifies it, else None.
+    lower: list[NormResult] | None = None,
+) -> list[NormResult | None]:
+    """Each f's norm without a search where the bathtub bound certifies it, else None.
 
-    With L f's :func:`_centered_suprema` result (``lower``, when the
-    caller has it already) and bar = L.value (1 + rel_tol), f is
-    certified when U_win <= bar (:func:`_bathtub_bounds`): no ball of the
-    window beats L by more than rel_tol, so L is what the search would
-    approximate.  Its ``truncated`` is exact: True when a centered ball
-    outside the window or a limit beats bar (L's own flag), False when
-    U_all <= bar.  In between, no ball outside the window is known to
-    beat bar, none is ruled out, and f is searched (None).  So is an f
-    whose values or radii take the bound out of the float range.
+    fs are of finite norm and not zero.  With L f's
+    :func:`_centered_suprema` result (``lower``, when the caller has them
+    already) and bar = L.value (1 + rel_tol), f is certified when
+    U_win <= bar (:func:`_bathtub_bounds`, one pass for all of fs): no
+    ball of the window beats L by more than rel_tol, so L is what the
+    search would approximate.  Its ``truncated`` is exact: True when a
+    centered ball outside the window or a limit beats bar (L's own flag),
+    False when U_all <= bar.  In between, no ball outside the window is
+    known to beat bar, none is ruled out, and f is searched (None).  So
+    is an f whose bound declines.  A radially nonincreasing |f| is its
+    own rearrangement, so U = L (the module docstring): it is certified
+    without a bound.
     """
-    try:
-        u_win, u_all = _bathtub_bounds(f, params)
-    except OverflowError:
-        return None
-    result = _centered_suprema([f], params, rel_tol)[0] if lower is None else lower
-    bar = result.value * (1.0 + rel_tol)
-    if not u_win <= bar < INF or not (result.truncated or u_all <= bar):
-        return None
-    return result
+    if lower is None:
+        lower = _centered_suprema(fs, params, rel_tol)
+    certified: list[NormResult | None] = list(lower)
+    rest = [k for k, f in enumerate(fs) if not _nonincreasing(f)]
+    bounds = _bathtub_bounds([fs[k] for k in rest], params)
+    for k, win, every in zip(rest, *(u.tolist() for u in bounds)):
+        bar = lower[k].value * (1.0 + rel_tol)
+        if not (win <= bar < INF and (lower[k].truncated or every <= bar)):
+            certified[k] = None
+    return certified
 
 
 def _aligned_balls(f: PiecewiseRadialFunction, r_min: float, r_max: float, d_max: float):
@@ -792,20 +759,23 @@ def _search_group(
     fs: list[PiecewiseRadialFunction],
     params: SpaceParams,
     integ: IntegrationSettings,
+    search_rest=None,
 ) -> list[NormResult]:
     """Norms of the functions fs.
 
     The zero function, a function of infinite norm and one that the
     bathtub bound certifies (:func:`_certified`) need no search: the
-    centered suprema L of all the others come from one
-    :func:`_centered_tops` pass, and the bound is checked shape by
-    shape.  For n = 1 the rest take the exact path
+    centered suprema L and the bounds of all the others come from one
+    :func:`_centered_tops` pass and one :func:`_bathtub_bounds` pass.
+    For n = 1 the rest take the exact path
     (:func:`~morreyconst.exact1d.exact_norms`), ``_EXACT_CHUNK`` at a
-    time; for n >= 2 each is searched (:func:`_search`).
+    time; for n >= 2 they are searched (:func:`_search`), by
+    ``search_rest`` when given: it takes the list of them and returns
+    their results in order (a pool's chunks, say).
     """
     rel_tol = integ.rel_tol
     results: list[NormResult | None] = [None] * len(fs)
-    finite, todo = [], []
+    finite = []
     for i, f in enumerate(fs):
         if f.is_zero:
             results[i] = NormResult(0.0, None)
@@ -813,9 +783,13 @@ def _search_group(
             results[i] = NormResult(INF, None)
         else:
             finite.append(i)
-    for i, row in zip(finite, _centered_tops([fs[i] for i in finite], params)):
-        results[i] = _certified(fs[i], params, rel_tol, _centered_result(row, rel_tol))
-        if results[i] is None:
+    tops = _centered_tops([fs[i] for i in finite], params)
+    lower = [_centered_result(row, rel_tol) for row in tops]
+    todo = []
+    for i, row, result in zip(finite, tops, _certified([fs[i] for i in finite], params,
+                                                      rel_tol, lower)):
+        results[i] = result
+        if result is None:
             todo.append((i, row))
     if params.n == 1:
         for k in range(0, len(todo), _EXACT_CHUNK):
@@ -825,10 +799,19 @@ def _search_group(
             found = exact_norms(shapes, params, rel_tol, [row for _, row in chunk], r_max)
             for (i, _), (value, d, r, truncated) in zip(chunk, found):
                 results[i] = NormResult(value, Ball(d, r), truncated=truncated)
-    else:
-        for i, _ in todo:
-            results[i] = _search(fs[i], params, integ)
+    elif todo:
+        rest = [fs[i] for i, _ in todo]
+        found = search_rest(rest) if search_rest else _search_chunk(rest, params, integ)
+        for (i, _), result in zip(todo, found):
+            results[i] = result
     return results
+
+
+def _search_chunk(
+    fs: list[PiecewiseRadialFunction], params: SpaceParams, integ: IntegrationSettings
+) -> list[NormResult]:
+    """:func:`_search` of each f of fs, in order: one pool task."""
+    return [_search(f, params, integ) for f in fs]
 
 
 def _search(
@@ -939,8 +922,7 @@ def _shape(f: PiecewiseRadialFunction) -> tuple[PiecewiseRadialFunction, float]:
 def even_chunks(fs: list, parts: int = 1) -> list[list]:
     """fs cut, in order, into at most ``parts`` chunks of near-equal size.
 
-    One chunk per consumer (pool workers, say): each chunk's n = 1
-    shapes then fill whole passes of the exact path (:func:`_search_group`).
+    One chunk per pool process: each process then takes one task.
     """
     size = max(1, -(-len(fs) // parts))
     return [fs[k:k + size] for k in range(0, len(fs), size)]
@@ -995,19 +977,22 @@ class NormTable:
 
     Results are memoized on (s, params, integ) in the calling process,
     shared by every table, so each distinct norm shape is searched once
-    per command.  The shapes not in the memo are searched in first-seen
-    order, in one chunk here or one chunk per pool process
-    (:func:`even_chunks`).  With ``workers`` > 1 a process pool is
-    created at the first batch with two or more shapes left to search,
-    with min(workers, CPU count, that count) processes, and then
-    searches every batch with two or more such shapes until ``close``,
-    one chunk per task; a batch with one runs here.  The pool only
-    searches.  It forks where the platform can, since a spawned worker
-    would first import numpy and the package again; fork copies only the
-    calling thread, so the caller must not be running threads of its own
-    then.  The pool's ``map`` keeps input order and every norm is a pure
-    function of its inputs, so each result equals the search alone bit
-    for bit, whatever ``workers`` is.
+    per command.  The shapes not in the memo go through
+    :func:`_search_group` here, in first-seen order: the certificate,
+    and for n = 1 the exact path, run in this process, and only the
+    uncertified n >= 2 shapes are searched on the pool.  With
+    ``workers`` > 1 a process pool is created at the first batch with two
+    or more such shapes, with min(workers, CPU count, that count)
+    processes, and then searches every batch with two or more of them
+    until ``close``, one chunk per process (:func:`even_chunks`); a batch
+    with one is searched here.  So n = 1 never makes a pool: its exact
+    path costs less than the pool's round trips.  The pool forks where
+    the platform can, since a spawned worker would first import numpy
+    and the package again; fork copies only the calling thread, so the
+    caller must not be running threads of its own then.  The pool's
+    ``map`` keeps input order and every norm is a pure function of its
+    inputs, so each result equals the search alone bit for bit, whatever
+    ``workers`` is.
     """
 
     def __init__(
@@ -1027,20 +1012,23 @@ class NormTable:
         shapes = [_shape(f) for f in functions]
         found = {s: _search_cached.get((s, params, integ)) for s, _ in shapes}
         todo = [s for s, result in found.items() if result is None]
-        if len(todo) >= 2 and self._pool is None:
-            self._start_pool(len(todo))
-        pooled = len(todo) >= 2 and self._pool is not None
-        chunks = even_chunks(todo, self._pool_size if pooled else 1)
-        run = self._pool.map if pooled else map
-        searched = run(_search_group, chunks, repeat(params), repeat(integ))
-        for group, results in zip(chunks, searched):
-            for s, result in zip(group, results):
-                _search_cached.put((s, params, integ), result)
-                found[s] = result
+        for s, result in zip(todo, _search_group(todo, params, integ, self._search_rest)):
+            _search_cached.put((s, params, integ), result)
+            found[s] = result
         return [found[s].scaled(c) for s, c in shapes]
 
+    def _search_rest(self, fs: list[PiecewiseRadialFunction]) -> list[NormResult]:
+        """The searches of fs (n >= 2), on the pool when there are two or more."""
+        if len(fs) >= 2 and self._pool is None:
+            self._start_pool(len(fs))
+        if len(fs) < 2 or self._pool is None:
+            return _search_chunk(fs, self._params, self._integ)
+        chunks = even_chunks(fs, self._pool_size)
+        done = self._pool.map(_search_chunk, chunks, repeat(self._params), repeat(self._integ))
+        return [result for chunk in done for result in chunk]
+
     def _start_pool(self, batch: int) -> None:
-        """Create the pool for a batch of this many shapes, unless it would have one process."""
+        """Create the pool for a batch of this many searches, unless it would have one process."""
         workers = min(self._workers, os.cpu_count() or 1, batch)
         if workers < 2:
             return

@@ -12,23 +12,23 @@ import sys
 import pytest
 
 from morreyconst.cli import _build_parser, _resolve_config, run
-from morreyconst.norms import _search_group
+from morreyconst.norms import _search_chunk
 from morreyconst.report import flatten
 
 
-# where _logged_search_group appends; a module global, so that forked
+# where _logged_search_chunk appends; a module global, so that forked
 # pool workers inherit it
 _SEARCH_LOG = ""
 
 
-def _logged_search_group(fs, params, integ):
-    """The search, logging (pid, fs, params, integ) from any process.
+def _logged_search_chunk(fs, params, integ):
+    """The n >= 2 searches of fs, logging (pid, fs, params, integ) from any process.
 
     Defined at module level, so that a pool can pickle it by name.
     """
     with open(_SEARCH_LOG, "ab", buffering=0) as fh:
         fh.write(pickle.dumps((os.getpid(), fs, params, integ)))
-    return _search_group(fs, params, integ)
+    return _search_chunk(fs, params, integ)
 
 
 def _read_search_log(path) -> list:
@@ -398,13 +398,14 @@ class TestNormPool:
         assert len(calls) == len(distinct) == 28
         assert set(calls) == distinct
 
-    def test_pool_capped_at_cpu_count(self, capsys, monkeypatch):
+    # its first batch leaves 4 uncertified n = 2 shapes to search
+    N2_SEARCH = ["search", "--n", "2", "--p", "1", "--q", "2", "--mode", "small",
+                 "--trials", "1", "--seed", "1"]
+
+    @staticmethod
+    def _recording_pool(monkeypatch, sizes):
+        """Replace ProcessPoolExecutor by a serial stand-in that records its sizes."""
         import concurrent.futures
-        import os
-
-        import morreyconst.norms as norms_mod
-
-        sizes = []
 
         class NoProcessPool:
             def __init__(self, max_workers, mp_context=None):
@@ -417,30 +418,46 @@ class TestNormPool:
                 pass
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoProcessPool)
+
+    def test_pool_capped_at_cpu_count(self, capsys, monkeypatch):
+        import morreyconst.norms as norms_mod
+
+        sizes = []
+        self._recording_pool(monkeypatch, sizes)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         norms_mod._search_cached.cache_clear()  # a pool is made only for shapes to search
-        argv = ["search", "--n", "1", "--p", "1", "--q", "2",
-                "--trials", "3", "--seed", "5", "--threads", "64"]
-        assert run(argv) == 0
+        assert run([*self.N2_SEARCH, "--threads", "64"]) == 0
         capsys.readouterr()
         assert sizes == [3]  # one pool per command, min(64, CPU count, batch)
 
-    def test_no_worker_outlives_the_command(self, capsys):
+    def test_n1_never_makes_a_pool(self, capsys, monkeypatch):
+        # the certificate and the exact path run in the calling process
+        import morreyconst.norms as norms_mod
+
+        sizes = []
+        self._recording_pool(monkeypatch, sizes)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        norms_mod._search_cached.cache_clear()
+        argv = ["search", "--n", "1", "--p", "1", "--q", "2", "--mode", "small",
+                "--trials", "30", "--seed", "3", "--threads", "2"]
+        assert run(argv) == 0
+        capsys.readouterr()
+        assert sizes == []
+
+    def test_no_worker_outlives_the_command(self, capsys, monkeypatch):
         import multiprocessing
 
         import morreyconst.norms as norms_mod
 
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a real pool on any host
         norms_mod._search_cached.cache_clear()  # a pool is made only for shapes to search
-        argv = ["search", "--n", "1", "--p", "1", "--q", "2",
-                "--trials", "3", "--seed", "5", "--threads", "2"]
-        assert run(argv) == 0
+        assert run([*self.N2_SEARCH, "--threads", "2"]) == 0
         capsys.readouterr()
         assert multiprocessing.active_children() == []
 
     def test_pool_results_land_in_the_callers_memo(self, capsys, monkeypatch, tmp_path):
-        # [DERIVED] the ladder's 4 witness pairs have norm shapes f, and
-        # per split g_eps and h_eps (the unit sums are multiples of them):
-        # 9 searches, each once, though the pool searches the batches
+        # the 4 uncertified shapes of verify-thm2 --n 2 (measured), each
+        # searched once, on the pool
         import multiprocessing
 
         import morreyconst.norms as norms_mod
@@ -448,17 +465,17 @@ class TestNormPool:
 
         log = tmp_path / "searched"
         monkeypatch.setattr(sys.modules[__name__], "_SEARCH_LOG", str(log))
-        monkeypatch.setattr(norms_mod, "_search_group", _logged_search_group)
+        monkeypatch.setattr(norms_mod, "_search_chunk", _logged_search_chunk)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a real pool on any host
         norms_mod._search_cached.cache_clear()
-        assert run(["verify-thm2", "--n", "1", "--threads", "2"]) == 1  # the borderline check
+        assert run(["verify-thm2", "--n", "2", "--threads", "2"]) == 0
         capsys.readouterr()
         assert multiprocessing.active_children() == []
 
         searched = _read_search_log(log)
         assert {pid for pid, *_ in searched} - {os.getpid()}  # workers searched
         shapes = [s for _, fs, _, _ in searched for s in fs]
-        assert len(shapes) == len(set(shapes)) == 9
+        assert len(shapes) == len(set(shapes)) == 4
         _, _, params, integ = searched[0]
         for s in shapes:
             assert norms_mod._search_cached.get((s, params, integ)) is not None

@@ -141,7 +141,7 @@ class TestInfiniteDetection:
     def test_constant_finite_in_small_mode(self):
         f = canonicalize([(0.0, INF, 1.0, 0.0)])
         assert not norm_is_infinite(f, S112)
-        assert norms_mod._certified(f, S112, IntegrationSettings().rel_tol) is not None
+        assert norms_mod._certified([f], S112, IntegrationSettings().rel_tol)[0] is not None
         # sup over r < 1 of (2r)^{1/2 - 1} * (2r)^{1} = (2r)^{1/2} -> sqrt(2)
         res = norm(f, S112)
         assert res.value == pytest.approx(math.sqrt(2.0), rel=1e-4)
@@ -176,7 +176,7 @@ class TestInfiniteDetection:
         sp = SpaceParams(n, 1.0, 2.0, Mode.MORREY)
         assert not norm_is_infinite(f, sp)
         assert search_window(f, Mode.MORREY)[1] == 1e8
-        assert norms_mod._certified(f, sp, IntegrationSettings().rel_tol) is not None
+        assert norms_mod._certified([f], sp, IntegrationSettings().rel_tol)[0] is not None
         res = norm(f, sp)
         assert res.argmax == norms_mod.Ball(0.0, 1e7)
         expected = math.sqrt(unit_ball_volume(n) * 1e7**n)
@@ -278,7 +278,7 @@ class TestZoomSearch:
         sp = SpaceParams(2, 1.0, 2.0, Mode.MORREY)
         # |f| jumps up past a gap, and the bathtub bound does not certify f
         f = canonicalize([(0.0, 1.0, 1.0, -1.0), (1.5, 3.0, 2.0, -1.0)])
-        assert norms_mod._certified(f, sp, IntegrationSettings().rel_tol) is None
+        assert norms_mod._certified([f], sp, IntegrationSettings().rel_tol)[0] is None
         norms_mod._search_cached.cache_clear()
         norm(f, sp)
         # grid, aligned balls, every zoom round and the final re-evaluation
@@ -297,7 +297,7 @@ class TestZoomSearch:
             fs = []
             while len(fs) < size:
                 f = random_pair(rng, sp)[0]
-                if f not in fs and norms_mod._certified(f, sp, rel_tol) is None:
+                if f not in fs and norms_mod._certified([f], sp, rel_tol)[0] is None:
                     fs.append(f)
             norms_mod._search_cached.cache_clear()
             calls.clear()
@@ -314,7 +314,7 @@ class TestZoomSearch:
         fs = [f for _ in range(10) for f in random_pair(rng, M112)]
         shapes = {norms_mod._shape(f)[0] for f in fs}
         searched = [s for s in shapes if not s.is_zero and not norm_is_infinite(s, M112)
-                    and norms_mod._certified(s, M112, rel_tol) is None]
+                    and norms_mod._certified([s], M112, rel_tol)[0] is None]
         assert searched
         norms_mod._search_cached.cache_clear()
         NormTable(M112).evaluate(fs)
@@ -325,7 +325,7 @@ class TestZoomSearch:
         # profile, and the zoom still runs every round: grid, aligned
         # balls, _ROUNDS rounds and the final re-evaluation.  The bathtub
         # bound certifies the power, so the search is forced here
-        monkeypatch.setattr(norms_mod, "_certified", lambda *args: None)
+        monkeypatch.setattr(norms_mod, "_certified", lambda fs, *args: [None] * len(fs))
         monkeypatch.setattr(norms_mod, "_search_cached", norms_mod._SearchMemo(maxsize=16))
         calls = self._count_kernel_calls(monkeypatch)
         sp = SpaceParams(2, 1.5, 4.0, Mode.MORREY)
@@ -368,7 +368,7 @@ class TestZoomSearch:
         # its value is frozen.  The 20-round zoom that it replaced read
         # 2.2982878820760986, 1.9e-12 below it, within rel_tol.  The
         # argmax sits on r_max and the value still climbs as r -> 1
-        monkeypatch.setattr(norms_mod, "_certified", lambda *args: None)
+        monkeypatch.setattr(norms_mod, "_certified", lambda fs, *args: [None] * len(fs))
         res = norms_mod._search_group([self.EDGE_CLIMBER], S112, IntegrationSettings())[0]
         assert res.value == 2.2982878820805674
         rel_tol = IntegrationSettings().rel_tol
@@ -485,7 +485,7 @@ class TestLockstepBatch:
         searched, certified = [], []
         while len(searched) < 4 or len(certified) < 4:
             f = random_pair(rng, M112)[0]
-            side = searched if norms_mod._certified(f, M112, rel_tol) is None else certified
+            side = searched if norms_mod._certified([f], M112, rel_tol)[0] is None else certified
             if len(side) < 4 and f not in side:
                 side.append(f)
         fs = [f for pair in zip(searched, certified) for f in pair]
@@ -717,7 +717,7 @@ class TestExactCentered:
         # as r -> infinity, so the window's best is r_max = 1e6
         f = canonicalize([(0.0, 1.0, 1.0, 0.0), (1.0, INF, 1.0, -2.0)])
         sp = SpaceParams(1, 1.0, 1.0, Mode.MORREY)
-        assert norms_mod._certified(f, sp, IntegrationSettings().rel_tol) is not None
+        assert norms_mod._certified([f], sp, IntegrationSettings().rel_tol)[0] is not None
         res = norm(f, sp)
         assert res.value == pytest.approx(4.0 - 2.0 / 1e6, rel=1e-15)
         assert res.argmax == norms_mod.Ball(0.0, 1e6) and res.truncated
@@ -746,7 +746,7 @@ class TestExactCentered:
         # ones must, and these others must not (zero takes its own exit)
         f = canonicalize(pieces)
         rel_tol = IntegrationSettings().rel_tol
-        assert (not f.is_zero and norms_mod._certified(f, M112, rel_tol) is not None) is expected
+        assert (not f.is_zero and norms_mod._certified([f], M112, rel_tol)[0] is not None) is expected
 
     @pytest.mark.parametrize("sp", [M112, S112, SpaceParams(2, 1.5, 4.0, Mode.MORREY),
                                     SpaceParams(3, 2.0, 4.0, Mode.SMALL_MORREY)])
@@ -759,7 +759,14 @@ class TestExactCentered:
         fs = [_random_nonincreasing(rng, sp) for _ in range(300)]
         for f in fs:
             for g in (f, norms_mod._shape(f)[0]):
-                assert norms_mod._certified(g, sp, rel_tol) is not None, g
+                assert norms_mod._certified([g], sp, rel_tol)[0] is not None, g
+        # the bathtub bound alone certifies them too (U = L): _certified
+        # only skips computing it
+        shapes = fs + [norms_mod._shape(f)[0] for f in fs]
+        lowers = norms_mod._centered_suprema(shapes, sp, rel_tol)
+        for g, lower, u_win, u_all in zip(shapes, lowers, *norms_mod._bathtub_bounds(shapes, sp)):
+            bar = lower.value * (1.0 + rel_tol)
+            assert u_win <= bar and (lower.truncated or u_all <= bar), g
         self._no_kernel(monkeypatch)
         assert all(res.argmax.d == 0.0 for res in NormTable(sp).evaluate(fs))
 
@@ -796,7 +803,7 @@ class TestExactCentered:
         norms_mod._search_cached.cache_clear()
         exact = NormTable(sp).evaluate(fs)
         with monkeypatch.context() as patch:
-            patch.setattr(norms_mod, "_certified", lambda *args: None)
+            patch.setattr(norms_mod, "_certified", lambda fs, *args: [None] * len(fs))
             norms_mod._search_cached.cache_clear()
             searched = NormTable(sp).evaluate(fs)
         norms_mod._search_cached.cache_clear()
@@ -890,11 +897,11 @@ class TestBathtubBound:
     def test_search_never_beats_the_bound(self, monkeypatch, n, p, q, count, mode):
         sp = SpaceParams(n, p, q, mode)
         fs = self._random_set(sp, count, key=13)
-        monkeypatch.setattr(norms_mod, "_certified", lambda *args: None)
+        monkeypatch.setattr(norms_mod, "_certified", lambda fs, *args: [None] * len(fs))
         # a fresh memo, so that no forced search outlives the test
         monkeypatch.setattr(norms_mod, "_search_cached", norms_mod._SearchMemo(maxsize=64))
-        for f, res in zip(fs, NormTable(sp).evaluate(fs)):
-            u_win, u_all = norms_mod._bathtub_bounds(f, sp)
+        bounds = zip(*norms_mod._bathtub_bounds(fs, sp))
+        for f, res, (u_win, u_all) in zip(fs, NormTable(sp).evaluate(fs), bounds):
             lower = norms_mod._centered_suprema([f], sp, self.REL_TOL)[0].value
             assert res.value <= u_win * (1.0 + self.REL_TOL), (f, res, u_win)
             # L and U meet on nonincreasing functions, up to rounding: L's
@@ -908,8 +915,8 @@ class TestBathtubBound:
     def test_bound_covers_dense_rearrangement(self, n, p, q, mode):
         # a missed stationary point would leave U below the cells' estimate
         sp = SpaceParams(n, p, q, mode)
-        for f in self._random_set(sp, 20, key=17):
-            u_win, u_all = norms_mod._bathtub_bounds(f, sp)
+        fs = self._random_set(sp, 20, key=17)
+        for f, u_win, u_all in zip(fs, *norms_mod._bathtub_bounds(fs, sp)):
             dense_win, dense_all = _dense_bathtub(f, sp)
             assert u_win >= dense_win * (1.0 - 1e-12), (f, u_win, dense_win)
             assert u_all >= dense_all * (1.0 - 1e-12), (f, u_all, dense_all)
@@ -924,8 +931,8 @@ class TestBathtubBound:
         # m^(1/q - 1/p) Phi(m)^(1/p) = v_n^(1/q) (1 - p/q)^(-1/p) at every m
         sp = SpaceParams(n, p, q, mode)
         expected = closed_form_power_norm(sp)
-        for u in norms_mod._bathtub_bounds(canonicalize([(0.0, INF, 1.0, -n / q)]), sp):
-            assert abs(u - expected) <= 4 * math.ulp(expected)
+        for u in norms_mod._bathtub_bounds([canonicalize([(0.0, INF, 1.0, -n / q)])], sp):
+            assert abs(u[0] - expected) <= 4 * math.ulp(expected)
 
     def test_annulus_step_is_searched(self):
         # [DERIVED] n = 1, p = 1, q = 2, f = c on 1 <= |x| < 3 with c = 1.5:
@@ -934,45 +941,118 @@ class TestBathtubBound:
         # centered profile (2 r)^(-1/2) 2 c (r - 1) rises on [1, 3] and
         # falls past it: L = c 4 / 6^(1/2) = 6^(1/2) < U, so f is searched
         f = canonicalize([(1.0, 3.0, 1.5, 0.0)])
-        u_win, u_all = norms_mod._bathtub_bounds(f, M112)
+        (u_win,), (u_all,) = norms_mod._bathtub_bounds([f], M112)
         assert u_win == u_all == pytest.approx(3.0, rel=1e-15)
         lower = norms_mod._centered_suprema([f], M112, self.REL_TOL)[0]
         assert lower.value == pytest.approx(math.sqrt(6.0), rel=1e-15)
-        assert norms_mod._certified(f, M112, self.REL_TOL) is None
+        assert norms_mod._certified([f], M112, self.REL_TOL)[0] is None
         res = norm(f, M112)
         assert lower.value * (1.0 - self.REL_TOL) <= res.value <= u_win * (1.0 + self.REL_TOL)
 
     def test_out_of_range_level_is_searched(self):
-        # [DERIVED] 1e-170 squared underflows, so the bound declines and f
-        # is searched; 1 on |x| < 1 dominates: (2 r)^(1/4) -> 2^(1/4) as
-        # r -> 1 in small mode, n = 1, p = 2, q = 4
+        # [DERIVED] 1e-170 squared underflows, so the bound declines (U is
+        # infinite) and f is searched; 1 on |x| < 1 dominates: (2 r)^(1/4)
+        # -> 2^(1/4) as r -> 1 in small mode, n = 1, p = 2, q = 4
         sp = SpaceParams(1, 2.0, 4.0, Mode.SMALL_MORREY)
         f = canonicalize([(0.0, 1.0, 1.0, 0.0), (2.0, 3.0, 1e-170, 0.0)])
-        with pytest.raises(OverflowError):
-            norms_mod._bathtub_bounds(f, sp)
-        assert norms_mod._certified(f, sp, self.REL_TOL) is None
+        assert [u.tolist() for u in norms_mod._bathtub_bounds([f], sp)] == [[INF], [INF]]
+        assert norms_mod._certified([f], sp, self.REL_TOL)[0] is None
         res = norm(f, sp)
         assert res.value == pytest.approx(2.0**0.25, rel=1e-6) and res.truncated
 
+    @pytest.mark.parametrize("mode", list(Mode))
+    @pytest.mark.parametrize("n, p, q", [(1, 1.0, 2.0), (1, 2.0, 4.0), (2, 1.5, 4.0),
+                                         (3, 2.0, 4.0)])
+    def test_batch_equals_alone(self, n, p, q, mode):
+        # each row of a mixed batch equals the function's bound alone, to
+        # the bit, and a declining row leaves the others alone
+        sp = SpaceParams(n, p, q, mode)
+        rng = np.random.Generator(np.random.Philox(key=37, counter=[n, int(2 * p), int(q), 0]))
+        fs = [canonicalize([(0.0, INF, 1.0, -n / q)]), canonicalize([(0.0, INF, 2.5, -n / q)])]
+        draws = (lambda: random_pair(rng, sp)[0], lambda: _random_mixed(rng, sp),
+                 lambda: _random_exponents(rng, sp))
+        while len(fs) < 32:
+            f = draws[len(fs) % 3]()
+            if not f.is_zero and not norm_is_infinite(f, sp):
+                fs.append(f)
+        declines = canonicalize([(0.0, 1.0, 1.0, 0.0), (2.0, 3.0, 1e-170, 0.0)])
+        if p == 2.0 and n == 1:
+            fs.insert(7, declines)
+        for batch in (fs, fs[::-1], fs[3:11]):
+            bounds = norms_mod._bathtub_bounds(batch, sp)
+            for f, u_win, u_all in zip(batch, *bounds):
+                alone = [u[0] for u in norms_mod._bathtub_bounds([f], sp)]
+                assert [u_win.hex(), u_all.hex()] == [u.hex() for u in alone], f
+                assert (u_win == INF) == (f == declines), f
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_bound_keeps_digits_near_gamma_zero(self, mode):
+        # a tail piece with gamma = alpha p + n in (-0.03, -0.002): U holds
+        # the centered profile at L's argmax, computed in 40-digit mpmath.
+        # Its mass as a difference of two powers over gamma read up to
+        # 1.2e-14 below it
+        import mpmath
+
+        sp = SpaceParams(3, 1.5, 3.0, mode)
+        n, p, q = sp.n, mpmath.mpf(sp.p), mpmath.mpf(sp.q)
+        rng = np.random.Generator(np.random.Philox(key=31, counter=[int(mode is Mode.MORREY), 0, 0, 0]))
+        fs = []
+        for _ in range(40):
+            b, a0 = float(rng.uniform(0.2, 5.0)), float(rng.uniform(-0.9, 0.5))
+            c, g = float(rng.uniform(0.3, 3.0)), float(rng.uniform(-0.03, -0.002))
+            fs.append(canonicalize([(0.0, b, 1.0, a0), (b, INF, c, (g - 3.0) / 1.5)]))
+        lowers = norms_mod._centered_suprema(fs, sp, self.REL_TOL)
+        with mpmath.workdps(40):
+            vn = mpmath.pi ** (mpmath.mpf(n) / 2) / mpmath.gamma(mpmath.mpf(n) / 2 + 1)
+            for f, lower, u_win in zip(fs, lowers, norms_mod._bathtub_bounds(fs, sp)[0]):
+                r = mpmath.mpf(lower.argmax.r)
+                total = mpmath.mpf(0)
+                for pc in f.pieces:
+                    gamma = mpmath.mpf(pc.alpha) * p + n
+                    top = mpmath.mpf(pc.hi) if pc.hi < r else r
+                    total += (n * vn * mpmath.mpf(abs(pc.coef)) ** p
+                              * (top**gamma - mpmath.mpf(pc.lo) ** gamma) / gamma)
+                    if pc.hi >= r:
+                        break
+                profile = (vn * r**n) ** (1 / q - 1 / p) * total ** (1 / p)
+                assert u_win >= profile * (1 - 4 * sys.float_info.epsilon), (f, u_win, profile)
+
     def test_exponential_sum_roots(self):
         # every sign change on a fine grid holds a root that was found,
-        # and every root found is one, for sums with up to 5 terms
+        # and every root found is one, for sums with up to 5 terms and a
+        # linear term, all solved in one call
+        self._check_exp_sum_roots(-4.0, 4.0)
+
+    @pytest.mark.parametrize("lo, hi", [(-INF, INF), (-INF, 4.0), (-4.0, INF)])
+    def test_exponential_sum_roots_infinite_ends(self, lo, hi):
+        # the same, checked out to 60 past an infinite end
+        self._check_exp_sum_roots(lo, hi)
+
+    @staticmethod
+    def _check_exp_sum_roots(lo, hi):
         rng = np.random.default_rng(3)
-        z = np.linspace(-4.0, 4.0, 4001)
-        for _ in range(300):
-            terms = [
-                (float(rng.uniform(-2.0, 2.0)), float(rng.choice([0.0, rng.uniform(-3.0, 3.0)])))
-                for _ in range(int(rng.integers(1, 6)))
-            ]
-            lin = float(rng.uniform(-1.0, 1.0)) if rng.random() < 0.3 else 0.0
-            roots = norms_mod._exp_sum_roots(terms, lin, -4.0, 4.0)
-            values = sum(a * np.exp(e * z) for a, e in terms) + lin * z
-            for k in np.flatnonzero(np.sign(values[:-1]) * np.sign(values[1:]) < 0):
-                assert any(z[k] <= root <= z[k + 1] for root in roots), (terms, lin, roots)
-            scale = sum(abs(a) * np.exp(abs(e) * 4.0) for a, e in terms) + abs(lin) * 4.0
-            for root in roots:
-                value = sum(a * math.exp(e * root) for a, e in terms) + lin * root
-                assert abs(value) <= 1e-12 * scale, (terms, lin, root)
+        count = 300
+        a = rng.uniform(-2.0, 2.0, (5, count))
+        e = np.where(rng.random((5, count)) < 0.5, 0.0, rng.uniform(-3.0, 3.0, (5, count)))
+        a[np.arange(5)[:, None] >= rng.integers(1, 6, count)] = 0.0
+        lin = np.where(rng.random(count) < 0.3, rng.uniform(-1.0, 1.0, count), 0.0)
+        col, roots = exact1d_mod.exp_sum_roots(a, e, lin, np.full(count, lo), np.full(count, hi))
+        assert (np.diff(col) >= 0).all() and ((lo < roots) & (roots < hi)).all()
+        z = np.linspace(max(lo, -60.0), min(hi, 60.0), 24001)
+        for k in range(count):
+            terms = [(x, y) for x, y in zip(a[:, k], e[:, k]) if x]
+            found = roots[col == k]
+            values = sum(x * np.exp(y * z) for x, y in terms) + lin[k] * z
+            for j in np.flatnonzero(np.sign(values[:-1]) * np.sign(values[1:]) < 0):
+                assert any(z[j] <= root <= z[j + 1] for root in found), (terms, lin[k], found)
+            for root in found:
+                value = sum(x * math.exp(y * root) for x, y in terms) + lin[k] * root
+                # the sum's scale over a finite bracket, else at the root
+                at = max(-lo, hi) if max(-lo, hi) < INF else None
+                scale = (sum(abs(x) * math.exp(abs(y) * at) for x, y in terms) + abs(lin[k]) * at
+                         if at else sum(abs(x) * math.exp(y * root) for x, y in terms)
+                         + abs(lin[k] * root))
+                assert abs(value) <= 1e-12 * scale, (terms, lin[k], root)
 
 
 def _random_exponents(rng, sp):
@@ -1025,7 +1105,9 @@ class TestBatchedCentered:
         # batches that mix exponents, and a batch of one exponent rule
         batches = [fs, fs[::-1], fs[5:13], fs[::3]]
         for batch in batches:
-            for f, lower in zip(batch, norms_mod._centered_suprema(batch, sp, rel_tol)):
+            lowers = norms_mod._centered_suprema(batch, sp, rel_tol)
+            certified = norms_mod._certified(batch, sp, rel_tol, lowers)
+            for f, lower, cert in zip(batch, lowers, certified):
                 alone = norms_mod._centered_suprema([f], sp, rel_tol)[0]
                 assert _same_result(lower, alone), (f, lower, alone)
                 # the value is the centered profile at the argmax, to the bit
@@ -1033,11 +1115,10 @@ class TestBatchedCentered:
                 r_star = np.array([lower.argmax.r])
                 profile = centered_norm_profile(f, sp.with_mode(Mode.MORREY), r_star)
                 assert lower.value == profile[0], (f, lower)
-                certified = norms_mod._certified(f, sp, rel_tol, lower)
-                alone = norms_mod._certified(f, sp, rel_tol)
-                assert (certified is None and alone is None) or _same_result(certified, alone)
+                alone = norms_mod._certified([f], sp, rel_tol)[0]
+                assert (cert is None and alone is None) or _same_result(cert, alone)
         # the certified ones through _search_group: a batch and one at a time
-        certified = [f for f in fs if norms_mod._certified(f, sp, rel_tol) is not None]
+        certified = [f for f in fs if norms_mod._certified([f], sp, rel_tol)[0] is not None]
         assert len(certified) >= 5
         batch = norms_mod._search_group(certified, sp, IntegrationSettings())
         for f, res in zip(certified, batch):
@@ -1060,7 +1141,7 @@ class TestBatchedCentered:
             f = _random_exponents(rng, sp) if len(fs) % 3 else random_pair(rng, sp)[0]
             f = norms_mod._shape(f)[0]
             if (not f.is_zero and not norm_is_infinite(f, sp)
-                    and norms_mod._certified(f, sp, rel_tol) is not None):
+                    and norms_mod._certified([f], sp, rel_tol)[0] is not None):
                 fs.append(f)
         for f, res in zip(fs, NormTable(sp).evaluate(fs)):
             r = res.argmax.r
@@ -1185,7 +1266,7 @@ class TestDegradedAccuracyFlag:
         sp = SpaceParams(2, 1.0, 2.0, Mode.MORREY)
         # |f| jumps up past a gap, and the bathtub bound does not certify f
         f = canonicalize([(0.0, 1.0, 1.0, -1.0), (1.5, 3.0, 2.0, -1.0)])
-        assert norms_mod._certified(f, sp, IntegrationSettings().rel_tol) is None
+        assert norms_mod._certified([f], sp, IntegrationSettings().rel_tol)[0] is None
         monkeypatch.setattr(integrate_mod, "_MAX_PANELS", 2)
         monkeypatch.setattr(norms_mod, "_N_RADII", 8)
         monkeypatch.setattr(norms_mod, "_N_CENTERS", 3)
