@@ -2,13 +2,13 @@
 
 The candidate classes, and why they hold the supremum, are in the
 :mod:`morreyconst.norms` module docstring.  Here every free-end class
-becomes a table of brackets, one column each (rows :data:`_ROWS`): an
-exponential sum in z = log x, the z range where its root would be a
-ball, and how the ball's two ends follow from z.  The sums' slopes
-change sign at most once, in closed form, so each bracket splits into
-two monotone ones; those with a sign change and a bound that beats L
-take safeguarded Newton steps together (:func:`_newton`), and the roots
-become candidate balls next to the corners and caps.  No scipy.
+becomes a block of brackets, one column each: an exponential sum in
+z = log x, the z range where its root would be a ball (:data:`_SUMS`),
+and how the ball's two ends follow from z (:data:`_ENDS`).  The sums'
+slopes change sign at most once, in closed form, so each bracket splits
+into two monotone ones; only those with a sign change gather their
+ends, and those whose bound beats L take safeguarded Newton steps
+together (:func:`_newton`).  Their roots join the corners and caps.  No scipy.
 
 The same solver, generalized to any number of terms
 (:func:`exp_sum_roots`), finds every root of the bathtub bound of
@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from morreyconst.integrate import ball_integrals
+from morreyconst.integrate import group_ball_integrals_n1
 from morreyconst.model import Mode, PiecewiseRadialFunction, SpaceParams
 
 __all__ = ["best_in_rows", "exact_norms", "exp_sum_roots", "runs"]
@@ -36,14 +36,15 @@ _Z_RANGE = 700.0
 # zero there to rounding.
 _END_ZERO = 1e-13
 
-# The rows of a bracket table (:func:`exact_norms`): the owner; the sum
-# P(z) = a0 + a1 e^(e1 z) + a2 e^(e2 z) + lin z; the bracket [lo, hi] in
-# z; the cap radius rho (0 off the cap); the free end x = e^z, in a
-# piece where G(x) = k + amp x^gam / gam; and the other end, either
-# x = sgn e^(shift + slope z) in a piece with (ok, oamp, ogam), or,
-# where sgn = 0, the fixed point x0 with G(x0) = og.
-_ROWS = ("own", "a0", "a1", "e1", "a2", "e2", "lin", "lo", "hi", "rho", "k", "amp", "gam",
-         "sgn", "shift", "slope", "x0", "ok", "oamp", "ogam", "og")
+# The rows of a bracket (:func:`_solve`): the sum P(z) = a0 + a1 e^(e1 z)
+# + a2 e^(e2 z) + lin z and the bracket [lo, hi] in z (_SUMS); the owner;
+# the cap radius rho (0 off the cap); the free end x = e^z, in a piece
+# where G(x) = k + amp x^gam / gam; and the other end, either
+# x = sgn e^(shift + slope z) in a piece with (ok, oamp, ogam), or, where
+# sgn = 0, the fixed point x0 with G(x0) = og (_ENDS).
+_SUMS = ("a0", "a1", "e1", "a2", "e2", "lin", "lo", "hi")
+_ENDS = ("own", "rho", "k", "amp", "gam", "sgn", "shift", "slope", "x0", "ok", "oamp", "ogam",
+         "og")
 
 
 def best_in_rows(values: np.ndarray, d: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -59,15 +60,14 @@ def best_in_rows(values: np.ndarray, d: np.ndarray, r: np.ndarray) -> np.ndarray
     return np.where(top, r, INF).argmin(axis=-1)
 
 
-def _rows(mask: np.ndarray, **cols) -> np.ndarray:
-    """The bracket table (rows :data:`_ROWS`, 0 where not given) of cols where mask holds.
+def _rows(where: tuple, cols: dict, names: tuple[str, ...]) -> np.ndarray:
+    """Rows ``names`` of the brackets at the indices ``where`` of their mask, 0 where cols has none.
 
-    Each col is a number or an array of mask's number of dimensions that
-    broadcasts against it.
+    Each col is a number or an array, with the mask's number of
+    dimensions, that broadcasts against the mask.
     """
-    where = np.nonzero(mask)
-    table = np.zeros((len(_ROWS), where[0].size))
-    for i, name in enumerate(_ROWS):
+    table = np.zeros((len(names), where[0].size))
+    for i, name in enumerate(names):
         if name in cols:
             col = np.asarray(cols[name])
             table[i] = col[tuple(w if size > 1 else 0 for w, size in zip(where, col.shape))]
@@ -292,26 +292,34 @@ def exp_sum_roots(a, e, lin, lo, hi) -> tuple[np.ndarray, np.ndarray]:
     return col, z
 
 
-def _solve(t: np.ndarray, kappa: float, bar: np.ndarray):
-    """(owner, d, r) of the balls at the roots of the bracket table t.
+def _solve(blocks: list[tuple[np.ndarray, dict]], kappa: float, bar: np.ndarray):
+    """(owner, d, r) of the balls at the roots of the brackets of blocks.
 
-    Each bracket splits at the turn of its sum's slope into two monotone
-    ones.  Those whose sum changes sign and whose bound on value^p can
-    reach bar[owner] (L^p of the owner) are solved by :func:`_newton`.
+    A block (mask, cols) has a bracket at each index where mask holds,
+    its rows taken from cols (:func:`_rows`).  Only the sums
+    (:data:`_SUMS`) of every bracket are gathered, and then dropped from
+    cols; each bracket splits at the turn of its sum's slope into two
+    monotone ones, and the halves whose sum changes sign gather the rest
+    (:data:`_ENDS`), so a pass over a whole batch holds few full rows.
+    The halves whose bound on value^p can reach bar[owner] (L^p of the
+    owner) are solved by :func:`_newton`.
     """
-    coef = t[1:7]
-    a0, a1, e1, a2, e2, _ = coef
-    for a, e in ((a1, e1), (a2, e2)):  # constant terms into a0, equal exponents merged
-        fold = e == 0.0
-        a0[fold] += a[fold]
-        a[fold] = 0.0
-    fold = e1 == e2
-    a1[fold] += a2[fold]
-    a2[fold] = 0.0
-    z_a = np.maximum(t[7], -_Z_RANGE)
-    z_b = np.minimum(t[8], _Z_RANGE)
-    ok = (z_a < z_b) & np.isfinite(coef).all(axis=0)
-    t, coef, z_a, z_b = t[:, ok], coef[:, ok], z_a[ok], z_b[ok]
+    wheres = [np.nonzero(mask) for mask, _ in blocks]
+    t = np.concatenate([_rows(w, cols, _SUMS) for w, (_, cols) in zip(wheres, blocks)], axis=1)
+    for _, cols in blocks:
+        for name in _SUMS:
+            cols.pop(name, None)
+    for k in (1, 3):  # constant terms (a_k with e_k = 0) into a0, then equal exponents merged
+        fold = t[k + 1] == 0.0
+        t[0, fold] += t[k, fold]
+        t[k, fold] = 0.0
+    fold = t[2] == t[4]
+    t[1, fold] += t[3, fold]
+    t[3, fold] = 0.0
+    z_a, z_b = np.maximum(t[6], -_Z_RANGE), np.minimum(t[7], _Z_RANGE)
+    ok = np.flatnonzero((z_a < z_b) & np.isfinite(t[:6]).all(axis=0))
+    coef, z_a, z_b = t[:6, ok], z_a[ok], z_b[ok]
+    del t  # the sums of the brackets that take no further part
 
     # P' = s1 e^(e1 z) + s2 e^(e2 z) + lin has at most one sign change,
     # in closed form (lin != 0 only beside a single exponential), which
@@ -333,16 +341,21 @@ def _solve(t: np.ndarray, kappa: float, bar: np.ndarray):
                                                            np.sign(at_turn[0]))), sign_b]
     left = np.flatnonzero(signs[0] * signs[1] < 0.0)
     right = np.flatnonzero(signs[1] * signs[2] < 0.0)
-    cols = np.concatenate([left, right])
-    z_a = np.concatenate([z_a[left], turn[right]])
-    z_b = np.concatenate([turn[left], z_b[right]])
-    sign_a = np.concatenate([signs[0][left], signs[1][right]])
-    t = t[:, cols]
+    half = np.concatenate([left, right])
+    # the rest of the rows, block by block, for these halves only
+    at, ends = ok[half], np.zeros((len(_ENDS), half.size))
+    start = np.cumsum([0] + [w[0].size for w in wheres])
+    for where, (_, cols), lo, hi in zip(wheres, blocks, start, start[1:]):
+        mine = (lo <= at) & (at < hi)
+        ends[:, mine] = _rows(tuple(w[at[mine] - lo] for w in where), cols, _ENDS)
+    t = np.concatenate([coef[:, half], ends, [
+        np.concatenate([z_a[left], turn[right]]), np.concatenate([turn[left], z_b[right]]),
+        np.concatenate([signs[0][left], signs[1][right]])]])
 
     # Prune: on a bracket, u >= u_lo and v <= v_hi, so value^p is at most
     # length^(-kappa) (G(v_hi) - G(u_lo)), with the length at least the
     # gap between the ranges of the ends (2 rho on a cap)
-    rows = dict(zip(_ROWS, t))
+    rows, (z_a, z_b, sign_a) = dict(zip(_SUMS[:6] + _ENDS, t)), t[-3:]
     ends = [*_bracket_ends(rows, z_a), *_bracket_ends(rows, z_b)]
     xs, gs, scales = (np.stack(e) for e in zip(*ends))
     free, other = xs[0::2], xs[1::2]
@@ -350,11 +363,10 @@ def _solve(t: np.ndarray, kappa: float, bar: np.ndarray):
         gap = np.maximum(free.min(axis=0) - other.max(axis=0), other.min(axis=0) - free.max(axis=0))
         length = np.where(rows["rho"] > 0.0, 2.0 * rows["rho"], gap)
         bound = length ** -kappa * (gs.max(axis=0) - gs.min(axis=0) + 1e-12 * scales.sum(axis=0))
-    live = ~(bound < bar[rows["own"].astype(int)])
-    t, z_a, z_b, sign_a = t[:, live], z_a[live], z_b[live], sign_a[live]
+    t = t[:, ~(bound < bar[rows["own"].astype(int)])]
 
-    rows = dict(zip(_ROWS, t))
-    a0, a1, e1, a2, e2, lin = t[1:7]
+    rows, (z_a, z_b, sign_a) = dict(zip(_SUMS[:6] + _ENDS, t)), t[-3:]
+    a0, a1, e1, a2, e2, lin = t[:6]
     zero = np.zeros_like(lin)
     # a sum a0 + a e^(e z) starts at its closed-form root
     start = np.where(a2 == 0.0, _two_term_root(a0, zero, a1, e1), _two_term_root(a0, zero, a2, e2))
@@ -368,19 +380,18 @@ def exact_norms(
     fs: list[PiecewiseRadialFunction],
     params: SpaceParams,
     rel_tol: float,
-    centered: list[tuple[float, float, float]],
-    r_max: list[float],
+    centered: list[tuple[float, float, float, float]],
 ) -> list[tuple[float, float, float, bool]]:
     """(value, d, r, truncated) of each n = 1 shape f of fs, finite and not zero.
 
-    centered holds each f's centered supremum (L, r*, top), and r_max its
-    window's largest radius.  The candidates of the
-    :mod:`morreyconst.norms` docstring are built for all of fs at once, on
-    tables padded to the widest f: corners, caps, and the brackets of every free-end class, of which
+    centered holds each f's centered supremum and window (L, r*, top,
+    r_max).  The candidates of the :mod:`morreyconst.norms` docstring
+    are built for all of fs at once, on tables padded to the widest f:
+    corners, caps, and the brackets of every free-end class, of which
     those whose bound cannot beat L are pruned and the rest solved
-    (:func:`_solve`).  Each f's candidate balls then take one
-    :func:`~morreyconst.integrate.ball_integrals` call.  (d, r) is the
-    best ball of the window, ties going to the smaller (d, r)
+    (:func:`_solve`).  The candidate balls of all of fs then take one
+    :func:`~morreyconst.integrate.group_ball_integrals_n1` call.  (d, r)
+    is the best ball of the window, ties going to the smaller (d, r)
     (:func:`best_in_rows`), and truncated is True when the best over
     every radius of the mode beats its value by more than rel_tol.
     """
@@ -389,7 +400,7 @@ def exact_norms(
     small = params.mode is Mode.SMALL_MORREY
     count, width = len(fs), max(len(f.pieces) for f in fs)
     own = np.arange(count)[:, None]
-    lower, r_star, top = (np.array(col) for col in zip(*centered))
+    lower, r_star, top, r_max = (np.array(col) for col in zip(*centered))
     table = np.full((4, count, width), np.nan)
     for s, f in enumerate(fs):
         table[:, s, :len(f.pieces)] = np.array([(pc.lo, pc.hi, pc.coef, pc.alpha)
@@ -452,11 +463,11 @@ def exact_norms(
     # (mirror images give the rest): P = H(z) - x0 g(e^z) + kappa G(x0).
     cut = ~np.isnan(x0)[:, :, None] & real[:, None, :]
     pc = {name: a[:, None, :] for name, a in (("k", k), ("amp", amp), ("gam", gam))}
-    blocks = [_rows(cut, own=own[:, :, None], a0=(h_const[:, None, :] + kappa * g0[:, :, None]),
-                    a1=h_exp[:, None, :], e1=gam[:, None, :],
-                    a2=-x0[:, :, None] * amp[:, None, :], e2=beta[:, None, :],
-                    lin=h_lin[:, None, :], lo=z_lo[:, None, :], hi=z_hi[:, None, :],
-                    x0=x0[:, :, None], og=g0[:, :, None], **pc)]
+    blocks = [(cut, dict(own=own[:, :, None], a0=(h_const[:, None, :] + kappa * g0[:, :, None]),
+                         a1=h_exp[:, None, :], e1=gam[:, None, :],
+                         a2=-x0[:, :, None] * amp[:, None, :], e2=beta[:, None, :],
+                         lin=h_lin[:, None, :], lo=z_lo[:, None, :], hi=z_hi[:, None, :],
+                         x0=x0[:, :, None], og=g0[:, :, None], **pc))]
     # Both ends free: u = sgn |u| on piece A, v = e^z on piece B (A before
     # B, by mirror images), g(u) = g(v) makes log |u| = shift + slope z,
     # and P = H_B(z) - sgn H_A(log |u|); on a cap, P = e^z - u - 2 rho.
@@ -473,29 +484,26 @@ def exact_norms(
                     lo=np.maximum(z_lo[b_], np.where(slope > 0.0, w_lo, w_hi)),
                     hi=np.minimum(z_hi[b_], np.where(slope > 0.0, w_hi, w_lo)),
                     k=k[b_], amp=amp[b_], gam=gam[b_], ok=k[a_], oamp=amp[a_], ogam=gam[a_])
-        blocks.append(_rows(pair, a0=h_const[b_] - sgn * (h_const[a_] + h_lin[a_] * shift),
-                            a1=h_exp[b_], e1=gam[b_], e2=gam[a_] * slope,
-                            a2=-sgn * h_exp[a_] * np.exp(gam[a_] * shift),
-                            lin=h_lin[b_] - sgn * h_lin[a_] * slope, **span))
+        blocks.append((pair, dict(a0=h_const[b_] - sgn * (h_const[a_] + h_lin[a_] * shift),
+                                  a1=h_exp[b_], e1=gam[b_], e2=gam[a_] * slope,
+                                  a2=-sgn * h_exp[a_] * np.exp(gam[a_] * shift),
+                                  lin=h_lin[b_] - sgn * h_lin[a_] * slope, **span)))
         for c in range(caps.shape[1]):
             cap = caps[:, c, None, None, None]
-            blocks.append(_rows(pair, a0=-2.0 * cap, a1=1.0, e1=1.0, a2=-sgn * np.exp(shift),
-                                e2=slope, rho=cap, **span))
-    owner, d, r = _solve(np.concatenate(blocks, axis=1), kappa, lower**p)
-    owners.append(owner)
-    ds.append(d)
-    rs.append(r)
+            blocks.append((pair, dict(a0=-2.0 * cap, a1=1.0, e1=1.0, a2=-sgn * np.exp(shift),
+                                      e2=slope, rho=cap, **span)))
 
-    # Each f's candidate balls in one kernel call, then each f's best in a
-    # padded one-row-per-f table, its centered supremum (0, r*) included
-    owners, ds, rs = (np.concatenate(a) for a in (owners, ds, rs))
+    # Every candidate ball, roots included, in one kernel call; then each
+    # f's best in a padded one-row-per-f table, with its centered (0, r*)
+    owners, ds, rs = (np.concatenate([*found, roots]) for found, roots
+                      in zip((owners, ds, rs), _solve(blocks, kappa, lower**p)))
     ok = (rs > 0.0) & np.isfinite(ds) & np.isfinite(rs)
     order = np.argsort(owners[ok], kind="stable")
     owners, ds, rs = owners[ok][order], ds[ok][order], rs[ok][order]
     cuts = np.searchsorted(owners, np.arange(count + 1))
-    ints = [ball_integrals(f, p, 1, ds[a:b], rs[a:b])[0] for f, a, b in zip(fs, cuts, cuts[1:])]
+    ints = group_ball_integrals_n1(tuple(fs), p, owners, ds, rs)
     with np.errstate(over="ignore", invalid="ignore"):
-        values = (2.0 * rs) ** (1.0 / params.q - 1.0 / p) * np.concatenate(ints) ** (1.0 / p)
+        values = (2.0 * rs) ** (1.0 / params.q - 1.0 / p) * ints ** (1.0 / p)
     values[np.isnan(values)] = -INF
     slot = np.arange(owners.size) - cuts[owners]
     reach = np.full((count, np.diff(cuts).max() + 1), -INF)

@@ -2,9 +2,9 @@
 
 * Centered balls: exact closed form from power-function antiderivatives.
 * Every ball when n = 1, where the ball is the interval [d - r, d + r]:
-  exact, from an antiderivative table of |f|^p built once per call
-  (:class:`_N1Table`).  A ball costs one searchsorted and one power per
-  shell end |d - r| and d + r.
+  exact, from antiderivative tables of |f|^p built once per call for a
+  batch of functions (:func:`group_ball_integrals_n1`).  A ball costs
+  one searchsorted and one power per shell end |d - r| and d + r.
 * Off-center balls when n >= 2: the spheres of radius t <= r - d lie
   inside the ball and give a closed-form core; the shell
   |d - r| <= t <= d + r contributes through the spherical cap fraction.
@@ -16,7 +16,8 @@
 * Monte Carlo: an independent stochastic route used to cross-check the
   quadrature, never as the primary evaluator.
 
-Every ball goes through the vectorized :func:`ball_integrals`;
+Every ball goes through the vectorized :func:`ball_integrals` (for
+n = 1, a one-function :func:`group_ball_integrals_n1` call);
 :func:`integrate_abs_pow_ball` is its one-ball form.
 
 Divergent integrals are detected analytically (a power t^alpha with
@@ -42,6 +43,7 @@ __all__ = [
     "centered_integrals",
     "group_centered_integrals",
     "ball_integrals",
+    "group_ball_integrals_n1",
     "integrate_abs_pow_ball",
     "mc_integrate",
 ]
@@ -308,169 +310,163 @@ def _shell_cuts(f: PiecewiseRadialFunction, d: np.ndarray, r: np.ndarray) -> np.
     return np.sort(np.concatenate(cols, axis=-1), axis=-1)
 
 
-def _powers(t: np.ndarray, gamma) -> np.ndarray:
-    """P(t) = t^gamma, or log t where gamma = 0, for 1-d t.
+def _powers(t: np.ndarray, which, gammas: np.ndarray, exponents) -> np.ndarray:
+    """P(t) = t^gamma, or log t where gamma = 0, of each entry of t, of table row which.
 
-    gamma is a number or an array like t.  Table knots and shell ends go
-    through this one function, so a shell end on a knot has the knot's
-    power bit for bit.  A number exponent lets numpy compute t^0.5 as
-    sqrt(t) and t^2 as t * t, correctly rounded; the array power is an
-    ulp off for about 5 % of t at those exponents.
+    which broadcasts against t, and gammas holds the entries' exponents.
+    Rows that share one exponent (:class:`_N1Table`) take it as a number:
+    numpy then computes t^0.5 as sqrt(t) and t^2 as t * t, correctly
+    rounded, where the array power is an ulp off for about 5 % of t.
+    Knots and shell ends take their powers here alike, so a shell end on
+    a knot has the knot's power bit for bit.
     """
-    if np.ndim(gamma) == 0:
-        return np.log(t) if gamma == 0.0 else t**gamma
-    out = t**gamma
-    log = gamma == 0.0
-    if log.any():
-        out[log] = np.log(t[log])
+    out = np.empty_like(t)
+    for gamma, rows in exponents:
+        at = np.broadcast_to(rows[which], t.shape)
+        x, g = t[at], gammas[at] if gamma is None else gamma
+        y = np.log(x) if gamma == 0.0 else x**g
+        if gamma is None:
+            y[g == 0.0] = np.log(x[g == 0.0])
+        out[at] = y
     return out
 
 
 @dataclass(frozen=True)
 class _N1Table:
-    """Antiderivative table of |f|^p on the line, for the n = 1 kernel.
+    """Antiderivative tables of |f|^p on the line, row s for fs[s] of a batch fs.
 
-    Cells j = 1..K are the intervals [knots[j-1], knots[j]) (knots[K] =
-    inf), which tile [0, inf); support gaps are cells with w = 0.  On
-    cell j the integral of |f|^p from u to v is w[j] (P_j(v) - P_j(u)),
-    with P_j(t) = t^gamma_j (or log t when gamma_j = 0), gamma_j =
-    alpha p + 1 and w[j] = |c|^p / gamma_j (|c|^p when gamma_j = 0).
-    p_lo[j] and p_hi[j] are P_j at the cell's two knots.  between[i, j]
-    is the integral over the whole cells strictly between i and j, summed
-    term by term: a difference of two prefix sums would lose the digits
-    of a small middle after a large earlier cell.  below[j] =
-    between[0, j] is the integral from 0 up to knots[j-1].  Cell 0 pads
-    every per-cell array, so np.searchsorted(knots, t, "right") is a
-    cell.
+    The cells j = 1..K of row s are the intervals [knot_(j-1), knot_j)
+    (knot_K = inf), which tile [0, inf); support gaps are cells with
+    w = 0.  On cell j the integral of |f|^p from u to v is
+    w[s, j] (P_j(v) - P_j(u)), with P_j(t) = t^gamma_j (or log t when
+    gamma_j = 0), gamma_j = alpha p + 1 and w = |c|^p / gamma_j (|c|^p
+    when gamma_j = 0).  p_lo[s, j] and p_hi[s, j] are P_j at the cell's
+    two knots.  between[s, i, j] is the integral over the whole cells
+    strictly between i and j, summed term by term: a difference of two
+    prefix sums would lose the digits of a small middle after a large
+    earlier cell.  between[s, 0, j] is the integral from 0 up to
+    knot_(j-1).  Cell 0 pads every row in front, and cells past K pad
+    the shorter rows behind.  ``knots`` holds the knots of all rows,
+    sorted, and ``keys`` each row's knots as the exact integers
+    s (len(knots) + 1) + (the knot's first rank in knots), sorted, so that
+    searchsorted finds each radius's cell in its own row.
 
-    ``gamma`` is the exponent every piece shares, or None.  When it is a
-    number, every power of the table and of the balls, gaps included,
-    takes it as a number (see :func:`_powers`): all random-pair and
-    witness functions share one.  When it is None, ``gammas`` is
-    gathered per ball, with gaps taking 1.
+    ``exponents`` pairs each exponent that every piece of some f shares
+    with the mask of those rows, and None with the rows of the other f.
+    A shared exponent is taken as a number in every power of its rows
+    and of their balls, gaps included (:func:`_powers`): all random-pair
+    and witness functions share one.  The other rows take ``gammas``,
+    gaps taking 1.
 
-    Radii below ``floor``, the start of the support, are raised to powers
-    as ``floor`` (w = 0 there), so radius 0 never meets a gamma <= 0
-    power unless f lives at the origin.  ``divergent`` marks such a
-    piece: the balls that reach it are INF, and the table entries only
-    they would read (P at 0, below) hold finite stand-ins.
+    Radii below ``floor[s]``, the start of the support, are raised to
+    powers as ``floor[s]`` (w = 0 there), so radius 0 never meets a
+    gamma <= 0 power unless f lives at the origin.  ``divergent[s]``
+    marks such a piece: the balls that reach it are INF, and the table
+    entries only they would read (P at 0, between from 0) hold finite
+    stand-ins.
     """
 
     knots: np.ndarray
-    gamma: float | None
-    floor: float
-    divergent: bool
+    keys: np.ndarray
+    exponents: list[tuple[float | None, np.ndarray]]
+    floor: np.ndarray
+    divergent: np.ndarray
     gammas: np.ndarray
     w: np.ndarray
     p_lo: np.ndarray
     p_hi: np.ndarray
-    below: np.ndarray
     between: np.ndarray
 
+    def cells(self, which, t: np.ndarray) -> np.ndarray:
+        """The cell of each radius t in its row which, from the rank of the last knot <= t."""
+        row = which * (self.knots.size + 1)
+        key = row + np.searchsorted(self.knots, t, side="right") - 1
+        return np.searchsorted(self.keys, key, side="right") - np.searchsorted(self.keys, row)
 
-def _n1_table(f: PiecewiseRadialFunction, p: float) -> _N1Table:
-    """The :class:`_N1Table` of f for |f|^p."""
-    cells = []  # (lo, hi, |c|^p, gamma); gamma is None on a support gap
-    edge = 0.0
-    for pc in f.pieces:
-        if pc.lo > edge:
-            cells.append((edge, pc.lo, 0.0, None))
-        cells.append((pc.lo, pc.hi, abs(pc.coef) ** p, pc.alpha * p + 1.0))
-        edge = pc.hi
-    if edge < INF:
-        cells.append((edge, INF, 0.0, None))
-    lo, hi, amp, gam = zip(*cells)
 
-    live = {g for g in gam if g is not None}
-    shared = live.pop() if len(live) == 1 else None
-    gammas = np.array([1.0, *(1.0 if g is None else g for g in gam)])
-    floor = f.pieces[0].lo if f.pieces else 0.0
-    divergent = floor == 0.0 and gam[0] is not None and gam[0] <= 0.0
+def _n1_table(fs: tuple[PiecewiseRadialFunction, ...], p: float) -> _N1Table:
+    """The :class:`_N1Table` of fs for |f|^p."""
+    rows = []  # per f, its cells (lo, hi, |c|^p, gamma); gamma is None on a support gap
+    for f in fs:
+        cells, edge = [], 0.0
+        for pc in f.pieces:
+            if pc.lo > edge:
+                cells.append((edge, pc.lo, 0.0, None))
+            cells.append((pc.lo, pc.hi, abs(pc.coef) ** p, pc.alpha * p + 1.0))
+            edge = pc.hi
+        if edge < INF:
+            cells.append((edge, INF, 0.0, None))
+        rows.append(cells)
 
-    # radius 1 stands in where no power is read: the pad, the infinite
+    # radius 1 stands in where no power is read: the pads, the infinite
     # end of the last cell, and the origin end of a divergent piece
-    low_ends = np.array([1.0, *lo])
-    high_ends = np.array([1.0, *hi[:-1], 1.0])
-    if divergent:
-        low_ends[1] = 1.0
-    exponent = gammas if shared is None else shared
-    p_lo = _powers(np.maximum(low_ends, floor), exponent)
-    p_hi = _powers(np.maximum(high_ends, floor), exponent)
+    width = max(map(len, rows))
+    shared, floor, divergent, knots, row, padded = [], [], [], [], [], []
+    for s, (f, cells) in enumerate(zip(fs, rows)):
+        lo, hi, a, gam = zip(*cells)
+        live = {g for g in gam if g is not None}
+        shared.append(live.pop() if len(live) == 1 else None)
+        floor.append(f.pieces[0].lo if f.pieces else 0.0)
+        divergent.append(floor[-1] == 0.0 and gam[0] is not None and gam[0] <= 0.0)
+        pad = (1.0,) * (width - len(cells))
+        padded.append(((1.0, *((1.0, *lo[1:]) if divergent[-1] else lo), *pad),
+                       (1.0, *hi[:-1], 1.0, *pad),
+                       (1.0, *(1.0 if g is None else g for g in gam), *pad),
+                       (0.0, *a, *(0.0 for _ in pad))))
+        knots += lo
+        row += [s] * len(lo)
+    low_ends, high_ends, gammas, amp = (np.array(x) for x in zip(*padded))
+    exponents = [(g, np.array([x == g for x in shared])) for g in dict.fromkeys(shared)]
+    owner, floor = np.arange(len(fs))[:, None], np.array(floor)
+    p_lo = _powers(np.maximum(low_ends, floor[:, None]), owner, gammas, exponents)
+    p_hi = _powers(np.maximum(high_ends, floor[:, None]), owner, gammas, exponents)
 
-    w = np.array([0.0, *amp]) / np.where(gammas == 0.0, 1.0, gammas)
-    whole = w * (p_hi - p_lo)
-    cells = np.arange(whole.size)
-    upper = np.where(cells > cells[:, None], whole, 0.0)
+    w = amp / np.where(gammas == 0.0, 1.0, gammas)
+    cells = np.arange(w.shape[1])
+    upper = np.where(cells > cells[:, None], (w * (p_hi - p_lo))[:, None, :], 0.0)
     between = np.zeros_like(upper)
-    between[:, 1:] = np.cumsum(upper, axis=1)[:, :-1]
-    return _N1Table(
-        knots=np.array(lo),
-        gamma=shared,
-        floor=floor,
-        divergent=divergent,
-        gammas=gammas,
-        w=w,
-        p_lo=p_lo,
-        p_hi=p_hi,
-        below=between[0].copy(),
-        between=between,
-    )
+    between[:, :, 1:] = np.cumsum(upper, axis=2)[:, :, :-1]
+    ordered = np.array(sorted(knots))
+    keys = np.array(row) * (ordered.size + 1) + np.searchsorted(ordered, knots)
+    return _N1Table(ordered, keys, exponents, floor, np.array(divergent), gammas, w, p_lo, p_hi,
+                    between)
 
 
-def _ball_integrals_n1(tab: _N1Table, d: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Exact n = 1 ball integrals from f's :class:`_N1Table`, for 1-d d and r.
+def group_ball_integrals_n1(
+    fs: tuple[PiecewiseRadialFunction, ...], p: float, which, d: np.ndarray, r: np.ndarray
+) -> np.ndarray:
+    """Exact n = 1 integrals of |f|^p over the balls (d, r) of a group of functions, 1-d.
 
-    The ball is the interval [d - r, d + r]; by symmetry its integral is
-    the integral over the shell t_lo = |d - r| <= t <= t_hi = d + r, plus
-    2 G(t_lo) when d < r, where G(t) is the integral from 0 to t.  Each
-    shell end is located by one searchsorted on the knots and raised to
-    one power.  A shell inside one cell is w (P(t_hi) - P(t_lo))
-    directly, never a difference of two sums that both hold the cell,
-    which would lose the digits of a tiny far ball.
+    Ball k belongs to fs[which[k]]; which broadcasts against d, in any
+    order, and all of fs share one :class:`_N1Table`.  The ball is the
+    interval [d - r, d + r]; by symmetry its integral is the integral
+    over the shell t_lo = |d - r| <= t <= t_hi = d + r, plus 2 G(t_lo)
+    when d < r, where G(t) is the integral from 0 to t.  Each shell end
+    is located (:meth:`_N1Table.cells`) and raised to one power.  A
+    shell inside one cell is w (P(t_hi) - P(t_lo)) directly, never a
+    difference of two sums that both hold the cell, which would lose the
+    digits of a tiny far ball.  Every step is elementwise, so each value
+    equals its function's own call bit for bit.
     """
+    tab = _n1_table(fs, p)
     diff = d - r
     t_lo, t_hi = np.abs(diff), d + r
-    c_lo = np.searchsorted(tab.knots, t_lo, side="right")
-    c_hi = np.searchsorted(tab.knots, t_hi, side="right")
-    if tab.floor > 0.0:
-        np.maximum(t_lo, tab.floor, out=t_lo)
-        np.maximum(t_hi, tab.floor, out=t_hi)
-    # a divergent piece meets radius 0 where d = r: those balls are INF
-    origin = diff <= 0.0 if tab.divergent else None
-    inner = diff < 0.0
-    with np.errstate(divide="ignore", invalid="ignore") if tab.divergent else nullcontext():
-        if tab.gamma is None:
-            exp_lo, exp_hi = tab.gammas[c_lo], tab.gammas[c_hi]
-        else:
-            exp_lo = exp_hi = tab.gamma
-        pw_lo, pw_hi = _powers(t_lo, exp_lo), _powers(t_hi, exp_hi)
-        # in place, so that a large call holds few temporaries: within one
-        # cell w_hi (pw_hi - pw_lo), across cells
+    c_lo, c_hi = tab.cells(which, t_lo), tab.cells(which, t_hi)
+    divergent = tab.divergent.any()
+    with np.errstate(divide="ignore", invalid="ignore") if divergent else nullcontext():
+        pw_lo, pw_hi = (_powers(np.maximum(t, tab.floor[which]), which, tab.gammas[which, c],
+                                tab.exponents) for t, c in ((t_lo, c_lo), (t_hi, c_hi)))
+        # within one cell w_hi (pw_hi - pw_lo), across cells
         # w_hi (pw_hi - p_lo) + between + w_lo (p_hi - pw_lo)
-        del diff, t_lo, t_hi
-        w = tab.w[c_hi]
-        out = pw_hi - tab.p_lo[c_hi]
-        out *= w
-        part = pw_hi - pw_lo
-        part *= w
-        del pw_hi
-        split = c_lo != c_hi
-        np.copyto(out, part, where=~split)
-        np.add(out, tab.between[c_lo, c_hi], out=out, where=split)
-        w = tab.w[c_lo]
-        np.subtract(tab.p_hi[c_lo], pw_lo, out=part)
-        part *= w
-        np.add(out, part, out=out, where=split)
-        if origin is not None:
-            out[origin] = INF
-            inner &= ~origin
-        if inner.any():
-            # plus twice the core below |d - r|: below + w_lo (pw_lo - p_lo)
-            np.subtract(pw_lo, tab.p_lo[c_lo], out=part)
-            part *= w
-            part += tab.below[c_lo]
-            part *= 2.0
-            np.add(out, part, out=out, where=inner)
+        w_lo, w_hi = tab.w[which, c_lo], tab.w[which, c_hi]
+        out = np.where(c_lo == c_hi, (pw_hi - pw_lo) * w_hi,
+                       (pw_hi - tab.p_lo[which, c_hi]) * w_hi + tab.between[which, c_lo, c_hi]
+                       + (tab.p_hi[which, c_lo] - pw_lo) * w_lo)
+        # plus, when d < r, twice the core below |d - r|
+        core = (pw_lo - tab.p_lo[which, c_lo]) * w_lo + tab.between[which, 0, c_lo]
+        out = np.where(diff < 0.0, out + 2.0 * core, out)
+    if divergent:  # a divergent piece meets radius 0 where d = r: those balls are INF
+        out[(diff <= 0.0) & tab.divergent[which]] = INF
     return out
 
 
@@ -486,12 +482,12 @@ def ball_integrals(
 
     d and r broadcast against each other.  Returns (values, tol_ok)
     arrays of their common shape, with the meaning of
-    :class:`BallIntegral`.  For n = 1 every value is closed form
-    (:func:`_ball_integrals_n1`).  For n >= 2 the closed-form cores are
-    vectorized, and the off-center shells go through one
-    :func:`_adaptive_quadrature` call, whose GK15 passes see at most
-    ``_POINTS_PER_CALL`` points each.  Each value depends on its own ball
-    only.
+    :class:`BallIntegral`.  For n = 1 every value is closed form, from a
+    one-function :func:`group_ball_integrals_n1` call.  For n >= 2 the
+    closed-form cores are vectorized, and the off-center shells go
+    through one :func:`_adaptive_quadrature` call, whose GK15 passes see
+    at most ``_POINTS_PER_CALL`` points each.  Each value depends on its
+    own ball only.
     """
     d, r = np.broadcast_arrays(np.asarray(d, dtype=float), np.asarray(r, dtype=float))
     if (d < 0.0).any() or (r <= 0.0).any():
@@ -499,7 +495,7 @@ def ball_integrals(
     shape = d.shape
     d, r = d.reshape(-1), r.reshape(-1)
     if n == 1:
-        values = _ball_integrals_n1(_n1_table(f, p), d, r)
+        values = group_ball_integrals_n1((f,), p, 0, d, r)
         return values.reshape(shape), np.ones(shape, dtype=bool)
     values, tol_ok = _ball_integrals_nd(f, p, n, d, r, settings)
     return values.reshape(shape), tol_ok.reshape(shape)

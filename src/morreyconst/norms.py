@@ -71,13 +71,14 @@ logarithmic).  Its slope changes sign at most once, in closed form, so
 P has at most two roots, each in a monotone bracket.  A bracket whose
 bound (v_lo - u_hi)^(-kappa) Phi(u_lo, v_hi) cannot beat L is pruned,
 and every other bracket of a batch takes safeguarded Newton steps at
-once.  Each function's candidate balls are then
-evaluated in one call of the exact n = 1 kernel.  The value is the best
-ball of the window, argmax ties going to the smaller (d, r); there is no
-r_min and no d_max, which were the search grid's.  ``truncated`` is
-exact: the best over every radius of the mode (the cap at rho = 1 in
-small mode, every interior candidate and the limit at infinity in
-Morrey mode) beats the value by more than rel_tol.
+once.  The candidate balls of all the batch's functions are then
+evaluated in one call of the exact n = 1 kernel
+(:func:`~morreyconst.integrate.group_ball_integrals_n1`).  The value is
+the best ball of the window, argmax ties going to the smaller (d, r);
+there is no r_min and no d_max, which were the search grid's.
+``truncated`` is exact: the best over every radius of the mode (the cap
+at rho = 1 in small mode, every interior candidate and the limit at
+infinity in Morrey mode) beats the value by more than rel_tol.
 
 For n >= 2 every function that the bound does not certify is searched
 (:func:`_search`).  By radial symmetry the supremum over centers a
@@ -166,10 +167,6 @@ _PATCH = 7
 _SHRINK = 1.0 / 3.0
 _ROUNDS = 20
 _OFFSETS = np.linspace(-1.0, 1.0, _PATCH)
-
-# Shapes per vectorized pass of the exact n = 1 path (a memory bound: a
-# pass holds a few hundred brackets and candidate balls per shape).
-_EXACT_CHUNK = 16
 
 _PIECE = attrgetter("lo", "hi", "coef", "alpha")
 
@@ -385,8 +382,8 @@ def _stationary_roots(
 
 def _centered_tops(
     fs: list[PiecewiseRadialFunction], params: SpaceParams
-) -> list[tuple[float, float, float]]:
-    """(L, r*, top) of each f's centered profile P(r), for fs of finite norm, exactly.
+) -> list[tuple[float, float, float, float]]:
+    """(L, r*, top, r_max) of each f's centered profile P(r), for fs of finite norm, exactly.
 
     L is the lower end of the bracket of the module docstring, and f's
     norm wherever the bathtub bound meets it (:func:`_certified`).  It is
@@ -411,10 +408,10 @@ def _centered_tops(
     candidates unclipped, and the limit as r -> infinity in Morrey mode
     (:func:`_limit_at_infinity`) or P(1) in small mode, which is the
     supremum over r < 1 of the continuous P.  r* is the smallest
-    candidate that attains L.  The candidates of all of fs are stacked
-    and sorted function by function, and every step is elementwise or a
-    reduction over one f's row, so each result equals f's alone bit for
-    bit.
+    candidate that attains L, and r_max is the window's largest radius.
+    The candidates of all of fs are stacked and sorted function by
+    function, and every step is elementwise or a reduction over one f's
+    row, so each result equals f's alone bit for bit.
     """
     if not fs:
         return []
@@ -423,9 +420,10 @@ def _centered_tops(
     for root, k in zip(*(a.tolist() for a in _stationary_roots(fs, params))):
         found[k].append(root)
     # every f's candidates, sorted, one run after another
-    radii, owner, slot, inside, starts = [], [], [], [], []
+    radii, owner, slot, inside, starts, windows = [], [], [], [], [], []
     for k, (f, roots) in enumerate(zip(fs, found)):
         r_min, r_max, _ = search_window(f, params.mode)
+        windows.append(r_max)
         candidates = [r_min, r_max, *f.breakpoints(), *roots]
         if small:
             candidates = [r for r in candidates if r < 1.0] + [1.0]
@@ -449,12 +447,12 @@ def _centered_tops(
     best = np.add(starts, rows.argmax(axis=1))
     if not small:
         tops = [max(top, _limit_at_infinity(f, params)) for f, top in zip(fs, tops)]
-    return list(zip(values[best].tolist(), radii[best].tolist(), tops))
+    return list(zip(values[best].tolist(), radii[best].tolist(), tops, windows))
 
 
-def _centered_result(row: tuple[float, float, float], rel_tol: float) -> NormResult:
-    """The centered supremum (L, r*, top) as a result: truncated when top beats L by rel_tol."""
-    value, r_star, top = row
+def _centered_result(row: tuple[float, float, float, float], rel_tol: float) -> NormResult:
+    """A :func:`_centered_tops` row as a result: truncated when top beats L by rel_tol."""
+    value, r_star, top, _ = row
     return NormResult(value, Ball(0.0, r_star), truncated=top > value * (1.0 + rel_tol))
 
 
@@ -768,10 +766,11 @@ def _search_group(
     centered suprema L and the bounds of all the others come from one
     :func:`_centered_tops` pass and one :func:`_bathtub_bounds` pass.
     For n = 1 the rest take the exact path
-    (:func:`~morreyconst.exact1d.exact_norms`), ``_EXACT_CHUNK`` at a
-    time; for n >= 2 they are searched (:func:`_search`), by
-    ``search_rest`` when given: it takes the list of them and returns
-    their results in order (a pool's chunks, say).
+    (:func:`~morreyconst.exact1d.exact_norms`) in one pass, which takes
+    each window's r_max from :func:`_centered_tops`; for n >= 2 they are
+    searched (:func:`_search`), by ``search_rest`` when given: it takes
+    the list of them and returns their results in order (a pool's
+    chunks, say).
     """
     rel_tol = integ.rel_tol
     results: list[NormResult | None] = [None] * len(fs)
@@ -791,19 +790,16 @@ def _search_group(
         results[i] = result
         if result is None:
             todo.append((i, row))
+    if not todo:
+        return results
+    rest = [fs[i] for i, _ in todo]
     if params.n == 1:
-        for k in range(0, len(todo), _EXACT_CHUNK):
-            chunk = todo[k:k + _EXACT_CHUNK]
-            shapes = [fs[i] for i, _ in chunk]
-            r_max = [search_window(f, params.mode)[1] for f in shapes]
-            found = exact_norms(shapes, params, rel_tol, [row for _, row in chunk], r_max)
-            for (i, _), (value, d, r, truncated) in zip(chunk, found):
-                results[i] = NormResult(value, Ball(d, r), truncated=truncated)
-    elif todo:
-        rest = [fs[i] for i, _ in todo]
+        found = [NormResult(value, Ball(d, r), truncated=truncated) for value, d, r, truncated
+                 in exact_norms(rest, params, rel_tol, [row for _, row in todo])]
+    else:
         found = search_rest(rest) if search_rest else _search_chunk(rest, params, integ)
-        for (i, _), result in zip(todo, found):
-            results[i] = result
+    for (i, _), result in zip(todo, found):
+        results[i] = result
     return results
 
 

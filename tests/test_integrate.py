@@ -17,6 +17,7 @@ from morreyconst.integrate import (
     _adaptive_quadrature,
     ball_integrals,
     centered_integrals,
+    group_ball_integrals_n1,
     integrate_abs_pow_ball,
     mc_integrate,
 )
@@ -228,6 +229,76 @@ class TestBallIntegralN1:
         tangent, _ = ball_integrals(POWER_HALF, 1.0, 1, r, r)
         assert (centered == 4.0 * np.sqrt(r)).all()
         assert (tangent == 2.0 * np.sqrt(2.0 * r)).all()
+
+
+class TestGroupBallIntegralsN1:
+    """One kernel call for the balls of many functions equals each function's own call."""
+
+    @staticmethod
+    def _functions(p):
+        """Pieces whose gamma = alpha p + 1 is 0.5, 2 (numpy special-cases both as a
+        number power), 0 (the log form), 1/3, mixed, or -0.5 at the origin
+        (divergent); with support gaps, supports above 0 and the zero function.
+        Every knot is dyadic, so a ball spanning two faces has its shell ends
+        exactly on them."""
+        def alpha(gamma):
+            return (gamma - 1.0) / p
+
+        return [
+            canonicalize([(0.0, 0.25, 1.3, alpha(0.5)), (0.25, 2.0, -0.7, alpha(0.5)),
+                          (2.0, INF, 0.4, alpha(0.5))]),
+            canonicalize([(0.125, 0.5, 2.0, alpha(2.0)), (0.75, 1.5, 0.3, alpha(2.0))]),
+            canonicalize([(0.25, 0.75, 1.0, alpha(0.0)), (0.75, 3.0, 0.5, alpha(0.0))]),
+            canonicalize([(0.0, 1.0, 0.8, alpha(1.0 / 3.0)), (1.5, 4.0, 1.1, alpha(1.0 / 3.0))]),
+            canonicalize([(0.0, 0.5, 1.0, alpha(0.5)), (0.5, 2.0, -1.5, alpha(0.0)),
+                          (2.0, 4.0, 0.8, alpha(2.0)), (5.0, INF, 0.3, alpha(1.0 / 3.0))]),
+            canonicalize([(0.0, 0.375, 1.0, alpha(-0.5)), (0.375, 1.0, 2.0, alpha(0.5))]),
+            canonicalize([(0.0, 1.0, 1.0, alpha(0.0))]),
+            canonicalize([]),
+        ]
+
+    @staticmethod
+    def _balls(f, rng):
+        """Random balls, d < r cores, d = r, and every ball spanning two faces."""
+        faces = np.array(sorted({0.0, *f.breakpoints()}))
+        u, v = np.broadcast_arrays(np.concatenate([faces, -faces[1:]])[:, None], faces)
+        face = (-v <= u) & (u < v)
+        d = np.concatenate([rng.uniform(0.0, 6.0, 60), rng.uniform(0.0, 1.0, 20),
+                            [0.3, 1.0, 2.0], 0.5 * (u + v)[face]])
+        r = np.concatenate([np.exp(rng.uniform(np.log(1e-3), np.log(10.0), 60)),
+                            rng.uniform(1.0, 3.0, 20), [0.3, 1.0, 2.0], 0.5 * (v - u)[face]])
+        return d, r
+
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    def test_batch_equals_alone(self, p):
+        rng = np.random.Generator(np.random.Philox(key=23))
+        fs = self._functions(p)
+        balls = [self._balls(f, rng) for f in fs]
+        alone = [ball_integrals(f, p, 1, d, r)[0] for f, (d, r) in zip(fs, balls)]
+        # the divergent pieces give INF balls, every other ball is finite
+        assert np.isinf(alone[5]).any() and np.isinf(alone[6]).any()
+        assert all(np.isfinite(a).all() for a in alone[:5] + alone[7:])
+        for _ in range(4):  # batch order and ball order permuted
+            order = rng.permutation(len(fs))
+            which = np.concatenate([np.full(balls[k][0].size, s) for s, k in enumerate(order)])
+            d, r, want = (np.concatenate([x[k] for k in order])
+                          for x in ([b[0] for b in balls], [b[1] for b in balls], alone))
+            mix = rng.permutation(which.size)
+            got = group_ball_integrals_n1(tuple(fs[k] for k in order), p, which[mix],
+                                          d[mix], r[mix])
+            assert got.tobytes() == want[mix].tobytes()
+
+    def test_one_exponent_batch_equals_alone(self):
+        # a batch whose functions all share gamma = 0.5 takes the number power throughout
+        rng = np.random.Generator(np.random.Philox(key=29))
+        fs = [self._functions(1.0)[0], POWER_HALF,
+              canonicalize([(0.5, 1.5, 3.0, -0.5), (2.0, 4.0, -0.2, -0.5)])]
+        balls = [self._balls(f, rng) for f in fs]
+        which = np.concatenate([np.full(b[0].size, s) for s, b in enumerate(balls)])
+        got = group_ball_integrals_n1(tuple(fs), 1.0, which,
+                                      *(np.concatenate(x) for x in zip(*balls)))
+        want = np.concatenate([ball_integrals(f, 1.0, 1, d, r)[0] for f, (d, r) in zip(fs, balls)])
+        assert got.tobytes() == want.tobytes()
 
 
 def _mp_ball_n1(f, p, d, r):

@@ -265,10 +265,11 @@ class TestZoomSearch:
 
         for module in (norms_mod, exact1d_mod):
             kernels = [
-                name for name in ("ball_integrals", "integrate_abs_pow_ball")
+                name for name in ("ball_integrals", "group_ball_integrals_n1",
+                                  "integrate_abs_pow_ball")
                 if hasattr(module, name)
             ]
-            assert "ball_integrals" in kernels
+            assert {"ball_integrals", "group_ball_integrals_n1"} & set(kernels), module
             for name in kernels:
                 monkeypatch.setattr(module, name, counting(getattr(module, name)))
         return calls
@@ -305,9 +306,10 @@ class TestZoomSearch:
             assert all(res.argmax is not None for res in results)
             assert len(calls) == size * (1 + 1 + norms_mod._ROUNDS + 1), size
 
-    def test_n1_makes_one_kernel_call_per_searched_norm(self, monkeypatch):
-        # the exact n = 1 path evaluates all of a shape's candidate balls
-        # in one call, and never calls the kernel for a certified shape
+    def test_n1_makes_one_kernel_call_per_exact_pass(self, monkeypatch):
+        # the exact n = 1 path evaluates the candidate balls of every
+        # searched shape of a batch in one call, and a batch that the
+        # bound certifies entirely makes none
         calls = self._count_kernel_calls(monkeypatch)
         rng = np.random.Generator(np.random.Philox(key=5))
         rel_tol = IntegrationSettings().rel_tol
@@ -315,10 +317,16 @@ class TestZoomSearch:
         shapes = {norms_mod._shape(f)[0] for f in fs}
         searched = [s for s in shapes if not s.is_zero and not norm_is_infinite(s, M112)
                     and norms_mod._certified([s], M112, rel_tol)[0] is None]
-        assert searched
+        assert len(searched) >= 2
         norms_mod._search_cached.cache_clear()
         NormTable(M112).evaluate(fs)
-        assert len(calls) == len(searched)
+        assert calls == ["group_ball_integrals_n1"]
+        calls.clear()
+        certified = [f for f in fs if norms_mod._shape(f)[0] not in searched]
+        assert certified
+        norms_mod._search_cached.cache_clear()
+        NormTable(M112).evaluate(certified)
+        assert calls == []
 
     def test_critical_power_full_zoom(self, monkeypatch):
         # the best ball of |x|^(-n/q) slides along the flat centered
@@ -404,10 +412,12 @@ class TestLockstepBatch:
             results.append(norm(f, sp))
         return results
 
-    @pytest.mark.parametrize("group", [1, 3, 8])
+    @pytest.mark.parametrize("batches", [1, 3, 8])
     @pytest.mark.parametrize("sp", [M112, S112])
-    def test_mixed_batch_equals_batches_of_one(self, monkeypatch, sp, group):
-        # group is the exact n = 1 path's pass size
+    def test_mixed_batch_equals_batches_of_one(self, sp, batches):
+        # the functions, in their order and shuffled, are dealt into this
+        # many NormTable batches, so that each exact n = 1 pass holds
+        # another mix of shapes; every result equals the function's alone
         rng = np.random.Generator(np.random.Philox(key=13))
         fs = []
         for _ in range(3):
@@ -421,13 +431,15 @@ class TestLockstepBatch:
             POWER_OUT,                                # truncated at r_max
         ]
         alone = self._batches_of_one(fs, sp)
-        monkeypatch.setattr(norms_mod, "_EXACT_CHUNK", group)
-        norms_mod._search_cached.cache_clear()
-        batch = NormTable(sp).evaluate(fs)
         assert [res.value for res in alone[12:14]] == [0.0, INF]
         assert alone[16].truncated or sp.mode is Mode.SMALL_MORREY
-        for k, (a, b) in enumerate(zip(alone, batch)):
-            assert _same_result(a, b), (k, a, b)
+        for order in (np.arange(len(fs)), rng.permutation(len(fs))):
+            norms_mod._search_cached.cache_clear()
+            table, batch = NormTable(sp), {}
+            for part in (order[k::batches] for k in range(batches)):
+                batch.update(zip(part, table.evaluate([fs[j] for j in part])))
+            for k, a in enumerate(alone):
+                assert _same_result(a, batch[k]), (k, a, batch[k])
 
     @pytest.mark.parametrize("parts", [1, 3])
     def test_n2_batch_of_two(self, parts):
@@ -478,29 +490,30 @@ class TestLockstepBatch:
         assert [x for c in chunks for x in c] == items
 
     def test_certified_functions_leave_no_gaps(self, monkeypatch):
-        # certified and searched functions alternate; the searched ones
-        # still fill one whole pass of the exact n = 1 path
+        # certified and searched functions alternate; all 20 searched ones
+        # go through one pass of the exact n = 1 path, in their order
         rng = np.random.Generator(np.random.Philox(key=5))
         rel_tol = IntegrationSettings().rel_tol
         searched, certified = [], []
-        while len(searched) < 4 or len(certified) < 4:
+        while len(searched) < 20 or len(certified) < 20:
             f = random_pair(rng, M112)[0]
+            if f.is_zero or norm_is_infinite(f, M112):
+                continue
             side = searched if norms_mod._certified([f], M112, rel_tol)[0] is None else certified
-            if len(side) < 4 and f not in side:
+            if len(side) < 20 and f not in side:
                 side.append(f)
         fs = [f for pair in zip(searched, certified) for f in pair]
-        sizes = []
+        passes = []
         original = norms_mod.exact_norms
 
         def counting(group, *args):
-            sizes.append(len(group))
+            passes.append(list(group))
             return original(group, *args)
 
         monkeypatch.setattr(norms_mod, "exact_norms", counting)
-        monkeypatch.setattr(norms_mod, "_EXACT_CHUNK", 4)
         norms_mod._search_cached.cache_clear()
         NormTable(M112).evaluate(fs)
-        assert sizes == [4]
+        assert passes == [[norms_mod._shape(f)[0] for f in searched]]
 
 
 class TestNormShape:
@@ -666,8 +679,10 @@ class TestExactCentered:
         def refuse(*args, **kwargs):
             raise AssertionError("kernel called on the exact path")
 
-        for module in (integrate_mod, norms_mod, exact1d_mod):
-            monkeypatch.setattr(module, "ball_integrals", refuse)
+        for module, name in ((integrate_mod, "ball_integrals"), (norms_mod, "ball_integrals"),
+                             (integrate_mod, "group_ball_integrals_n1"),
+                             (exact1d_mod, "group_ball_integrals_n1")):
+            monkeypatch.setattr(module, name, refuse)
         norms_mod._search_cached.cache_clear()
 
     @pytest.mark.parametrize("mode", list(Mode))
