@@ -21,8 +21,8 @@ import math
 
 import numpy as np
 
-from morreyconst.integrate import group_ball_integrals_n1
-from morreyconst.model import Mode, PiecewiseRadialFunction, SpaceParams
+from morreyconst.integrate import PieceTable, group_ball_integrals_n1
+from morreyconst.model import Mode, SpaceParams
 
 __all__ = ["best_in_rows", "exact_norms", "exp_sum_roots", "runs"]
 
@@ -376,17 +376,15 @@ def _solve(blocks: list[tuple[np.ndarray, dict]], kappa: float, bar: np.ndarray)
     return rows["own"].astype(int), 0.5 * np.abs(x + ox), r
 
 
-def exact_norms(
-    fs: list[PiecewiseRadialFunction],
-    params: SpaceParams,
-    rel_tol: float,
-    centered: list[tuple[float, float, float, float]],
-) -> list[tuple[float, float, float, bool]]:
+def exact_norms(fs, params: SpaceParams, rel_tol: float,
+                centered: list[tuple[float, float, float, float]]
+                ) -> list[tuple[float, float, float, bool]]:
     """(value, d, r, truncated) of each n = 1 shape f of fs, finite and not zero.
 
-    centered holds each f's centered supremum and window (L, r*, top,
-    r_max).  The candidates of the :mod:`morreyconst.norms` docstring
-    are built for all of fs at once, on tables padded to the widest f:
+    fs are functions or their ``PieceTable``.  centered holds each f's
+    centered supremum and window (L, r*, top, r_max).  The candidates of
+    the :mod:`morreyconst.norms` docstring are built for all of fs at
+    once, on tables padded to the widest f:
     corners, caps, and the brackets of every free-end class, of which
     those whose bound cannot beat L are pruned and the rest solved
     (:func:`_solve`).  The candidate balls of all of fs then take one
@@ -398,16 +396,11 @@ def exact_norms(
     p = params.p
     kappa = 1.0 - p / params.q
     small = params.mode is Mode.SMALL_MORREY
-    count, width = len(fs), max(len(f.pieces) for f in fs)
+    tab = PieceTable.of(fs, p, 1)
+    (count, width), lo, hi, coef, alpha = tab.lo.shape, tab.lo, tab.hi, tab.coef, tab.alpha
     own = np.arange(count)[:, None]
     lower, r_star, top, r_max = (np.array(col) for col in zip(*centered))
-    table = np.full((4, count, width), np.nan)
-    for s, f in enumerate(fs):
-        table[:, s, :len(f.pieces)] = np.array([(pc.lo, pc.hi, pc.coef, pc.alpha)
-                                                for pc in f.pieces]).T
-    lo, hi, coef, alpha = table
-    amp, beta = np.abs(coef) ** p, alpha * p
-    gam = beta + 1.0
+    amp, beta, gam = np.abs(coef) ** p, alpha * p, tab.gamma
     real = amp > 0.0  # the padding is NaN
     with np.errstate(all="ignore"):
         z_lo, z_hi = np.log(lo), np.log(hi)
@@ -501,7 +494,7 @@ def exact_norms(
     order = np.argsort(owners[ok], kind="stable")
     owners, ds, rs = owners[ok][order], ds[ok][order], rs[ok][order]
     cuts = np.searchsorted(owners, np.arange(count + 1))
-    ints = group_ball_integrals_n1(tuple(fs), p, owners, ds, rs)
+    ints = group_ball_integrals_n1(tab, p, owners, ds, rs)
     with np.errstate(over="ignore", invalid="ignore"):
         values = (2.0 * rs) ** (1.0 / params.q - 1.0 / p) * ints ** (1.0 / p)
     values[np.isnan(values)] = -INF

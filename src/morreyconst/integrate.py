@@ -16,9 +16,10 @@
 * Monte Carlo: an independent stochastic route used to cross-check the
   quadrature, never as the primary evaluator.
 
-Every ball goes through the vectorized :func:`ball_integrals` (for
-n = 1, a one-function :func:`group_ball_integrals_n1` call);
-:func:`integrate_abs_pow_ball` is its one-ball form.
+The kernels read a batch's :class:`PieceTable`.  Every ball goes through
+the vectorized :func:`ball_integrals` (for n = 1, a one-function
+:func:`group_ball_integrals_n1` call); :func:`integrate_abs_pow_ball` is
+its one-ball form.
 
 Divergent integrals are detected analytically (a power t^alpha with
 alpha*p + n <= 0 supported down to radius 0, inside the ball) and
@@ -30,7 +31,6 @@ from __future__ import annotations
 import math
 from contextlib import nullcontext
 from dataclasses import dataclass
-from itertools import zip_longest
 
 import numpy as np
 
@@ -40,6 +40,7 @@ from morreyconst.model import Ball, PiecewiseRadialFunction
 __all__ = [
     "IntegrationSettings",
     "BallIntegral",
+    "PieceTable",
     "centered_integrals",
     "group_centered_integrals",
     "ball_integrals",
@@ -80,9 +81,85 @@ class BallIntegral:
     tol_ok: bool = True
 
 
-def _singular_at_origin(f: PiecewiseRadialFunction, p: float, n: int) -> bool:
-    """True iff some power of f with alpha*p + n <= 0 reaches radius 0."""
-    return any(pc.lo == 0.0 and pc.alpha * p + n <= 0.0 for pc in f.pieces)
+@dataclass(eq=False)
+class PieceTable:
+    """A batch of functions fs for |f|^p in dimension n, packed in one walk over their pieces.
+
+    Row s is fs[s], column j its piece j, NaN past its last: ``lo``, ``hi``,
+    ``coef``, ``alpha``, ``gamma`` = alpha p + n and ``cp`` = |coef|^p by
+    Python's power (numpy's array power can be an ulp off).  Per row:
+    ``sizes``; ``divergent``, a piece from 0 with gamma <= 0;
+    ``nonincreasing``, |f| radially nonincreasing in floats (from 0, no
+    positive exponent, no gap, no upward jump of log|c| + alpha log t by
+    ``math.log`` at a breakpoint); and ``window``, its (r_min, r_max,
+    d_max) of :func:`~morreyconst.norms.search_window`, in small mode when
+    ``small``.  The table is the sequence of its functions.
+    """
+
+    fs: tuple[PiecewiseRadialFunction, ...]
+    sizes: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    coef: np.ndarray
+    alpha: np.ndarray
+    gamma: np.ndarray
+    cp: np.ndarray
+    divergent: np.ndarray
+    nonincreasing: np.ndarray
+    window: np.ndarray
+
+    @classmethod
+    def of(cls, fs, p: float = 1.0, n: int = 1, small: bool = False) -> "PieceTable":
+        """The table of the functions fs, or fs itself when it is a table already."""
+        if isinstance(fs, cls):
+            return fs
+        fs = tuple(fs)
+        sizes = [len(f.pieces) for f in fs]
+        count, width = len(fs), max(1, max(sizes, default=0))
+        # the one walk: each piece as it is, at its (row, column); |c|^p,
+        # log|c| and log lo by Python's float arithmetic
+        pieces = [pc for f in fs for pc in f.pieces]
+        at = [s * width + j for s, size in enumerate(sizes) for j in range(size)]
+        columns = [[pc.lo for pc in pieces], [pc.hi for pc in pieces],
+                   [pc.coef for pc in pieces], [pc.alpha for pc in pieces]]
+        mags = list(map(abs, columns[2]))
+        columns += [[x ** p for x in mags], [math.log(x) if x else -INF for x in mags],
+                    [math.log(x) if x > 0.0 else -INF for x in columns[0]]]
+        table = np.full((7, count, width), np.nan)
+        table.reshape(7, -1)[:, at] = columns
+        lo, hi, coef, alpha, cp, log_c, log_lo = table
+        gamma = alpha * p + n
+        # an upward jump from piece j - 1 to piece j, at lo_j = hi_(j-1), in
+        # Python's float arithmetic, which warns of nothing
+        with np.errstate(over="ignore", invalid="ignore"):
+            rise = log_c[:, 1:] + alpha[:, 1:] * log_lo[:, 1:] > (
+                log_c[:, :-1] + alpha[:, :-1] * log_lo[:, 1:])
+        broken = ~np.isnan(lo[:, 1:]) & ((hi[:, :-1] != lo[:, 1:]) | rise)
+        nonincreasing = (lo[:, 0] == 0.0) & ~((alpha > 0.0).any(axis=1) | broken.any(axis=1))
+        faces = np.concatenate([lo, hi], axis=1)
+        inner = (0.0 < faces) & (faces < INF)
+        b = np.where(inner, faces, 0.0).max(axis=1)
+        r_min = np.minimum(1e-3, 0.1 * np.where(inner, faces, INF).min(axis=1))
+        r_max = np.full(count, 1.0 - 1e-6) if small else np.maximum(1e6, 10.0 * b)
+        return cls(fs, np.array(sizes, dtype=int), lo, hi, coef, alpha, gamma, cp,
+                   (lo[:, 0] == 0.0) & (gamma[:, 0] <= 0.0), nonincreasing,
+                   np.array([r_min, r_max, 10.0 + b]).T)
+
+    def __len__(self) -> int:
+        return len(self.fs)
+
+    def __iter__(self):
+        return iter(self.fs)
+
+    def take(self, rows) -> "PieceTable":
+        """The table of the functions fs[rows], rows sorted and distinct, padded to the widest."""
+        if len(rows) == len(self):
+            return self
+        rows = np.asarray(rows, dtype=int)
+        width = max(1, self.sizes[rows].max(initial=0))
+        return PieceTable(tuple(self.fs[k] for k in rows.tolist()), *(
+            x[rows, :width] if x.ndim == 2 and x is not self.window else x[rows]
+            for x in list(vars(self).values())[1:]))
 
 
 def _centered_term(t, lo, factor, gamma: float):
@@ -95,51 +172,36 @@ def _centered_term(t, lo, factor, gamma: float):
     return factor * ((np.power(t, gamma) - np.power(lo, gamma)) / gamma)
 
 
-def group_centered_integrals(
-    fs: tuple[PiecewiseRadialFunction, ...], p: float, n: int, which, rs
-) -> np.ndarray:
+def group_centered_integrals(fs, p: float, n: int, which, rs) -> np.ndarray:
     """Exact integrals of |f|^p over centered balls of a group of functions, in one pass.
 
-    Ball k has radius rs[k] (any shape) and belongs to fs[which[k]];
-    which broadcasts against rs, in any order.  Piece j of every function
-    is one slot, whose terms take one np.power per distinct
-    gamma = alpha p + n, with gamma a number, so every value equals its
-    function's own call bit for bit (an array exponent is an ulp off for
-    about 5 % of t at gamma = 0.5, 2 or -1).  A function with a divergent
-    piece at the origin gives INF.
+    fs is a sequence of functions or their :class:`PieceTable`.  Ball k
+    has radius rs[k] (any shape) and belongs to fs[which[k]]; which
+    broadcasts against rs, in any order.  Every (ball, piece) term takes
+    one np.power per distinct gamma = alpha p + n, with gamma a number, so
+    every value equals its function's own call bit for bit (an array
+    exponent is an ulp off for about 5 % of t at gamma = 0.5, 2 or -1),
+    and a ball's terms are summed in piece order.  A function with a
+    divergent piece at the origin gives INF.
     """
     rs = np.asarray(rs, dtype=float)
     if not (rs > 0.0).all():
         raise ValueError(f"radii must be > 0, got {rs}")
-    area = unit_sphere_area(n)
-    divergent = [_singular_at_origin(f, p, n) for f in fs]
-    # per function: its pieces' (lo, hi, |c|^p |S^(n-1)|, gamma), none if it diverges
-    terms = [
-        [] if div else [(pc.lo, pc.hi, area * abs(pc.coef) ** p, pc.alpha * p + n)
-                        for pc in f.pieces]
-        for f, div in zip(fs, divergent)
-    ]
-    # per slot: (lo, hi, factor, gamma) of each ball, and the distinct gammas
-    if len(fs) == 1:  # one function's are numbers, for all its balls
-        slots = [(lo, hi, factor, gamma, [gamma]) for lo, hi, factor, gamma in terms[0]]
-    else:  # a function without the slot's piece adds 0 there, and no gamma
-        which = np.broadcast_to(which, rs.shape)
-        slots = []
-        for column in zip_longest(*terms, fillvalue=(1.0, 1.0, 0.0, math.nan)):
-            distinct = list(dict.fromkeys(gamma for *_, gamma in column if gamma == gamma))
-            slots.append((*np.array(column).T[:, which], distinct))
-    out = np.zeros(rs.shape)
-    for lo, hi, factor, gammas, distinct in slots:
-        top = np.minimum(np.maximum(rs, lo), hi)
-        if len(distinct) == 1:
-            out += _centered_term(top, lo, factor, distinct[0])
-            continue
-        for gamma in distinct:  # each gamma on its own balls
-            at = gammas == gamma
-            out[at] += _centered_term(top[at], lo[at], factor[at], gamma)
-    if any(divergent):
-        out[np.array(divergent)[which]] = INF
-    return out
+    tab = PieceTable.of(fs, p, n)
+    factor = unit_sphere_area(n) * tab.cp
+    live = ~np.isnan(tab.lo) & ~tab.divergent[:, None]
+    which = np.broadcast_to(which, rs.shape).reshape(-1)
+    ball, slot = np.nonzero(live[which])
+    lo, hi, fac, gam = (x[which[ball], slot] for x in (tab.lo, tab.hi, factor, tab.gamma))
+    top = np.minimum(np.maximum(rs.reshape(-1)[ball], lo), hi)
+    # column 0 stays 0, so each ball's sum starts from 0 as a running sum does
+    terms = np.zeros((which.size, tab.lo.shape[1] + 1))
+    for gamma in dict.fromkeys(tab.gamma[live].tolist()):  # each gamma on its own terms
+        at = gam == gamma
+        terms[ball[at], slot[at] + 1] = _centered_term(top[at], lo[at], fac[at], gamma)
+    out = np.cumsum(terms, axis=1)[:, -1]
+    out[tab.divergent[which]] = INF
+    return out.reshape(rs.shape)
 
 
 def centered_integrals(
@@ -384,61 +446,57 @@ class _N1Table:
         return np.searchsorted(self.keys, key, side="right") - np.searchsorted(self.keys, row)
 
 
-def _n1_table(fs: tuple[PiecewiseRadialFunction, ...], p: float) -> _N1Table:
-    """The :class:`_N1Table` of fs for |f|^p."""
-    rows = []  # per f, its cells (lo, hi, |c|^p, gamma); gamma is None on a support gap
-    for f in fs:
-        cells, edge = [], 0.0
-        for pc in f.pieces:
-            if pc.lo > edge:
-                cells.append((edge, pc.lo, 0.0, None))
-            cells.append((pc.lo, pc.hi, abs(pc.coef) ** p, pc.alpha * p + 1.0))
-            edge = pc.hi
-        if edge < INF:
-            cells.append((edge, INF, 0.0, None))
-        rows.append(cells)
-
+def _n1_table(tab: PieceTable) -> _N1Table:
+    """The :class:`_N1Table` of the functions of tab (n = 1), from its arrays."""
+    count, width = tab.lo.shape
+    real = ~np.isnan(tab.lo)
+    # piece j of a row is its cell 1 + j + (the gaps up to piece j), a gap
+    # before it the cell before, and a gap past the last piece the last cell
+    edge = np.concatenate([np.zeros((count, 1)), tab.hi[:, :-1]], axis=1)
+    gap = real & (tab.lo > edge)
+    cell = np.arange(1, width + 1) + np.cumsum(gap, axis=1)
+    end = np.where(tab.sizes > 0, tab.hi[np.arange(count), np.maximum(tab.sizes - 1, 0)], 0.0)
+    size, tail = tab.sizes + gap.sum(axis=1), np.flatnonzero(end < INF)
+    low, high, gammas, amp = np.ones((4, count, (size + (end < INF)).max(initial=0) + 1))
+    amp[:] = 0.0
+    at = np.nonzero(real)[0], cell[real]
+    low[at], high[at], gammas[at], amp[at] = (x[real] for x in (tab.lo, tab.hi, tab.gamma, tab.cp))
+    at = np.nonzero(gap)[0], cell[gap] - 1
+    low[at], high[at] = edge[gap], tab.lo[gap]
+    low[tail, size[tail] + 1], high[tail, size[tail] + 1] = end[tail], INF
+    is_cell = (np.arange(low.shape[1]) > 0) & (np.arange(low.shape[1]) <= size[:, None])
+    is_cell[tail, size[tail] + 1] = True
+    knots = low[is_cell]
     # radius 1 stands in where no power is read: the pads, the infinite
     # end of the last cell, and the origin end of a divergent piece
-    width = max(map(len, rows))
-    shared, floor, divergent, knots, row, padded = [], [], [], [], [], []
-    for s, (f, cells) in enumerate(zip(fs, rows)):
-        lo, hi, a, gam = zip(*cells)
-        live = {g for g in gam if g is not None}
-        shared.append(live.pop() if len(live) == 1 else None)
-        floor.append(f.pieces[0].lo if f.pieces else 0.0)
-        divergent.append(floor[-1] == 0.0 and gam[0] is not None and gam[0] <= 0.0)
-        pad = (1.0,) * (width - len(cells))
-        padded.append(((1.0, *((1.0, *lo[1:]) if divergent[-1] else lo), *pad),
-                       (1.0, *hi[:-1], 1.0, *pad),
-                       (1.0, *(1.0 if g is None else g for g in gam), *pad),
-                       (0.0, *a, *(0.0 for _ in pad))))
-        knots += lo
-        row += [s] * len(lo)
-    low_ends, high_ends, gammas, amp = (np.array(x) for x in zip(*padded))
+    high[high == INF] = 1.0
+    low[tab.divergent, 1] = 1.0
+    floor = np.where(tab.sizes > 0, tab.lo[:, 0], 0.0)
+    least = np.where(real, tab.gamma, INF).min(axis=1).tolist()
+    most = np.where(real, tab.gamma, -INF).max(axis=1).tolist()
+    shared = [g if g == h else None for g, h in zip(least, most)]
     exponents = [(g, np.array([x == g for x in shared])) for g in dict.fromkeys(shared)]
-    owner, floor = np.arange(len(fs))[:, None], np.array(floor)
-    p_lo = _powers(np.maximum(low_ends, floor[:, None]), owner, gammas, exponents)
-    p_hi = _powers(np.maximum(high_ends, floor[:, None]), owner, gammas, exponents)
+    owner = np.arange(count)[:, None]
+    p_lo = _powers(np.maximum(low, floor[:, None]), owner, gammas, exponents)
+    p_hi = _powers(np.maximum(high, floor[:, None]), owner, gammas, exponents)
 
     w = amp / np.where(gammas == 0.0, 1.0, gammas)
     cells = np.arange(w.shape[1])
     upper = np.where(cells > cells[:, None], (w * (p_hi - p_lo))[:, None, :], 0.0)
     between = np.zeros_like(upper)
     between[:, :, 1:] = np.cumsum(upper, axis=2)[:, :, :-1]
-    ordered = np.array(sorted(knots))
-    keys = np.array(row) * (ordered.size + 1) + np.searchsorted(ordered, knots)
-    return _N1Table(ordered, keys, exponents, floor, np.array(divergent), gammas, w, p_lo, p_hi,
+    ordered = np.sort(knots)
+    keys = np.nonzero(is_cell)[0] * (ordered.size + 1) + np.searchsorted(ordered, knots)
+    return _N1Table(ordered, keys, exponents, floor, tab.divergent, gammas, w, p_lo, p_hi,
                     between)
 
 
-def group_ball_integrals_n1(
-    fs: tuple[PiecewiseRadialFunction, ...], p: float, which, d: np.ndarray, r: np.ndarray
-) -> np.ndarray:
+def group_ball_integrals_n1(fs, p: float, which, d: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Exact n = 1 integrals of |f|^p over the balls (d, r) of a group of functions, 1-d.
 
-    Ball k belongs to fs[which[k]]; which broadcasts against d, in any
-    order, and all of fs share one :class:`_N1Table`.  The ball is the
+    Ball k belongs to fs[which[k]] (fs or their :class:`PieceTable`);
+    which broadcasts against d, in any order, and all of fs share one
+    :class:`_N1Table`.  The ball is the
     interval [d - r, d + r]; by symmetry its integral is the integral
     over the shell t_lo = |d - r| <= t <= t_hi = d + r, plus 2 G(t_lo)
     when d < r, where G(t) is the integral from 0 to t.  Each shell end
@@ -448,7 +506,7 @@ def group_ball_integrals_n1(
     digits of a tiny far ball.  Every step is elementwise, so each value
     equals its function's own call bit for bit.
     """
-    tab = _n1_table(fs, p)
+    tab = _n1_table(PieceTable.of(fs, p, 1))
     diff = d - r
     t_lo, t_hi = np.abs(diff), d + r
     c_lo, c_hi = tab.cells(which, t_lo), tab.cells(which, t_hi)
@@ -506,11 +564,12 @@ def _ball_integrals_nd(f, p, n, d, r, settings):
     tol_ok = np.ones(d.shape, dtype=bool)
     if f.is_zero:
         return np.zeros(d.shape), tol_ok
-    diverges = (d <= r) & _singular_at_origin(f, p, n)
+    tab = PieceTable.of((f,), p, n)
+    diverges = (d <= r) & tab.divergent[0]
     values = np.where(diverges, INF, 0.0)
     core = (d < r) & ~diverges
     if core.any():
-        values[core] = centered_integrals(f, p, n, (r - d)[core])
+        values[core] = group_centered_integrals(tab, p, n, 0, (r - d)[core])
 
     k = np.flatnonzero((d > 0.0) & ~diverges)
     if k.size:

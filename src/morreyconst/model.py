@@ -17,6 +17,7 @@ import enum
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import attrgetter
 
 import numpy as np
 
@@ -213,34 +214,29 @@ def canonicalize(raw) -> PiecewiseRadialFunction:
     if not pieces:
         return ZERO
 
-    # Split the line at every endpoint, then sum coefficients per segment.
-    bounds = set()
-    has_inf = False
-    for pc in pieces:
-        bounds.add(pc.lo)
-        if math.isfinite(pc.hi):
-            bounds.add(pc.hi)
-        else:
-            has_inf = True
-    cuts = sorted(bounds)
-    segments = list(zip(cuts[:-1], cuts[1:]))
-    if has_inf:
-        segments.append((cuts[-1], INF))
-
+    # Split the line at every endpoint, then sum coefficients per segment,
+    # sweeping the pieces in order of their lower ends
+    cuts = sorted({x for pc in pieces for x in (pc.lo, pc.hi)})
+    pieces.sort(key=attrgetter("lo"))
     out: list[RadialPiece] = []
-    for lo, hi in segments:
-        active = [pc for pc in pieces if pc.lo <= lo and pc.hi >= hi]
-        if not active:
+    active: list[RadialPiece] = []
+    k = 0
+    for lo, hi in zip(cuts, cuts[1:]):
+        while k < len(pieces) and pieces[k].lo <= lo:
+            active.append(pieces[k])
+            k += 1
+        active = [pc for pc in active if pc.hi > lo]
+        if len(active) == 1:
+            coef, alpha = active[0].coef, active[0].alpha
+        elif active:
+            alphas = {pc.alpha for pc in active}
+            if len(alphas) > 1:
+                raise MixedExponentOverlap(
+                    f"overlap on [{lo}, {hi}) mixes exponents {sorted(alphas)}"
+                )
+            coef, alpha = math.fsum(pc.coef for pc in active), active[0].alpha
+        if not active or coef == 0.0:
             continue
-        alphas = {pc.alpha for pc in active}
-        if len(alphas) > 1:
-            raise MixedExponentOverlap(
-                f"overlap on [{lo}, {hi}) mixes exponents {sorted(alphas)}"
-            )
-        coef = math.fsum(pc.coef for pc in active)
-        if coef == 0.0:
-            continue
-        alpha = active[0].alpha
         if out and out[-1].hi == lo and out[-1].coef == coef and out[-1].alpha == alpha:
             out[-1] = RadialPiece(out[-1].lo, hi, coef, alpha)
         else:
@@ -258,12 +254,14 @@ def scale(f: PiecewiseRadialFunction, c: float) -> PiecewiseRadialFunction:
 
 
 def add(f: PiecewiseRadialFunction, g: PiecewiseRadialFunction) -> PiecewiseRadialFunction:
-    """Pointwise sum; overlapping pieces must share the exponent."""
-    return canonicalize(list(f.pieces) + list(g.pieces))
+    """Pointwise sum, one sweep over both sorted runs; overlaps must share the exponent."""
+    return canonicalize(f.pieces + g.pieces)
 
 
 def subtract(f: PiecewiseRadialFunction, g: PiecewiseRadialFunction) -> PiecewiseRadialFunction:
-    return add(f, scale(g, -1.0))
+    """Pointwise difference: :func:`add` of f and g negated piece by piece, which is exact."""
+    return canonicalize(f.pieces + tuple(RadialPiece(pc.lo, pc.hi, -pc.coef, pc.alpha)
+                                         for pc in g.pieces))
 
 
 def truncate(f: PiecewiseRadialFunction, lo: float, hi: float) -> PiecewiseRadialFunction:

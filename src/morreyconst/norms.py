@@ -99,7 +99,9 @@ magnitude.  :class:`NormTable` is the one evaluator: it takes shapes,
 memoizes results per shape in the calling process, and evaluates the
 missing ones here: the certificate for all of them, the exact path for
 n = 1; only the uncertified n >= 2 shapes go to its process pool, which
-only searches.  :func:`norm` is a pool-less table of one.
+only searches.  :func:`norm` is a pool-less table of one.  Every pass
+over a batch reads its one :class:`~morreyconst.integrate.PieceTable`
+(:func:`_table`), or the rows of the shapes it takes.
 
 Whether the norm is infinite is decided analytically from the piece
 exponents before any search runs (:func:`norm_is_infinite`, exact on
@@ -115,7 +117,6 @@ from dataclasses import dataclass, replace
 from collections import OrderedDict
 from collections.abc import Iterable
 from itertools import repeat
-from operator import attrgetter
 
 import numpy as np
 
@@ -123,6 +124,7 @@ from morreyconst.exact1d import best_in_rows, exact_norms, exp_sum_roots, runs
 from morreyconst.geometry import unit_ball_volume, unit_sphere_area
 from morreyconst.integrate import (
     IntegrationSettings,
+    PieceTable,
     ball_integrals,
     centered_integrals,
     group_centered_integrals,
@@ -168,8 +170,6 @@ _SHRINK = 1.0 / 3.0
 _ROUNDS = 20
 _OFFSETS = np.linspace(-1.0, 1.0, _PATCH)
 
-_PIECE = attrgetter("lo", "hi", "coef", "alpha")
-
 
 def search_window(f: PiecewiseRadialFunction, mode: Mode) -> tuple[float, float, float]:
     """The (r_min, r_max, d_max) window of f's (d, r) search in mode.
@@ -207,13 +207,14 @@ def search_window(f: PiecewiseRadialFunction, mode: Mode) -> tuple[float, float,
     search does not look below r_min or past d_max, so it can miss the
     best ball of a thin annulus a <= |x| < b far out, whose radius is
     about (b - a) / 2; no bound yet shows that nothing below r_min beats
-    the search's value.
+    the search's value.  It is f's row of a batch's :func:`_table`.
     """
-    finite = [b for b in f.breakpoints() if b > 0.0]
-    b = max(finite, default=0.0)
-    r_min = min(1e-3, 0.1 * min(finite, default=INF))
-    r_max = 1.0 - 1e-6 if mode is Mode.SMALL_MORREY else max(1e6, 10.0 * b)
-    return r_min, r_max, 10.0 + b
+    return tuple(PieceTable.of((f,), small=mode is Mode.SMALL_MORREY).window[0].tolist())
+
+
+def _table(fs, params: SpaceParams) -> PieceTable:
+    """The :class:`~morreyconst.integrate.PieceTable` of fs in params' space, or fs if it is one."""
+    return PieceTable.of(fs, params.p, params.n, params.mode is Mode.SMALL_MORREY)
 
 
 @dataclass(frozen=True)
@@ -312,21 +313,22 @@ def norm_is_infinite(f: PiecewiseRadialFunction, params: SpaceParams) -> bool:
     small mode, f is such a part near 0 plus a bounded rest.  So a
     finite answer needs no growth check on the search grid.
     """
+    return bool(_infinite(_table((f,), params), params)[0])
+
+
+def _infinite(tab: PieceTable, params: SpaceParams) -> np.ndarray:
+    """:func:`norm_is_infinite` of each function of tab, from its first and last piece."""
     n, p, q = params.n, params.p, params.q
-    for pc in f.pieces:
-        if pc.lo == 0.0 and (pc.alpha + n / q < 0.0 or pc.alpha * p + n <= 0.0):
-            return True
-        if pc.hi == INF:
-            if params.mode is Mode.SMALL_MORREY:
-                if pc.alpha > 0.0:
-                    return True
-            elif pc.alpha > -n / q or (p == q and pc.alpha * p + n >= 0.0):
-                return True
-    return False
+    last = np.arange(len(tab)), np.maximum(tab.sizes - 1, 0)
+    head, tail = tab.alpha[:, 0], tab.alpha[last]
+    far = tail > 0.0 if params.mode is Mode.SMALL_MORREY else (
+        (tail > -n / q) | ((p == q) & (tail * p + n >= 0.0)))
+    origin = (tab.lo[:, 0] == 0.0) & ((head + n / q < 0.0) | (head * p + n <= 0.0))
+    return origin | (tab.hi[last] == INF) & far
 
 
-def _limit_at_infinity(f: PiecewiseRadialFunction, params: SpaceParams) -> float:
-    """Limit of f's centered Morrey profile as r -> infinity, for a finite norm.
+def _limits_at_infinity(tab: PieceTable, params: SpaceParams) -> np.ndarray:
+    """Limit of each centered Morrey profile of tab as r -> infinity, for finite norms.
 
     With p = q the weight is 1, and the profile rises to (int |f|^p)^(1/p).
     With p < q, let the last piece be c |x|^alpha, gamma = alpha p + n and
@@ -337,20 +339,19 @@ def _limit_at_infinity(f: PiecewiseRadialFunction, params: SpaceParams) -> float
     alpha <= -n/q), the weight falls as r^(-m/p), and the limit is 0.
     """
     p, n, q = params.p, params.n, params.q
+    last = np.arange(len(tab)), np.maximum(tab.sizes - 1, 0)
     if p == q:
-        return float(centered_integrals(f, p, n, INF)) ** (1.0 / p)
-    tail = f.pieces[-1]
-    if tail.hi == INF and tail.alpha == -n / q:
-        return abs(tail.coef) * closed_form_power_norm(params)
-    return 0.0
+        whole = group_centered_integrals(tab, p, n, last[0], np.full(len(tab), INF))
+        return np.array([x ** (1.0 / p) for x in whole.tolist()])
+    critical = (tab.hi[last] == INF) & (tab.alpha[last] == -n / q)
+    return np.where(critical, np.abs(tab.coef[last]) * closed_form_power_norm(params), 0.0)
 
 
-def _stationary_roots(
-    fs: list[PiecewiseRadialFunction], params: SpaceParams
-) -> tuple[np.ndarray, np.ndarray]:
+def _stationary_roots(fs, params: SpaceParams) -> np.ndarray:
     """Radii inside the pieces of fs where their centered profiles are stationary.
 
-    Returns (radii, owners): radii[k] is a root of fs[owners[k]].  On a
+    Returns the (f, piece) table of them, NaN where a piece has none, for
+    fs or their :func:`_table`.  On a
     piece c |x|^alpha from a > 0, with A = |c|^p |S^(n-1)|, the root of
     A r^gamma = m I(r) (see :func:`_centered_suprema`) is
     r^gamma = m (gamma I(a) - A a^gamma) / (A (gamma - m)), or
@@ -362,27 +363,25 @@ def _stationary_roots(
     """
     p, n = params.p, params.n
     m = n * (1.0 - p / params.q)
-    rows = [(k, pc.lo, pc.hi, pc.coef, pc.alpha)
-            for k, f in enumerate(fs) for pc in f.pieces if pc.lo > 0.0]
-    if m == 0.0 or not rows:
-        return np.empty(0), np.empty(0, dtype=int)
-    owner, lo, hi, coef, alpha = np.array(rows).T
-    owner = owner.astype(int)
-    gamma = alpha * p + n
+    tab = _table(fs, params)
+    found = np.full(tab.lo.shape, np.nan)
+    inner = tab.lo > 0.0
+    if m == 0.0 or not inner.any():
+        return found
+    owner = np.nonzero(inner)[0]
+    lo, hi, coef, gamma = tab.lo[inner], tab.hi[inner], tab.coef[inner], tab.gamma[inner]
     rate = unit_sphere_area(n) * np.abs(coef) ** p
-    at_lo = group_centered_integrals(tuple(fs), p, n, owner, lo)
+    at_lo = group_centered_integrals(tab, p, n, owner, lo)
     with np.errstate(all="ignore"):  # gamma in {0, m}: one branch has no root
         power = m * (gamma * at_lo - rate * lo**gamma) / (rate * (gamma - m))
         roots = np.where(
             gamma == 0.0, lo * np.exp(1.0 / m - at_lo / rate), power ** (1.0 / gamma)
         )
-    keep = (lo < roots) & (roots < hi)
-    return roots[keep], owner[keep]
+    found[inner] = np.where((lo < roots) & (roots < hi), roots, np.nan)
+    return found
 
 
-def _centered_tops(
-    fs: list[PiecewiseRadialFunction], params: SpaceParams
-) -> list[tuple[float, float, float, float]]:
+def _centered_tops(fs, params: SpaceParams) -> list[tuple[float, float, float, float]]:
     """(L, r*, top, r_max) of each f's centered profile P(r), for fs of finite norm, exactly.
 
     L is the lower end of the bracket of the module docstring, and f's
@@ -406,48 +405,37 @@ def _centered_tops(
 
     top is the supremum over every radius of the mode: the same
     candidates unclipped, and the limit as r -> infinity in Morrey mode
-    (:func:`_limit_at_infinity`) or P(1) in small mode, which is the
+    (:func:`_limits_at_infinity`) or P(1) in small mode, which is the
     supremum over r < 1 of the continuous P.  r* is the smallest
-    candidate that attains L, and r_max is the window's largest radius.
-    The candidates of all of fs are stacked and sorted function by
-    function, and every step is elementwise or a reduction over one f's
-    row, so each result equals f's alone bit for bit.
+    candidate that attains L (the values are finite or INF), and r_max is
+    the window's largest radius.  fs are functions or their
+    :func:`_table`; the candidates of all of fs are one row per f, and
+    every step is elementwise or a reduction over one f's row, so each
+    result equals f's alone bit for bit.
     """
-    if not fs:
-        return []
-    small = params.mode is Mode.SMALL_MORREY
-    found: list[list[float]] = [[] for _ in fs]
-    for root, k in zip(*(a.tolist() for a in _stationary_roots(fs, params))):
-        found[k].append(root)
-    # every f's candidates, sorted, one run after another
-    radii, owner, slot, inside, starts, windows = [], [], [], [], [], []
-    for k, (f, roots) in enumerate(zip(fs, found)):
-        r_min, r_max, _ = search_window(f, params.mode)
-        windows.append(r_max)
-        candidates = [r_min, r_max, *f.breakpoints(), *roots]
-        if small:
-            candidates = [r for r in candidates if r < 1.0] + [1.0]
-        candidates = sorted(r for r in candidates if r > 0.0)
-        starts.append(len(radii))
-        radii += candidates
-        owner += [k] * len(candidates)
-        slot += range(len(candidates))
-        inside += [r_min <= r <= r_max for r in candidates]
-    radii = np.array(radii)
+    tab = _table(fs, params)
+    count, small = len(tab), params.mode is Mode.SMALL_MORREY
+    # each f's candidates: its window's ends, its breakpoints, its
+    # stationary points and 1 in small mode
+    r_min, r_max = tab.window[:, :1], tab.window[:, 1:2]
+    radii = np.concatenate([tab.window[:, :2], tab.lo, tab.hi, _stationary_roots(tab, params),
+                            np.ones((count, 1))], axis=1)
+    real = (0.0 < radii) & (radii < (1.0 if small else INF))
+    real[:, -1] = small
     # Morrey's profile, so that small mode may evaluate P(1) too
-    integrals = group_centered_integrals(tuple(fs), params.p, params.n, owner, radii)
+    owner = np.nonzero(real)[0]
+    integrals = group_centered_integrals(tab, params.p, params.n, owner, radii[real])
+    values = np.full(radii.shape, -INF)
     with np.errstate(over="ignore"):
-        values = _weight(params, radii) * integrals ** (1.0 / params.p)
-    # one row per f, padded: its top, then its window's first maximum (or
-    # first NaN), as np.argmax takes
-    rows = np.full((len(fs), max(slot) + 1), -INF)
-    rows[owner, slot] = values
-    tops = rows.max(axis=1).tolist()
-    rows[owner, slot] = np.where(inside, values, -INF)
-    best = np.add(starts, rows.argmax(axis=1))
+        values[real] = _weight(params, radii[real]) * integrals ** (1.0 / params.p)
+    # its top, and its window's maximum, first reached at the smallest radius
+    tops = values.max(axis=1)
+    inside = np.where((r_min <= radii) & (radii <= r_max), values, -INF)
+    lower = inside.max(axis=1)
+    r_star = np.where(inside == lower[:, None], radii, INF).min(axis=1)
     if not small:
-        tops = [max(top, _limit_at_infinity(f, params)) for f, top in zip(fs, tops)]
-    return list(zip(values[best].tolist(), radii[best].tolist(), tops, windows))
+        tops = np.maximum(tops, _limits_at_infinity(tab, params))
+    return list(zip(lower.tolist(), r_star.tolist(), tops.tolist(), r_max[:, 0].tolist()))
 
 
 def _centered_result(row: tuple[float, float, float, float], rel_tol: float) -> NormResult:
@@ -456,9 +444,7 @@ def _centered_result(row: tuple[float, float, float, float], rel_tol: float) -> 
     return NormResult(value, Ball(0.0, r_star), truncated=top > value * (1.0 + rel_tol))
 
 
-def _centered_suprema(
-    fs: list[PiecewiseRadialFunction], params: SpaceParams, rel_tol: float
-) -> list[NormResult]:
+def _centered_suprema(fs, params: SpaceParams, rel_tol: float) -> list[NormResult]:
     """Each f's centered supremum L (:func:`_centered_tops`) as a result, argmax (0, r*)."""
     return [_centered_result(row, rel_tol) for row in _centered_tops(fs, params)]
 
@@ -485,9 +471,7 @@ def _last_sum(x: np.ndarray) -> np.ndarray:
 
 
 @np.errstate(all="ignore")
-def _bathtub_bounds(
-    fs: list[PiecewiseRadialFunction], params: SpaceParams
-) -> tuple[np.ndarray, np.ndarray]:
+def _bathtub_bounds(fs, params: SpaceParams) -> tuple[np.ndarray, np.ndarray]:
     """The bathtub bounds (U_win, U_all) of each f of fs, of finite norm and not zero.
 
     See the module docstring.  U_win takes the measure m over f's search
@@ -497,9 +481,9 @@ def _bathtub_bounds(
     declines: its U is infinity.
 
     One vectorized pass serves the batch, on tables padded to its widest
-    f: (f, piece); (f, level) for mu, G and the stretch ends; (f, stretch
-    between levels, piece) for the exponential sums of H, and of mu - m at
-    the window's ends, whose roots come from
+    f: (f, piece), fs's :func:`_table`; (f, level) for mu, G and the stretch
+    ends; (f, stretch between levels, piece) for the exponential sums of H,
+    and of mu - m at the window's ends, whose roots come from
     :func:`~morreyconst.exact1d.exp_sum_roots`, one call each; and (f,
     candidate) for the bound m^(1/q - 1/p) Phi^(1/p), taken as
     (Phi m^(p/q - 1))^(1/p), whose one rounded exponent multiplies
@@ -510,23 +494,19 @@ def _bathtub_bounds(
     an ulp, for an exponent broadcast along its inner loop, and which
     loop is inner depends on the batch's shapes.
     """
-    if not fs:
+    tab = _table(fs, params)
+    count = len(tab)
+    if not count:
         return np.empty(0), np.empty(0)
     n, p, q = params.n, params.p, params.q
     kappa = 1.0 - p / q
     vn, area = unit_ball_volume(n), unit_sphere_area(n)
     small = params.mode is Mode.SMALL_MORREY
-    count = len(fs)
-    sizes = np.array([len(f.pieces) for f in fs])
     rows = np.arange(count)[:, None]
-    owner = np.repeat(np.arange(count), sizes)
-    table = np.full((4, count, 1, sizes.max()), np.nan)
-    table[:, owner, 0, np.arange(owner.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)] = (
-        np.array([_PIECE(pc) for f in fs for pc in f.pieces]).T)
     # per piece, along the last axis, with axis 1 for the levels that
     # broadcast against it: lo, hi, |c|^p, alpha p, gamma, the lowest
     # and the highest level of |f|^p on it, its measure and its integral
-    lo, hi, coef, alpha = table
+    lo, hi, coef, alpha = (x[:, None, :] for x in (tab.lo, tab.hi, tab.coef, tab.alpha))
     real = ~np.isnan(lo)
     c, ap = np.abs(coef) ** p, alpha * p
     gamma, neg = ap + n, ap < 0.0
@@ -540,11 +520,7 @@ def _bathtub_bounds(
     declined = (real & (~good | (hi < INF) & ~(full_m < INF))).any(axis=(1, 2))
     # the search window's measures (:func:`search_window`), and m = v_n,
     # the end of small mode's radii
-    faces = np.concatenate([lo[:, 0], hi[:, 0]], axis=1)
-    inner = (0.0 < faces) & (faces < INF)
-    r_min = np.minimum(1e-3, 0.1 * np.where(inner, faces, INF).min(axis=1))
-    r_max = (np.full(count, 1.0 - 1e-6) if small
-             else np.maximum(1e6, 10.0 * np.where(inner, faces, 0.0).max(axis=1)))
+    r_min, r_max = tab.window[:, 0], tab.window[:, 1]
     m_q = np.stack([vn * r_min**n, vn * r_max**n] + [np.full(count, vn)] * small, axis=1)
     queries = m_q.shape[1]
 
@@ -672,46 +648,21 @@ def _bathtub_bounds(
     window &= (m_q[:, :1] <= m) & (m <= m_q[:, 1:2])
     u_win = np.where(window, bound, -INF).max(axis=1)
     u_all = np.where((point | at_end) & (m <= vn) if small else point, bound, -INF).max(axis=1)
-    # the limits as r -> infinity (:func:`_limit_at_infinity`) and, at a
+    # the limits as r -> infinity (:func:`_limits_at_infinity`) and, at a
     # critical first piece, as r -> 0
-    power = closed_form_power_norm(params) if p < q else 0.0
-    head, tail = table[:, :, 0, 0], table[:, np.arange(count), 0, sizes - 1]
     if not small:
-        critical = (tail[1] == INF) & (tail[3] == -n / q)
-        u_all = np.maximum(u_all, [_limit_at_infinity(f, params) for f in fs] if p == q
-                           else np.where(critical, np.abs(tail[2]) * power, 0.0))
-    critical = (head[0] == 0.0) & (head[3] == -n / q)
-    u_all = np.maximum(u_all, np.where(critical, np.abs(head[2]) * power, 0.0))
+        u_all = np.maximum(u_all, _limits_at_infinity(tab, params))
+    critical = (tab.lo[:, 0] == 0.0) & (tab.alpha[:, 0] == -n / q)
+    power = closed_form_power_norm(params) if p < q else 0.0
+    u_all = np.maximum(u_all, np.where(critical, np.abs(tab.coef[:, 0]) * power, 0.0))
     return np.where(declined, INF, u_win), np.where(declined, INF, np.maximum(u_all, u_win))
 
 
-def _nonincreasing(f: PiecewiseRadialFunction) -> bool:
-    """Whether |f| is radially nonincreasing on (0, infinity), as computed in floats.
-
-    Its first piece starts at 0, no exponent is positive, no gap separates
-    two pieces, and |f| does not jump up at a breakpoint (compared in
-    logarithms, so that no value leaves the float range); a drop to 0
-    past the last piece is allowed.
-    """
-    pieces = f.pieces
-    if pieces[0].lo != 0.0 or any(pc.alpha > 0.0 for pc in pieces):
-        return False
-    return all(
-        a.hi == b.lo and math.log(abs(b.coef)) + b.alpha * math.log(b.lo)
-        <= math.log(abs(a.coef)) + a.alpha * math.log(a.hi)
-        for a, b in zip(pieces, pieces[1:])
-    )
-
-
-def _certified(
-    fs: list[PiecewiseRadialFunction],
-    params: SpaceParams,
-    rel_tol: float,
-    lower: list[NormResult] | None = None,
-) -> list[NormResult | None]:
+def _certified(fs, params: SpaceParams, rel_tol: float,
+               lower: list[NormResult] | None = None) -> list[NormResult | None]:
     """Each f's norm without a search where the bathtub bound certifies it, else None.
 
-    fs are of finite norm and not zero.  With L f's
+    fs (or their :func:`_table`) are of finite norm and not zero.  With L f's
     :func:`_centered_suprema` result (``lower``, when the caller has them
     already) and bar = L.value (1 + rel_tol), f is certified when
     U_win <= bar (:func:`_bathtub_bounds`, one pass for all of fs): no
@@ -722,14 +673,15 @@ def _certified(
     known to beat bar, none is ruled out, and f is searched (None).  So
     is an f whose bound declines.  A radially nonincreasing |f| is its
     own rearrangement, so U = L (the module docstring): it is certified
-    without a bound.
+    without a bound (``nonincreasing`` of the table).
     """
+    tab = _table(fs, params)
     if lower is None:
-        lower = _centered_suprema(fs, params, rel_tol)
+        lower = _centered_suprema(tab, params, rel_tol)
     certified: list[NormResult | None] = list(lower)
-    rest = [k for k, f in enumerate(fs) if not _nonincreasing(f)]
-    bounds = _bathtub_bounds([fs[k] for k in rest], params)
-    for k, win, every in zip(rest, *(u.tolist() for u in bounds)):
+    rest = np.flatnonzero(~tab.nonincreasing)
+    bounds = _bathtub_bounds(tab.take(rest), params) if rest.size else ()
+    for k, win, every in zip(rest.tolist(), *(u.tolist() for u in bounds)):
         bar = lower[k].value * (1.0 + rel_tol)
         if not (win <= bar < INF and (lower[k].truncated or every <= bar)):
             certified[k] = None
@@ -759,7 +711,7 @@ def _search_group(
     integ: IntegrationSettings,
     search_rest=None,
 ) -> list[NormResult]:
-    """Norms of the functions fs.
+    """Norms of the functions fs, every pass on their one :func:`_table`.
 
     The zero function, a function of infinite norm and one that the
     bathtub bound certifies (:func:`_certified`) need no search: the
@@ -773,33 +725,30 @@ def _search_group(
     chunks, say).
     """
     rel_tol = integ.rel_tol
-    results: list[NormResult | None] = [None] * len(fs)
-    finite = []
-    for i, f in enumerate(fs):
-        if f.is_zero:
-            results[i] = NormResult(0.0, None)
-        elif norm_is_infinite(f, params):
-            results[i] = NormResult(INF, None)
-        else:
-            finite.append(i)
-    tops = _centered_tops([fs[i] for i in finite], params)
+    tab = _table(fs, params)
+    zero, infinite = tab.sizes == 0, _infinite(tab, params)
+    results: list[NormResult | None] = [
+        NormResult(0.0, None) if z else NormResult(INF, None) if inf else None
+        for z, inf in zip(zero.tolist(), infinite.tolist())]
+    finite = np.flatnonzero(~zero & ~infinite)
+    tab = tab.take(finite)
+    tops = _centered_tops(tab, params)
     lower = [_centered_result(row, rel_tol) for row in tops]
-    todo = []
-    for i, row, result in zip(finite, tops, _certified([fs[i] for i in finite], params,
-                                                      rel_tol, lower)):
+    certified = _certified(tab, params, rel_tol, lower)
+    todo = [k for k, result in enumerate(certified) if result is None]
+    for i, result in zip(finite.tolist(), certified):
         results[i] = result
-        if result is None:
-            todo.append((i, row))
     if not todo:
         return results
-    rest = [fs[i] for i, _ in todo]
+    rest = tab.take(todo)
     if params.n == 1:
         found = [NormResult(value, Ball(d, r), truncated=truncated) for value, d, r, truncated
-                 in exact_norms(rest, params, rel_tol, [row for _, row in todo])]
+                 in exact_norms(rest, params, rel_tol, [tops[k] for k in todo])]
     else:
-        found = search_rest(rest) if search_rest else _search_chunk(rest, params, integ)
-    for (i, _), result in zip(todo, found):
-        results[i] = result
+        found = search_rest(list(rest.fs)) if search_rest else _search_chunk(
+            list(rest.fs), params, integ)
+    for k, result in zip(todo, found):
+        results[finite[k]] = result
     return results
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import pickle
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -291,3 +292,94 @@ def test_add_is_pointwise(raw_a, raw_b, t):
 def test_scale_is_pointwise(raw, c, t):
     f = canonicalize(raw)
     assert scale(f, c).evaluate(t) == pytest.approx(c * f.evaluate(t), abs=1e-12)
+
+
+def _reference_canonicalize(raw) -> PiecewiseRadialFunction:
+    """canonicalize as a scan of every piece on every segment, for comparison."""
+    pieces = [pc if isinstance(pc, RadialPiece) else RadialPiece(*pc) for pc in raw]
+    pieces = [pc for pc in pieces if pc.coef != 0.0]
+    cuts = sorted({x for pc in pieces for x in (pc.lo, pc.hi)})
+    out = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        active = [pc for pc in pieces if pc.lo <= lo and pc.hi >= hi]
+        if not active:
+            continue
+        if len({pc.alpha for pc in active}) > 1:
+            raise MixedExponentOverlap("mixed")
+        coef = math.fsum(pc.coef for pc in active)
+        if coef == 0.0:
+            continue
+        alpha = active[0].alpha
+        if out and out[-1].hi == lo and out[-1].coef == coef and out[-1].alpha == alpha:
+            out[-1] = RadialPiece(out[-1].lo, hi, coef, alpha)
+        else:
+            out.append(RadialPiece(lo, hi, coef, alpha))
+    return PiecewiseRadialFunction(tuple(out))
+
+
+class TestCanonicalSweep:
+    """canonicalize sweeps the pieces once; add and subtract merge two canonical functions."""
+
+    @staticmethod
+    def _raw(rng, exponents, count):
+        # ends on a coarse grid, so that pieces touch, share ends, overlap
+        # exactly, cancel and leave gaps; some reach infinity
+        out = []
+        for _ in range(count):
+            lo, hi = sorted(rng.choice(9, size=2, replace=False) * 0.5)
+            hi = INF if rng.random() < 0.2 else float(hi)
+            coef = float(rng.choice([1.0, -1.0, 0.5, 2.0, -0.25, 1.5, 0.0]))
+            out.append((float(lo), hi, coef, float(rng.choice(exponents))))
+        return out
+
+    @staticmethod
+    def _outcome(make):
+        try:
+            return make()
+        except (MixedExponentOverlap, OverflowError) as exc:
+            return type(exc)
+
+    @pytest.mark.parametrize("exponents", [(-0.5,), (-0.5, 0.0, 1.0)])
+    def test_equals_scan(self, exponents):
+        rng = np.random.Generator(np.random.Philox(key=29))
+        kinds = set()
+        for _ in range(1500):
+            raw = self._raw(rng, exponents, int(rng.integers(1, 7)))
+            want = self._outcome(lambda: _reference_canonicalize(raw))
+            assert self._outcome(lambda: canonicalize(raw)) == want, raw
+            kinds.add(want if isinstance(want, type) else "zero" if want.is_zero else "sum")
+        assert kinds == ({"zero", "sum", MixedExponentOverlap} if len(exponents) > 1
+                         else {"zero", "sum"})
+
+    @pytest.mark.parametrize("exponents", [(-0.5,), (-0.5, 0.0, 1.0)])
+    def test_add_and_subtract_equal_canonicalize(self, exponents):
+        rng = np.random.Generator(np.random.Philox(key=31))
+        kinds = set()
+        for _ in range(1500):
+            f, g = (self._outcome(lambda: canonicalize(self._raw(rng, exponents,
+                                                                int(rng.integers(0, 4)))))
+                    for _ in range(2))
+            if isinstance(f, type) or isinstance(g, type):
+                continue  # raw pieces that overlap with mixed exponents
+            neg = [(pc.lo, pc.hi, -pc.coef, pc.alpha) for pc in g.pieces]
+            for op, other in ((add, list(g.pieces)), (subtract, neg)):
+                want = self._outcome(lambda: _reference_canonicalize(list(f.pieces) + other))
+                assert self._outcome(lambda: op(f, g)) == want, (op.__name__, f, g)
+                kinds.add(want if isinstance(want, type) else "zero" if want.is_zero else "sum")
+        assert kinds == ({"zero", "sum", MixedExponentOverlap} if len(exponents) > 1
+                         else {"zero", "sum"})
+
+    def test_overflowing_coefficient_raises_as_fsum(self):
+        f = canonicalize([(0.0, 2.0, 1.5e308, -0.5)])
+        g = canonicalize([(1.0, 3.0, 1.5e308, -0.5)])
+        for make in (lambda: _reference_canonicalize(list(f.pieces) + list(g.pieces)),
+                     lambda: add(f, g), lambda: subtract(f, -1.0 * g)):
+            with pytest.raises(OverflowError):
+                make()
+
+    def test_touching_pieces_and_gaps(self):
+        f = canonicalize([(0.0, 1.0, 1.0, -0.5), (2.0, 3.0, 1.0, -0.5)])
+        g = canonicalize([(1.0, 2.0, 1.0, -0.5)])
+        assert add(f, g).pieces == (RadialPiece(0.0, 3.0, 1.0, -0.5),)
+        assert subtract(add(f, g), g) == f
+        assert subtract(f, f).is_zero and add(f, canonicalize([])) == f

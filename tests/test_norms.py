@@ -1289,3 +1289,116 @@ class TestDegradedAccuracyFlag:
         monkeypatch.setattr(norms_mod, "_search_cached", norms_mod._SearchMemo(maxsize=16))
         res = norm(f, sp, IntegrationSettings(rel_tol=1e-13))
         assert not res.tol_ok
+
+
+def _reference_nonincreasing(f) -> bool:
+    """Whether |f| is radially nonincreasing, as computed in Python floats piece by piece."""
+    pieces = f.pieces
+    if pieces[0].lo != 0.0 or any(pc.alpha > 0.0 for pc in pieces):
+        return False
+    return all(
+        a.hi == b.lo and math.log(abs(b.coef)) + b.alpha * math.log(b.lo)
+        <= math.log(abs(a.coef)) + a.alpha * math.log(a.hi)
+        for a, b in zip(pieces, pieces[1:])
+    )
+
+
+class TestPieceTable:
+    """Every pass over a batch's one piece table equals each function's own pass, byte for byte."""
+
+    SPACES = [SpaceParams(n, p, q, mode) for n, p, q in [(1, 1.0, 2.0), (1, 1.5, 4.0),
+                                                          (2, 1.0, 2.0), (3, 2.0, 4.0)]
+              for mode in Mode]
+
+    @staticmethod
+    def _batch(sp):
+        """Named shapes and seeded random pairs and sums, permuted; zero and infinite ones too."""
+        n, q = sp.n, sp.q
+        tail = -n / q - 0.25
+        named = [
+            canonicalize([(0.0, 1.0, 1.0, -3.5), (1.0, 2.0, 0.5, -0.2)]),   # divergent at 0
+            canonicalize([(0.0, 0.5, 1.0, -0.2), (1.0, 2.0, 0.7, -0.2)]),   # a support gap
+            canonicalize([(0.3, 1.5, 2.0, -0.4), (1.5, 4.0, -1.0, -0.4)]),  # a support above 0
+            canonicalize([(0.0, 0.5, 1.0, 0.4), (0.5, 2.0, -1.5, -0.3),     # mixed exponents
+                          (2.0, 4.0, 0.8, tail)]),
+            canonicalize([(0.0, 1.0, 2.0, -0.3), (1.0, INF, 1.0, tail)]),   # nonincreasing
+            canonicalize([(2.0, 2.5, 1.0, 0.0)]),                           # a thin far annulus
+            canonicalize([]),
+        ]
+        rng = np.random.Generator(np.random.Philox(key=31, counter=[n, int(q), 0, 0]))
+        fs = list(named)
+        for _ in range(6):
+            x, y = random_pair(rng, sp)
+            fs += [x, y, add(x, y), subtract(x, y)]
+        fs = list(dict.fromkeys(fs))
+        return [fs[k] for k in rng.permutation(len(fs))]
+
+    @staticmethod
+    def _bytes(x) -> bytes:
+        return np.asarray(x, dtype=float).tobytes()
+
+    @pytest.mark.parametrize("sp", SPACES, ids=str)
+    def test_windows_and_flags(self, sp):
+        # with nonincreasing functions and their shapes, whose breakpoints
+        # often join two pieces at one level, where the comparison is tight
+        rng = np.random.Generator(np.random.Philox(key=41))
+        fs = [_random_nonincreasing(rng, sp) for _ in range(150)]
+        fs = self._batch(sp) + fs + [norms_mod._shape(f)[0] for f in fs]
+        tab = norms_mod._table(fs, sp)
+        for k, f in enumerate(fs):
+            assert tuple(tab.window[k].tolist()) == search_window(f, sp.mode), f
+            assert bool(norms_mod._infinite(tab, sp)[k]) == norm_is_infinite(f, sp), f
+            assert bool(tab.nonincreasing[k]) == (not f.is_zero and _reference_nonincreasing(f))
+            assert bool(tab.divergent[k]) == any(pc.lo == 0.0 and pc.alpha * sp.p + sp.n <= 0.0
+                                                 for pc in f.pieces)
+
+    @pytest.mark.parametrize("sp", SPACES, ids=str)
+    def test_passes_equal_their_one_shape_calls(self, sp):
+        fs = self._batch(sp)
+        p, n, rel_tol = sp.p, sp.n, IntegrationSettings().rel_tol
+        finite = [f for f in fs if not f.is_zero and not norm_is_infinite(f, sp)]
+        assert any(norm_is_infinite(f, sp) for f in fs) and len(finite) >= 20
+        certified = [c is not None for c in norms_mod._certified(finite, sp, rel_tol)]
+        assert any(certified) and not all(certified)
+        tops = norms_mod._centered_tops(finite, sp)
+        roots = norms_mod._stationary_roots(finite, sp)
+        u_win, u_all = norms_mod._bathtub_bounds(finite, sp)
+        for k, f in enumerate(finite):
+            assert self._bytes(tops[k]) == self._bytes(norms_mod._centered_tops([f], sp)[0]), f
+            size = len(f.pieces)
+            alone = norms_mod._stationary_roots([f], sp)[0]
+            assert self._bytes(roots[k, :size]) == self._bytes(alone), f
+            assert np.isnan(roots[k, size:]).all()
+            bounds = norms_mod._bathtub_bounds([f], sp)
+            assert self._bytes([u_win[k], u_all[k]]) == self._bytes([u[0] for u in bounds]), f
+        # centered integrals of every function, the divergent ones included, in one call
+        rng = np.random.Generator(np.random.Philox(key=37))
+        radii = np.exp(rng.uniform(math.log(1e-3), math.log(20.0), (len(fs), 30)))
+        which = np.arange(len(fs))[:, None]
+        batch = integrate_mod.group_centered_integrals(tuple(fs), p, n, which, radii)
+        assert np.isinf(batch).any()
+        for k, f in enumerate(fs):
+            alone = integrate_mod.group_centered_integrals((f,), p, n, 0, radii[k])
+            assert self._bytes(batch[k]) == self._bytes(alone), f
+        if n == 1:
+            self._check_exact_path(finite, sp, tops, rng)
+
+    def _check_exact_path(self, fs, sp, tops, rng):
+        """exact_norms and the n = 1 kernel on the batch equal their one-shape calls."""
+        rel_tol = IntegrationSettings().rel_tol
+        batch = exact1d_mod.exact_norms(fs, sp, rel_tol, tops)
+        for f, row, found in zip(fs, tops, batch):
+            assert self._bytes(found) == self._bytes(exact1d_mod.exact_norms([f], sp, rel_tol,
+                                                                             [row])[0]), f
+        # the kernel takes every function, the divergent and the zero one included
+        fs = self._batch(sp)
+        d = np.concatenate([rng.uniform(0.0, 5.0, 400), np.zeros(len(fs))])
+        r = np.concatenate([np.exp(rng.uniform(math.log(1e-3), math.log(10.0), 400)),
+                            np.ones(len(fs))])
+        which = np.concatenate([rng.integers(0, len(fs), 400), np.arange(len(fs))])
+        ints = integrate_mod.group_ball_integrals_n1(tuple(fs), sp.p, which, d, r)
+        assert np.isinf(ints).any()
+        for k, f in enumerate(fs):
+            at = which == k
+            alone = integrate_mod.group_ball_integrals_n1((f,), sp.p, 0, d[at], r[at])
+            assert self._bytes(ints[at]) == self._bytes(alone), f
