@@ -9,10 +9,12 @@ verify-thm2  check the small-mode analogue along a ladder of split radii
 constants    maximize each ratio over witnesses plus random pairs
 search       random sweep reporting violations of the universal bound 2
 
-All flags may also come from a JSON config file (--config); explicit
-flags win.  Reports are JSON or CSV with byte-deterministic content for
-a fixed configuration and seed; wall time goes to stderr only.  Exit
-status is 0 exactly when every check in the report passed.
+Usage: morreyconst COMMAND [--flag VALUE | --flag=VALUE]..., each flag a
+config key with _ written - (--rel-tol), or --config, by its exact name;
+--s and --eps collect every use, and a flag wins over the config file.
+Reports are byte-deterministic for a fixed configuration and seed; wall
+time goes to stderr only.  Exit status is 0 when every check in the
+report passed, 1 when one failed, 2 on bad input or an unwritable report.
 
 Each command owns one norms.NormTable: the ratio commands hand it all
 their candidate pairs at once, so every distinct norm shape (|f| up to
@@ -27,13 +29,13 @@ The thread count never changes the report.
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Any
+from types import SimpleNamespace
+from typing import Any, NoReturn
 
 from morreyconst.constants import (
     DEFAULT_EPS_LADDER,
@@ -111,11 +113,7 @@ class RunConfig:
         }
 
 
-_MODES = ("morrey", "small")
-_FORMATS = ("json", "csv")
-
-
-def _one_of(options: tuple[str, ...], value: Any) -> str:
+def _one_of(value: Any, *options: str) -> str:
     if value not in options:
         raise ValueError(f"expected one of {list(options)}")
     return value
@@ -127,73 +125,71 @@ def _float_list(value: Any) -> list[float]:
     return [float(str(v)) for v in value]
 
 
-# Every config key: its default, and how a config-file value is checked
-# and converted, as the flag's parser type and choices check the flag.
-# A file value is converted from its text (a list item by item), as a
-# flag is, so that 2.5 and true are no int and true is no float.
-_KEYS: dict[str, tuple[Any, Any]] = {
-    "n": (1, int),
-    "p": (1.0, float),
-    "q": (2.0, float),
-    "mode": ("morrey", lambda value: _one_of(_MODES, value)),
-    "s": ([2.0], _float_list),
-    "eps": (list(DEFAULT_EPS_LADDER), _float_list),
-    "rel_tol": (1e-10, float),
-    "seed": (0, int),
-    "trials": (0, int),
-    "threads": (1, int),
-    "out": (None, str),
-    "format": ("json", lambda value: _one_of(_FORMATS, value)),
-    "function": (None, str),
+# Every config key: its default, the converter that checks a flag's value
+# and a config-file value (a list item by item) from their text, so that
+# 2.5 and true are no int and true is no float, and its --help line.
+_KEYS: dict[str, tuple[Any, Any, str]] = {
+    "n": (1, int, "space dimension"),
+    "p": (1.0, float, "integrability exponent"),
+    "q": (2.0, float, "scaling exponent (p <= q)"),
+    "mode": ("morrey", lambda v: _one_of(v, "morrey", "small"), "morrey: all radii, small: r < 1"),
+    "s": ([2.0], _float_list, "power parameter, repeatable"),
+    "eps": (list(DEFAULT_EPS_LADDER), _float_list, "small-mode split radius ladder, repeatable"),
+    "rel_tol": (1e-10, float, "quadrature relative tolerance"),
+    "seed": (0, int, "random-pair generator seed"),
+    "trials": (0, int, "number of random pairs"),
+    "threads": (1, int, "worker processes for the n >= 2 searches (at most the CPU count)"),
+    "out": (None, str, "report path (default: stdout)"),
+    "format": ("json", lambda v: _one_of(v, "json", "csv"), "report format"),
+    "function": (None, str, "pieces as 'lo hi coef alpha; ...'"),
 }
 
 # commands fix the radius domain themselves; --mode only matters elsewhere
 _FORCED_MODE = {"verify-thm1": "morrey", "verify-thm2": "small"}
+_USAGE = "usage: morreyconst COMMAND [--flag VALUE | --flag=VALUE]..."
+_CONFIG = (None, str, "JSON file with any of the flags below")  # --config, no key of the file
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    # every subcommand takes the same flags, declared once on a parent
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON file with any of the flags below")
-    common.add_argument("--n", type=int, help="space dimension")
-    common.add_argument("--p", type=float, help="integrability exponent")
-    common.add_argument("--q", type=float, help="scaling exponent (p <= q)")
-    common.add_argument("--mode", choices=_MODES,
-                        help="radius domain: all radii, or radii below 1")
-    common.add_argument("--s", type=float, action="append",
-                        help="power parameter, repeatable")
-    common.add_argument("--eps", type=float, action="append",
-                        help="small-mode split radius ladder, repeatable")
-    common.add_argument("--rel-tol", type=float, dest="rel_tol",
-                        help="quadrature relative tolerance")
-    common.add_argument("--seed", type=int, help="random-pair generator seed")
-    common.add_argument("--trials", type=int, help="number of random pairs")
-    common.add_argument("--threads", type=int,
-                        help="worker processes for the n >= 2 norm searches "
-                        "(capped at the CPU count)")
-    common.add_argument("--out", help="report path (default: stdout)")
-    common.add_argument("--format", choices=_FORMATS, help="report format")
-    common.add_argument("--function", help="pieces as 'lo hi coef alpha; ...'")
-
-    parser = argparse.ArgumentParser(
-        prog="morreyconst",
-        description="Ball-averaged norms of radial power functions and the "
-        "ratio constants of the resulting spaces.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    descriptions = {
-        "norm": "compute the norm of a piecewise radial power function",
-        "verify-thm1": "verify the unrestricted-mode constants reach 2",
-        "verify-thm2": "verify the small-mode constants approach 2 along a split ladder",
-        "constants": "estimate each constant over witnesses and random pairs",
-        "search": "random sweep checking that no ratio exceeds 2",
-    }
-    for name, desc in descriptions.items():
-        sub.add_parser(name, help=desc, description=desc, parents=[common])
-    return parser
+def _usage_error(message: str) -> NoReturn:
+    print(f"{_USAGE}\nmorreyconst: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
 
 
-def _resolve_config(command: str, args: argparse.Namespace) -> RunConfig:
+def _parse_args(argv: list[str]) -> SimpleNamespace:
+    """The command, ``config`` and one attribute per key of _KEYS (None when absent)."""
+    flags = {"--" + key.replace("_", "-"): key for key in ("config", *_KEYS)}
+    args = SimpleNamespace(command=None, config=None, **dict.fromkeys(_KEYS))
+    tokens = iter(argv)
+    for token in tokens:
+        if token in ("-h", "--help"):
+            lines = (f"  {flag:<11} {_KEYS.get(key, _CONFIG)[2]}" for flag, key in flags.items())
+            print(_USAGE, "", *str(__doc__).split("\n\n")[1:2], "", "flags:", *lines, sep="\n")
+            raise SystemExit(0)
+        if args.command is None:
+            if token not in _COMMANDS:
+                _usage_error(f"expected a command ({', '.join(_COMMANDS)}), got {token!r}")
+            args.command = token
+            continue
+        name, joined, text = token.partition("=")
+        if name not in flags:
+            _usage_error(f"unknown flag or stray argument {token!r}")
+        text = text if joined else next(tokens, None)
+        if text is None:
+            _usage_error(f"{name} expects a value")
+        key = flags[name]
+        default, convert, _ = _KEYS.get(key, _CONFIG)
+        many = isinstance(default, list)  # --s and --eps append, other flags keep the last
+        try:
+            value = (getattr(args, key) or []) + convert([text]) if many else convert(text)
+        except ValueError as exc:
+            _usage_error(f"{name}: bad value {text!r} ({exc})")
+        setattr(args, key, value)
+    if args.command is None:
+        _usage_error(f"expected a command ({', '.join(_COMMANDS)})")
+    return args
+
+
+def _resolve_config(command: str, args: SimpleNamespace) -> RunConfig:
     file_values: dict[str, Any] = {}
     if args.config:
         try:
@@ -211,7 +207,7 @@ def _resolve_config(command: str, args: argparse.Namespace) -> RunConfig:
         flag = getattr(args, key, None)
         if flag is not None:
             return flag
-        default, convert = _KEYS[key]
+        default, convert, _ = _KEYS[key]
         value = file_values.get(key)
         if value is None:
             return default
@@ -608,8 +604,7 @@ _COMMANDS = {
 
 
 def run(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
     started = time.perf_counter()
     try:
         cfg = _resolve_config(args.command, args)
@@ -621,11 +616,15 @@ def run(argv: list[str] | None = None) -> int:
 
     report = build_report(args.command, cfg.echo(), tasks, checks)
     text = render_json(report) if cfg.format == "json" else render_csv(report)
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    try:
+        if cfg.out:
+            with open(cfg.out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+    except OSError as exc:
+        print(f"error: cannot write report to {cfg.out or 'stdout'}: {exc}", file=sys.stderr)
+        return 2
     print(f"wall_time_seconds={time.perf_counter() - started:.3f}", file=sys.stderr)
     return 0 if report["all_passed"] else 1
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import math
 import os
@@ -11,7 +12,7 @@ import sys
 
 import pytest
 
-from morreyconst.cli import _build_parser, _resolve_config, run
+from morreyconst.cli import _KEYS, _parse_args, _resolve_config, run
 from morreyconst.norms import _search_chunk
 from morreyconst.report import flatten
 
@@ -286,8 +287,169 @@ class TestConfigFile:
         # a JSON null means "not given" for every key, trials included
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(values))
-        args = _build_parser().parse_args(["search", "--config", str(cfg)])
+        args = _parse_args(["search", "--config", str(cfg)])
         assert _resolve_config("search", args).random_trials == 100
+
+
+def _reference_parser() -> argparse.ArgumentParser:
+    """The argparse parser that _parse_args replaced, as it was, for reference."""
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="JSON file with any of the flags below")
+    common.add_argument("--n", type=int, help="space dimension")
+    common.add_argument("--p", type=float, help="integrability exponent")
+    common.add_argument("--q", type=float, help="scaling exponent (p <= q)")
+    common.add_argument("--mode", choices=("morrey", "small"),
+                        help="radius domain: all radii, or radii below 1")
+    common.add_argument("--s", type=float, action="append",
+                        help="power parameter, repeatable")
+    common.add_argument("--eps", type=float, action="append",
+                        help="small-mode split radius ladder, repeatable")
+    common.add_argument("--rel-tol", type=float, dest="rel_tol",
+                        help="quadrature relative tolerance")
+    common.add_argument("--seed", type=int, help="random-pair generator seed")
+    common.add_argument("--trials", type=int, help="number of random pairs")
+    common.add_argument("--threads", type=int,
+                        help="worker processes for the n >= 2 norm searches "
+                        "(capped at the CPU count)")
+    common.add_argument("--out", help="report path (default: stdout)")
+    common.add_argument("--format", choices=("json", "csv"), help="report format")
+    common.add_argument("--function", help="pieces as 'lo hi coef alpha; ...'")
+
+    parser = argparse.ArgumentParser(
+        prog="morreyconst",
+        description="Ball-averaged norms of radial power functions and the "
+        "ratio constants of the resulting spaces.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    descriptions = {
+        "norm": "compute the norm of a piecewise radial power function",
+        "verify-thm1": "verify the unrestricted-mode constants reach 2",
+        "verify-thm2": "verify the small-mode constants approach 2 along a split ladder",
+        "constants": "estimate each constant over witnesses and random pairs",
+        "search": "random sweep checking that no ratio exceeds 2",
+    }
+    for name, desc in descriptions.items():
+        sub.add_parser(name, help=desc, description=desc, parents=[common])
+    return parser
+
+
+_COMMAND_NAMES = ("norm", "verify-thm1", "verify-thm2", "constants", "search")
+
+
+class TestParseArgs:
+    """_parse_args against the argparse parser it replaced (_reference_parser)."""
+
+    # {cfg} stands for a config file holding CONFIG
+    CONFIG = {"n": 2, "p": 1.0, "q": 3.0, "s": [1, 3], "trials": 5, "function": "0 1 1 0"}
+    ARGVS = [
+        # README
+        ["norm", "--function", "0 inf 1 -0.5", "--n", "1", "--p", "1", "--q", "2", "--mode",
+         "morrey"],
+        ["verify-thm1", "--n", "1", "--p", "1", "--q", "2", "--s", "1", "--s", "1.5", "--s", "2",
+         "--s", "3"],
+        ["verify-thm2", "--n", "2", "--p", "1", "--q", "2", "--s", "1", "--s", "2", "--s", "3"],
+        ["constants", "--mode", "small", "--trials", "50", "--seed", "1"],
+        ["search", "--trials", "200", "--seed", "7", "--threads", "4", "--out", "report.json"],
+        # the benchmark
+        ["norm", "--n", "3", "--p", "2.0", "--q", "4.0", "--mode", "small", "--function",
+         "0 inf 1 -0.75", "--rel-tol", "1e-3"],
+        ["verify-thm1", "--n", "3", "--p", "2", "--q", "4", "--s", "2"],
+        ["search", "--n", "1", "--p", "1", "--q", "2", "--mode", "small", "--trials", "30",
+         "--seed", "41001", "--threads", "2"],
+        # CI
+        ["search", "--n", "1", "--p", "2", "--q", "3", "--trials", "30", "--seed", "3", "--mode",
+         "morrey", "--out", "/dev/null"],
+        ["constants", "--n", "2", "--trials", "3", "--mode", "small", "--out", "/dev/null"],
+        ["norm", "--function", ""],
+        ["search"],
+        # --flag=value
+        ["norm", "--n=2", "--p=1", "--q=3", "--function=5 5.0004 1 0", "--format=csv"],
+        ["verify-thm2", "--eps=0.5", "--eps", "0.1", "--s=1", "--rel-tol=1e-8"],
+        ["norm", "--function=", "--out=r=1.json"],
+        # repeated flags: --s and --eps collect, the others keep the last
+        ["constants", "--s", "1", "--s", "2.5", "--eps", "0.3", "--eps", "0.01", "--mode",
+         "small", "--mode", "morrey"],
+        ["norm", "--n", "2", "--n", "3", "--function", "0 1 1 0", "--function", ""],
+        # a value is the next token, even one that starts with a dash
+        ["norm", "--function", "-1 0 1 0", "--seed", "-3"],
+        # a config file and flags
+        ["norm", "--config", "{cfg}"],
+        ["norm", "--config", "{cfg}", "--n", "3", "--function", ""],
+        ["verify-thm1", "--s", "2", "--config", "{cfg}", "--q", "4"],
+        ["search", "--config", "{cfg}", "--trials", "2"],
+        ["search", "--config", "{cfg}", "--config", "{cfg}"],
+    ]
+
+    @pytest.mark.parametrize("argv", ARGVS)
+    def test_equals_reference(self, tmp_path, argv):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(self.CONFIG))
+        argv = [token.replace("{cfg}", str(cfg)) for token in argv]
+        args, ref = _parse_args(argv), _reference_parser().parse_args(argv)
+        assert vars(args) == vars(ref)
+        assert _resolve_config(args.command, args) == _resolve_config(ref.command, ref)
+
+    def test_negative_s_reaches_the_check(self, capsys):
+        assert _parse_args(["verify-thm1", "--s", "-1"]).s == [-1.0]
+        assert run(["verify-thm1", "--s", "-1"]) == 2
+        assert "s values must be >= 1" in capsys.readouterr().err
+
+    # the reference accepts unambiguous prefixes of a flag; _parse_args does not
+    PREFIXES = (["norm", "--thr", "2"], ["norm", "--func", ""])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [], ["bogus"], ["--n", "2", "norm"], ["norm", "--r-max", "2"], ["norm", "--rel_tol",
+            "1e-8"], ["norm", "-n", "2"], ["norm", "--n"], ["norm", "--n", "2.5"],
+            ["norm", "--p", "one"], ["norm", "--mode", "morey"], ["norm", "--format", "xml"],
+            ["norm", "--s", "x"], ["norm", "stray"], ["norm", "--function", "", "stray"],
+            ["norm", "--function"], *PREFIXES,
+        ],
+    )
+    def test_usage_error_exit_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: morreyconst COMMAND")
+        assert "morreyconst: error: " in captured.err
+        if argv not in self.PREFIXES:
+            with pytest.raises(SystemExit) as exc:
+                _reference_parser().parse_args(argv)
+            assert exc.value.code == 2
+
+    @staticmethod
+    def _help(capsys, argv) -> str:
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        return captured.out
+
+    @pytest.mark.parametrize(
+        "argv", [["--help"], ["-h"], *([name, "--help"] for name in _COMMAND_NAMES),
+                 ["search", "--n", "2", "-h"]],
+    )
+    def test_help_exit_0(self, capsys, argv):
+        out = self._help(capsys, argv)
+        assert out.startswith("usage: morreyconst COMMAND")
+        for name in _COMMAND_NAMES:
+            assert f"\n{name} " in out
+
+    def test_flags_are_the_config_keys(self, capsys):
+        # the flag set of --help is the config keys plus --config, and
+        # _parse_args takes each of them by that name
+        listed = [line.split()[0] for line in self._help(capsys, ["--help"]).splitlines()
+                  if line.startswith("  --")]
+        assert set(listed) == {"--" + key.replace("_", "-") for key in (*_KEYS, "config")}
+        assert len(listed) == len(_KEYS) + 1
+        for key, (default, _, _) in (*_KEYS.items(), ("config", (None, str, ""))):
+            sample = default[0] if isinstance(default, list) else default
+            args = vars(_parse_args(["norm", "--" + key.replace("_", "-"), str(sample)]))
+            assert {name for name, value in args.items() if value is not None} == {"command", key}
 
 
 class TestReportFormats:
@@ -308,6 +470,14 @@ class TestReportFormats:
             if isinstance(leaf, float):
                 # identical round-trip literals, hence equal at 15 digits
                 assert rows[path] == repr(leaf)
+
+    def test_unwritable_out_exit_2(self, capsys, tmp_path):
+        # the report is computed, then cannot be written: no traceback
+        out = tmp_path / "missing" / "r.json"
+        assert run(["norm", "--function", "0 inf 1 -0.5", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot write report to {out}")
+        assert captured.out == "" and not out.exists()
 
     def test_json_report_keys_sorted(self, capsys):
         code = run(["norm", "--function", ""])
