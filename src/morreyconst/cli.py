@@ -23,7 +23,7 @@ once.  The certificate and the exact n = 1 path run in the command's
 process; --threads N > 1 lets it hand the n >= 2 searches to a pool of
 at most N (and at most the CPU count) worker processes, shut down before
 the command returns.
-The workers only search; the memo stays in the command's process.
+The workers only search; their results stay in the command's table.
 The thread count never changes the report.
 """
 
@@ -52,6 +52,7 @@ from morreyconst.model import (
     FunctionParseError,
     Mode,
     SpaceParams,
+    format_function,
     parse_function,
     subtract,
     truncate,
@@ -63,7 +64,6 @@ from morreyconst.report import (
     render_csv,
     render_json,
     serialize_estimate,
-    serialize_function,
     serialize_norm_result,
 )
 
@@ -282,7 +282,7 @@ def _cmd_norm(cfg: RunConfig, table: NormTable):
     [res] = table.evaluate([f])
     task = {
         "task": "norm",
-        "function": serialize_function(f),
+        "function": format_function(f),
         "result": serialize_norm_result(res),
     }
     return [task], []
@@ -575,8 +575,8 @@ def _cmd_search(cfg: RunConfig, table: NormTable):
                     {
                         "index": idx,
                         "ratio": value,
-                        "x": serialize_function(pairs[idx][0]),
-                        "y": serialize_function(pairs[idx][1]),
+                        "x": format_function(pairs[idx][0]),
+                        "y": format_function(pairs[idx][1]),
                     }
                     for idx, value in top
                 ],

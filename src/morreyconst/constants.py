@@ -360,14 +360,13 @@ def pair_ratios(
     """Every kind's ratio on every pair, NaN where :func:`ratio` would raise.
 
     The norms come from ``table`` in two batches of distinct functions,
-    and their values are kept here for the arithmetic, so that no norm is
-    searched twice however far a batch outgrows the memo.  The first batch
-    holds x and y of every pair, and x + y and x - y where a kind needs
-    them and they are representable.  The second, only when a unit-pair
-    kind is asked for, holds x/N(x) + y/N(y) and x/N(x) - y/N(y) for
-    pairs whose N(x) and N(y) are finite and nonzero.  ``rows[k][i]`` is
-    kinds[k] on pairs[i], equal to ``ratio(kinds[k], *pairs[i], ...)``
-    bit for bit.
+    and their values are kept here, by function, for the arithmetic.  The
+    first batch holds x and y of every pair, and x + y and x - y where a
+    kind needs them and they are representable.  The second, only when a
+    unit-pair kind is asked for, holds x/N(x) + y/N(y) and
+    x/N(x) - y/N(y) for pairs whose N(x) and N(y) are finite and
+    nonzero.  ``rows[k][i]`` is kinds[k] on pairs[i], equal to
+    ``ratio(kinds[k], *pairs[i], ...)`` bit for bit.
     """
     plain = any(kind.family not in _UNIT_PAIR for kind in kinds)
     unit = any(kind.family in _UNIT_PAIR for kind in kinds)

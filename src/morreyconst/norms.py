@@ -6,7 +6,7 @@ with radii unrestricted (Morrey mode) or confined to (0, 1) (small mode).
 Two exact bounds bracket the norm.  From below, the centered balls:
 the centered profile P(r) is closed form, and its supremum L over the
 window's radii comes exactly from a few candidate radii, for a whole
-batch of functions in one vectorized pass (:func:`_centered_suprema`).
+batch of functions in one vectorized pass (:func:`_centered_tops`).
 From above, the bathtub principle
 (Lieb & Loss, *Analysis*, Thm 1.14): let g* be the decreasing
 rearrangement of |f|^p in the measure variable m = v_n t^n and
@@ -96,8 +96,8 @@ The norm depends only on |f| and ||c f|| = |c| ||f||, so a search runs
 once per norm shape, |f| over the magnitude of its first coefficient
 (:func:`_shape`): a function's norm is its shape's norm times that
 magnitude.  :class:`NormTable` is the one evaluator: it takes shapes,
-memoizes results per shape in the calling process, and evaluates the
-missing ones here: the certificate for all of them, the exact path for
+keeps each one's result for as long as the table lives, and evaluates
+the new ones here: the certificate for all of them, the exact path for
 n = 1; only the uncertified n >= 2 shapes go to its process pool, which
 only searches.  :func:`norm` is a pool-less table of one.  Every pass
 over a batch reads its one :class:`~morreyconst.integrate.PieceTable`
@@ -114,7 +114,6 @@ import math
 import os
 import sys
 from dataclasses import dataclass, replace
-from collections import OrderedDict
 from collections.abc import Iterable
 from itertools import repeat
 
@@ -353,7 +352,7 @@ def _stationary_roots(fs, params: SpaceParams) -> np.ndarray:
     Returns the (f, piece) table of them, NaN where a piece has none, for
     fs or their :func:`_table`.  On a
     piece c |x|^alpha from a > 0, with A = |c|^p |S^(n-1)|, the root of
-    A r^gamma = m I(r) (see :func:`_centered_suprema`) is
+    A r^gamma = m I(r) (see :func:`_centered_tops`) is
     r^gamma = m (gamma I(a) - A a^gamma) / (A (gamma - m)), or
     r = a exp(1/m - I(a) / A) when gamma = 0, when that is a radius
     inside the piece.  With p = q (m = 0) the profile I(r)^(1/p) only
@@ -873,36 +872,6 @@ def even_chunks(fs: list, parts: int = 1) -> list[list]:
     return [fs[k:k + size] for k in range(0, len(fs), size)]
 
 
-class _SearchMemo:
-    """Finished searches keyed by (shape, params, integ), oldest use first.
-
-    Holds at most ``maxsize`` results and drops the least recently used;
-    ``cache_clear`` empties it.
-    """
-
-    def __init__(self, maxsize: int) -> None:
-        self._maxsize = maxsize
-        self._results: OrderedDict = OrderedDict()
-
-    def get(self, key) -> NormResult | None:
-        result = self._results.get(key)
-        if result is not None:
-            self._results.move_to_end(key)
-        return result
-
-    def put(self, key, result: NormResult) -> None:
-        self._results[key] = result
-        self._results.move_to_end(key)
-        if len(self._results) > self._maxsize:
-            self._results.popitem(last=False)
-
-    def cache_clear(self) -> None:
-        self._results.clear()
-
-
-_search_cached = _SearchMemo(maxsize=4096)
-
-
 class NormTable:
     """A command's norms, searched once per shape, here or on a process pool.
 
@@ -920,9 +889,10 @@ class NormTable:
     sides, which f's signs alone made a breakpoint.  So searching s is
     searching |f| up to the rounding of its coefficients (an ulp each).
 
-    Results are memoized on (s, params, integ) in the calling process,
-    shared by every table, so each distinct norm shape is searched once
-    per command.  The shapes not in the memo go through
+    The table keeps each shape's result in a dict of its own, in the
+    calling process, for as long as the table lives, so each distinct
+    norm shape is evaluated once per table; a command owns one table.
+    The shapes of a batch that the table has not seen go through
     :func:`_search_group` here, in first-seen order: the certificate,
     and for n = 1 the exact path, run in this process, and only the
     uncertified n >= 2 shapes are searched on the pool.  With
@@ -949,18 +919,16 @@ class NormTable:
         self._params = params
         self._integ = integ
         self._workers = workers
+        self._results: dict[PiecewiseRadialFunction, NormResult] = {}
         self._pool = None
         self._pool_size = 0
 
     def evaluate(self, functions: Iterable[PiecewiseRadialFunction]) -> list[NormResult]:
-        params, integ = self._params, self._integ
         shapes = [_shape(f) for f in functions]
-        found = {s: _search_cached.get((s, params, integ)) for s, _ in shapes}
-        todo = [s for s, result in found.items() if result is None]
-        for s, result in zip(todo, _search_group(todo, params, integ, self._search_rest)):
-            _search_cached.put((s, params, integ), result)
-            found[s] = result
-        return [found[s].scaled(c) for s, c in shapes]
+        todo = [s for s in dict.fromkeys(s for s, _ in shapes) if s not in self._results]
+        self._results.update(
+            zip(todo, _search_group(todo, self._params, self._integ, self._search_rest)))
+        return [self._results[s].scaled(c) for s, c in shapes]
 
     def _search_rest(self, fs: list[PiecewiseRadialFunction]) -> list[NormResult]:
         """The searches of fs (n >= 2), on the pool when there are two or more."""
@@ -1006,7 +974,8 @@ def norm(
 ) -> NormResult:
     """The norm of f in the space of params, Morrey or small by its mode.
 
-    A pool-less :class:`NormTable` of one: callers that ask one ratio or
-    one kind at a time share their norms through the memo.
+    A pool-less :class:`NormTable` of one, so each call starts cold:
+    callers that want many norms to share work evaluate them through one
+    table, in batches.
     """
     return NormTable(params, integ).evaluate([f])[0]

