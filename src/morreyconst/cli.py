@@ -33,7 +33,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Any, NoReturn
 
@@ -42,7 +42,6 @@ from morreyconst.constants import (
     ConstantKind,
     candidate_pairs,
     estimate_constants,
-    pair_ratios,
     theorem2_lower_bound,
     witness_pair_morrey,
     witness_pair_small_morrey,
@@ -228,6 +227,8 @@ def _resolve_config(command: str, args: SimpleNamespace) -> RunConfig:
         raise ConfigError("the eps ladder must hold at least one split radius")
     if any(not (0.0 < e < 1.0) for e in eps_ladder):
         raise ConfigError(f"split radii must lie in (0, 1), got {list(eps_ladder)}")
+    if len({f"{e:g}" for e in eps_ladder}) < len(eps_ladder):  # the :g form names checks
+        raise ConfigError(f"split radii must differ within 6 digits, got {list(eps_ladder)}")
     s_values = tuple(pick("s"))
     if any(s < 1.0 for s in s_values):
         raise ConfigError(f"s values must be >= 1, got {list(s_values)}")
@@ -264,12 +265,42 @@ def _all_kinds(s_values: tuple[float, ...]) -> list[ConstantKind]:
     return list(dict.fromkeys(kinds))
 
 
-def _witness_ratios(kinds, pairs, table: NormTable) -> list[list[float]]:
-    """pair_ratios for witness pairs, whose ratios are all defined."""
-    rows = pair_ratios(kinds, pairs, table)
+def _estimates(cfg: RunConfig, table: NormTable, pairs=None):
+    """The kinds, the pairs (by default the candidate pairs), their estimates, the ratio ceiling.
+
+    Each estimate keeps its trace, its kind's ratio on every pair.  The
+    pairs' norms lie far inside the float range, so a ratio that leaves
+    it comes from a power N^s or 2^(s - 1) of too large an s.
+    """
+    kinds = _all_kinds(cfg.s_values)
+    if pairs is None:
+        pairs = candidate_pairs(cfg.space, cfg.random_trials, cfg.seed, cfg.eps_ladder)
+    try:
+        estimates = estimate_constants(kinds, pairs, table, keep_trace=True)
+    except ArithmeticError:  # OverflowError, or ZeroDivisionError where N^s underflows to 0
+        raise ConfigError(f"--s {max(cfg.s_values)!r} is too large: a ratio leaves the float range")
+    return kinds, pairs, estimates, 2.0 + 5.0 * cfg.integ.rel_tol
+
+
+def _witness_ratios(cfg: RunConfig, pairs, table: NormTable):
+    """The kinds and their ratios on the witness pairs, rows[k][i] kind k on pair i, all defined."""
+    kinds, _, estimates, _ = _estimates(cfg, table, pairs)
+    rows = [est.trace for est in estimates]
     if any(math.isnan(value) for row in rows for value in row):
         raise ValueError("a witness pair has an undefined ratio")
-    return rows
+    return kinds, rows
+
+
+def _within(name: str, value: float, target: float, rel: float, expected: str) -> Check:
+    """The check that value lies within rel times target of target."""
+    return Check(name, abs(value - target) <= rel * target, expected, value, rel)
+
+
+def _ratio_check(name: str, value: float, low: float, low_text: str, tolerance: float,
+                 lead: str = "") -> Check:
+    """The check that a witness ratio lies in [low, 2 + RATIO_CEILING_SLACK], low as low_text."""
+    return Check(name, low <= value <= 2.0 + RATIO_CEILING_SLACK,
+                 f"{lead}in [{low_text}, 2 + {RATIO_CEILING_SLACK!r}]", value, tolerance)
 
 
 # ---------------------------------------------------------------------------
@@ -345,67 +376,35 @@ def _truncation_check(name: str, space, res, expected: bool, climbing: str) -> C
 
 def _cmd_verify_thm1(cfg: RunConfig, table: NormTable):
     space = cfg.space
-    space.require_strict()
-    f, k = witness_pair_morrey(space)
+    f, k = witness_pair_morrey(space)  # which requires p < q
     g = truncate(f, 0.0, 1.0)
     h = subtract(f, g)
 
-    kinds = _all_kinds(cfg.s_values)
     names = ("f", "g", "h", "k")
-    functions = (f, g, h, k)
-    results = dict(zip(names, table.evaluate(functions)))
-    values = [row[0] for row in _witness_ratios(kinds, [(f, k)], table)]
+    results = dict(zip(names, table.evaluate((f, g, h, k))))
+    kinds, rows = _witness_ratios(cfg, [(f, k)], table)
     cf = closed_form_power_norm(space)
     _, r_max, _ = search_window(h, space.mode)
     deficit = r_max ** (-space.n * (1.0 - space.p / space.q) / space.p)
 
+    nf = results["f"].value
     checks = [
-        Check(
-            "closed_form_norm",
-            abs(results["f"].value - cf) <= 1e-3 * cf,
-            f"norm of the pure power = {cf!r} (closed form)",
-            results["f"].value,
-            1e-3,
-        )
+        _within("closed_form_norm", nf, cf, 1e-3, f"norm of the pure power = {cf!r} (closed form)"),
+        *(_within(f"norm_chain_{name}", results[name].value, nf, 1e-3,
+                  "equals the norm of the full power") for name in ("g", "k")),
+        _within("norm_chain_h_deficit", results["h"].value, nf, 2.0 * deficit,
+                f"within relative 2*deficit of the full power norm, deficit={deficit!r}"),
     ]
-    for name in ("g", "k"):
-        checks.append(
-            Check(
-                f"norm_chain_{name}",
-                abs(results[name].value - results["f"].value) <= 1e-3 * results["f"].value,
-                "equals the norm of the full power",
-                results[name].value,
-                1e-3,
-            )
-        )
-    checks.append(
-        Check(
-            "norm_chain_h_deficit",
-            abs(results["h"].value - results["f"].value)
-            <= 2.0 * deficit * results["f"].value,
-            f"within relative 2*deficit of the full power norm, deficit={deficit!r}",
-            results["h"].value,
-            2.0 * deficit,
-        )
-    )
     expected = space.n > 1 or _outer_part_truncated(space, 1.0, math.inf, r_max, cfg.integ.rel_tol)
     checks.append(
         _truncation_check("norm_chain_h_truncated", space, results["h"], expected, "at r_max")
     )
-
-    ratio_tasks = []
-    for kind, value in zip(kinds, values):
+    for kind, (value,) in zip(kinds, rows):
         tol = _theorem1_ratio_tolerance(kind, deficit, cfg.integ.rel_tol)
-        checks.append(
-            Check(
-                f"ratio_{kind.label()}",
-                2.0 - tol <= value <= 2.0 + RATIO_CEILING_SLACK,
-                f"witness ratio in [2 - {tol!r}, 2 + {RATIO_CEILING_SLACK!r}]",
-                value,
-                tol,
-            )
-        )
-        ratio_tasks.append({"kind": kind.family.value, "s": kind.s, "value": value})
+        checks.append(_ratio_check(f"ratio_{kind.label()}", value, 2.0 - tol, f"2 - {tol!r}",
+                                   tol, "witness ratio "))
+    ratio_tasks = [{"kind": kind.family.value, "s": kind.s, "value": value}
+                   for kind, (value,) in zip(kinds, rows)]
 
     tasks = [
         {
@@ -420,24 +419,15 @@ def _cmd_verify_thm1(cfg: RunConfig, table: NormTable):
 
 def _cmd_verify_thm2(cfg: RunConfig, table: NormTable):
     space = cfg.space
-    space.require_strict()
     ladder = cfg.eps_ladder
-    cf = closed_form_power_norm(space)
+    cf = closed_form_power_norm(space)  # which requires p < q
 
-    kinds = _all_kinds(cfg.s_values)
     pairs = [witness_pair_small_morrey(space, eps) for eps in ladder]
     outer = [subtract(f, truncate(f, 0.0, eps)) for (f, _), eps in zip(pairs, ladder)]
     nf, *outer_norms = table.evaluate([pairs[0][0], *outer])
-    rows = _witness_ratios(kinds, pairs, table)
-    checks = [
-        Check(
-            "closed_form_norm",
-            abs(nf.value - cf) <= 1e-3 * cf,
-            f"norm of the truncated power = {cf!r} (closed form)",
-            nf.value,
-            1e-3,
-        )
-    ]
+    kinds, rows = _witness_ratios(cfg, pairs, table)
+    checks = [_within("closed_form_norm", nf.value, cf, 1e-3,
+                      f"norm of the truncated power = {cf!r} (closed form)")]
 
     tasks: list[dict[str, Any]] = []
     for i, (eps, nh) in enumerate(zip(ladder, outer_norms)):
@@ -463,15 +453,9 @@ def _cmd_verify_thm2(cfg: RunConfig, table: NormTable):
         for kind, row in zip(kinds, rows):
             value = row[i]
             bound = theorem2_lower_bound(space, eps, kind)
-            checks.append(
-                Check(
-                    f"ratio_{kind.label()}_eps={eps:g}",
-                    bound - BOUND_SLACK <= value <= 2.0 + RATIO_CEILING_SLACK,
-                    f"in [{bound!r} - {BOUND_SLACK!r}, 2 + {RATIO_CEILING_SLACK!r}]",
-                    value,
-                    BOUND_SLACK,
-                )
-            )
+            checks.append(_ratio_check(f"ratio_{kind.label()}_eps={eps:g}", value,
+                                       bound - BOUND_SLACK, f"{bound!r} - {BOUND_SLACK!r}",
+                                       BOUND_SLACK))
             eps_ratios.append(
                 {"kind": kind.family.value, "s": kind.s, "value": value, "bound": bound}
             )
@@ -509,12 +493,7 @@ def _cmd_verify_thm2(cfg: RunConfig, table: NormTable):
 
 
 def _cmd_constants(cfg: RunConfig, table: NormTable):
-    kinds = _all_kinds(cfg.s_values)
-    ceiling = 2.0 + 5.0 * cfg.integ.rel_tol
-    pairs = candidate_pairs(
-        cfg.space, random_trials=cfg.random_trials, seed=cfg.seed, eps_ladder=cfg.eps_ladder
-    )
-    estimates = estimate_constants(kinds, pairs, table)
+    kinds, _, estimates, ceiling = _estimates(cfg, table)
     tasks = []
     checks = []
     for kind, est in zip(kinds, estimates):
@@ -546,12 +525,7 @@ def _cmd_constants(cfg: RunConfig, table: NormTable):
 
 
 def _cmd_search(cfg: RunConfig, table: NormTable):
-    kinds = _all_kinds(cfg.s_values)
-    ceiling = 2.0 + 5.0 * cfg.integ.rel_tol
-    pairs = candidate_pairs(
-        cfg.space, random_trials=cfg.random_trials, seed=cfg.seed, eps_ladder=cfg.eps_ladder
-    )
-    estimates = estimate_constants(kinds, pairs, table, keep_trace=True)
+    kinds, pairs, estimates, ceiling = _estimates(cfg, table)
     tasks = []
     checks = []
     for kind, est in zip(kinds, estimates):

@@ -16,10 +16,11 @@
 * Monte Carlo: an independent stochastic route used to cross-check the
   quadrature, never as the primary evaluator.
 
-The kernels read a batch's :class:`PieceTable`.  Every ball goes through
-the vectorized :func:`ball_integrals` (for n = 1, a one-function
-:func:`group_ball_integrals_n1` call); :func:`integrate_abs_pow_ball` is
-its one-ball form.
+The kernels read a batch's :class:`PieceTable`.  The exact n = 1 path
+calls :func:`group_ball_integrals_n1` on whole batches;
+:func:`ball_integrals` takes many balls of one function (for n = 1, a
+one-function :func:`group_ball_integrals_n1` call), and
+:func:`integrate_abs_pow_ball` is its one-ball form.
 
 Divergent integrals are detected analytically (a power t^alpha with
 alpha*p + n <= 0 supported down to radius 0, inside the ball) and
@@ -372,24 +373,20 @@ def _shell_cuts(f: PiecewiseRadialFunction, d: np.ndarray, r: np.ndarray) -> np.
     return np.sort(np.concatenate(cols, axis=-1), axis=-1)
 
 
-def _powers(t: np.ndarray, which, gammas: np.ndarray, exponents) -> np.ndarray:
-    """P(t) = t^gamma, or log t where gamma = 0, of each entry of t, of table row which.
+def _powers(t: np.ndarray, gammas: np.ndarray) -> np.ndarray:
+    """P(t) = t^gamma, or log t where gamma = 0, of each entry of t, its gamma in gammas.
 
-    which broadcasts against t, and gammas holds the entries' exponents.
-    Rows that share one exponent (:class:`_N1Table`) take it as a number:
-    numpy then computes t^0.5 as sqrt(t) and t^2 as t * t, correctly
-    rounded, where the array power is an ulp off for about 5 % of t.
-    Knots and shell ends take their powers here alike, so a shell end on
-    a knot has the knot's power bit for bit.
+    gammas has t's shape.  One power per distinct exponent, taken as a
+    number, as in :func:`group_centered_integrals`: numpy then computes
+    t^0.5 as sqrt(t) and t^2 as t * t, correctly rounded, where the array
+    power is an ulp off for about 5 % of t.  Knots and shell ends take
+    their powers here alike, so a shell end on a knot has the knot's
+    power bit for bit.
     """
     out = np.empty_like(t)
-    for gamma, rows in exponents:
-        at = np.broadcast_to(rows[which], t.shape)
-        x, g = t[at], gammas[at] if gamma is None else gamma
-        y = np.log(x) if gamma == 0.0 else x**g
-        if gamma is None:
-            y[g == 0.0] = np.log(x[g == 0.0])
-        out[at] = y
+    for gamma in dict.fromkeys(gammas.ravel().tolist()):
+        at = gammas == gamma
+        out[at] = np.log(t[at]) if gamma == 0.0 else t[at] ** gamma
     return out
 
 
@@ -401,24 +398,20 @@ class _N1Table:
     (knot_K = inf), which tile [0, inf); support gaps are cells with
     w = 0.  On cell j the integral of |f|^p from u to v is
     w[s, j] (P_j(v) - P_j(u)), with P_j(t) = t^gamma_j (or log t when
-    gamma_j = 0), gamma_j = alpha p + 1 and w = |c|^p / gamma_j (|c|^p
-    when gamma_j = 0).  p_lo[s, j] and p_hi[s, j] are P_j at the cell's
-    two knots.  between[s, i, j] is the integral over the whole cells
-    strictly between i and j, summed term by term: a difference of two
-    prefix sums would lose the digits of a small middle after a large
-    earlier cell.  between[s, 0, j] is the integral from 0 up to
-    knot_(j-1).  Cell 0 pads every row in front, and cells past K pad
-    the shorter rows behind.  ``knots`` holds the knots of all rows,
-    sorted, and ``keys`` each row's knots as the exact integers
-    s (len(knots) + 1) + (the knot's first rank in knots), sorted, so that
-    searchsorted finds each radius's cell in its own row.
-
-    ``exponents`` pairs each exponent that every piece of some f shares
-    with the mask of those rows, and None with the rows of the other f.
-    A shared exponent is taken as a number in every power of its rows
-    and of their balls, gaps included (:func:`_powers`): all random-pair
-    and witness functions share one.  The other rows take ``gammas``,
-    gaps taking 1.
+    gamma_j = 0), gamma_j = ``gammas[s, j]`` = alpha p + 1 (1 on gaps and
+    pads, where w = 0) and w = |c|^p / gamma_j (|c|^p when gamma_j = 0).
+    Every power of the table and of its balls takes its cell's exponent
+    as a number, once per distinct exponent (:func:`_powers`).
+    p_lo[s, j] and p_hi[s, j] are P_j at the cell's two knots.
+    between[s, i, j] is the integral over the whole cells strictly
+    between i and j, summed term by term: a difference of two prefix sums
+    would lose the digits of a small middle after a large earlier cell.
+    between[s, 0, j] is the integral from 0 up to knot_(j-1).  Cell 0
+    pads every row in front, and cells past K pad the shorter rows
+    behind.  ``knots`` holds the knots of all rows, sorted, and ``keys``
+    each row's knots as the exact integers s (len(knots) + 1) + (the
+    knot's first rank in knots), sorted, so that searchsorted finds each
+    radius's cell in its own row.
 
     Radii below ``floor[s]``, the start of the support, are raised to
     powers as ``floor[s]`` (w = 0 there), so radius 0 never meets a
@@ -430,7 +423,6 @@ class _N1Table:
 
     knots: np.ndarray
     keys: np.ndarray
-    exponents: list[tuple[float | None, np.ndarray]]
     floor: np.ndarray
     divergent: np.ndarray
     gammas: np.ndarray
@@ -472,13 +464,8 @@ def _n1_table(tab: PieceTable) -> _N1Table:
     high[high == INF] = 1.0
     low[tab.divergent, 1] = 1.0
     floor = np.where(tab.sizes > 0, tab.lo[:, 0], 0.0)
-    least = np.where(real, tab.gamma, INF).min(axis=1).tolist()
-    most = np.where(real, tab.gamma, -INF).max(axis=1).tolist()
-    shared = [g if g == h else None for g, h in zip(least, most)]
-    exponents = [(g, np.array([x == g for x in shared])) for g in dict.fromkeys(shared)]
-    owner = np.arange(count)[:, None]
-    p_lo = _powers(np.maximum(low, floor[:, None]), owner, gammas, exponents)
-    p_hi = _powers(np.maximum(high, floor[:, None]), owner, gammas, exponents)
+    p_lo = _powers(np.maximum(low, floor[:, None]), gammas)
+    p_hi = _powers(np.maximum(high, floor[:, None]), gammas)
 
     w = amp / np.where(gammas == 0.0, 1.0, gammas)
     cells = np.arange(w.shape[1])
@@ -487,8 +474,7 @@ def _n1_table(tab: PieceTable) -> _N1Table:
     between[:, :, 1:] = np.cumsum(upper, axis=2)[:, :, :-1]
     ordered = np.sort(knots)
     keys = np.nonzero(is_cell)[0] * (ordered.size + 1) + np.searchsorted(ordered, knots)
-    return _N1Table(ordered, keys, exponents, floor, tab.divergent, gammas, w, p_lo, p_hi,
-                    between)
+    return _N1Table(ordered, keys, floor, tab.divergent, gammas, w, p_lo, p_hi, between)
 
 
 def group_ball_integrals_n1(fs, p: float, which, d: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -512,8 +498,8 @@ def group_ball_integrals_n1(fs, p: float, which, d: np.ndarray, r: np.ndarray) -
     c_lo, c_hi = tab.cells(which, t_lo), tab.cells(which, t_hi)
     divergent = tab.divergent.any()
     with np.errstate(divide="ignore", invalid="ignore") if divergent else nullcontext():
-        pw_lo, pw_hi = (_powers(np.maximum(t, tab.floor[which]), which, tab.gammas[which, c],
-                                tab.exponents) for t, c in ((t_lo, c_lo), (t_hi, c_hi)))
+        pw_lo, pw_hi = (_powers(np.maximum(t, tab.floor[which]), tab.gammas[which, c])
+                        for t, c in ((t_lo, c_lo), (t_hi, c_hi)))
         # within one cell w_hi (pw_hi - pw_lo), across cells
         # w_hi (pw_hi - p_lo) + between + w_lo (p_hi - pw_lo)
         w_lo, w_hi = tab.w[which, c_lo], tab.w[which, c_hi]

@@ -239,6 +239,60 @@ class TestSearchCommand:
         assert _outer_part_truncated(sp.with_mode(Mode.MORREY), 1.0, math.inf, 1e6, 1e-10)
 
 
+_KINDS_S2 = ("gen_vnj(s=2)", "mod_vnj", "gen_mod_vnj(s=2)", "zbaganu")
+
+
+class TestCheckNames:
+    """Check names are the report's keys: each command's names, in their order."""
+
+    def test_verify_thm1(self, capsys):
+        _, rep = run_json(capsys, ["verify-thm1", "--s", "2", "--s", "3"])
+        assert [c["name"] for c in rep["checks"]] == [
+            "closed_form_norm", "norm_chain_g", "norm_chain_k", "norm_chain_h_deficit",
+            "norm_chain_h_truncated", "ratio_gen_vnj(s=2)", "ratio_gen_vnj(s=3)",
+            "ratio_mod_vnj", "ratio_gen_mod_vnj(s=2)", "ratio_gen_mod_vnj(s=3)", "ratio_zbaganu",
+        ]
+
+    @pytest.mark.parametrize("n", ["1", "2"])
+    def test_verify_thm2(self, capsys, n):
+        _, rep = run_json(capsys, ["verify-thm2", "--n", n])
+        per_eps = [
+            name
+            for eps in ("0.5", "0.1", "0.01", "0.0001")
+            for name in (f"h_lower_bound_eps={eps}", f"h_truncated_eps={eps}",
+                         *(f"ratio_{kind}_eps={eps}" for kind in _KINDS_S2))
+        ]
+        per_kind = [f"{check}_{kind}" for kind in _KINDS_S2 for check in ("monotone", "final_eps")]
+        assert [c["name"] for c in rep["checks"]] == ["closed_form_norm", *per_eps, *per_kind]
+
+    def test_constants(self, capsys):
+        _, rep = run_json(capsys, ["constants", "--trials", "2"])
+        assert [c["name"] for c in rep["checks"]] == [
+            f"{check}_{kind}" for kind in _KINDS_S2 for check in ("upper_bound", "witness_floor")
+        ]
+
+    def test_search(self, capsys):
+        _, rep = run_json(capsys, ["search", "--trials", "2"])
+        assert [c["name"] for c in rep["checks"]] == [f"no_violations_{k}" for k in _KINDS_S2]
+
+
+class TestLargeS:
+    @pytest.mark.parametrize("argv", [["search", "--trials", "1", "--s", "1e6"],
+                                      ["verify-thm1", "--s", "1e6"],
+                                      ["verify-thm2", "--eps", "0.5", "--s", "1e6"],
+                                      ["constants", "--s", "2", "--s", "600"]])
+    def test_overflowing_power_is_an_input_error(self, capsys, argv):
+        # N^s or 2^(s - 1) leaves the float range: one error line naming
+        # --s, and the exit code of bad input, not of a failed check
+        assert run(argv) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: --s ") and "too large" in line
+
+    def test_usable_s_still_runs(self, capsys):
+        code, rep = run_json(capsys, ["search", "--trials", "1", "--s", "300"])
+        assert code == 0 and rep["all_passed"] is True
+
+
 class TestConfigFile:
     def test_file_supplies_values(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -277,6 +331,16 @@ class TestConfigFile:
         cfg.write_text(json.dumps({"eps": []}))
         assert run([*command, "--config", str(cfg)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("ladder", [[0.5, 0.5], [0.1, 0.1000000001], [0.5, 0.01, 0.5]])
+    def test_split_radii_that_print_alike_rejected(self, capsys, tmp_path, ladder):
+        # a check is named by its radius under :g, so two alike would share names
+        argv = ["verify-thm2", *(x for eps in ladder for x in ("--eps", repr(eps)))]
+        assert run(argv) == 2
+        assert "split radii must differ" in capsys.readouterr().err
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"eps": ladder}))
+        assert run(["constants", "--mode", "small", "--config", str(cfg)]) == 2
 
     def test_missing_file_rejected(self, capsys):
         assert run(["norm", "--config", "/nonexistent/cfg.json"]) == 2
